@@ -180,10 +180,12 @@ def decode_tpkx(path: str, lod: int | None = None,
                "INITIAL_EXTENT": "initialExtent"}.get(extent.upper())
     if ext_key and ext_key in conf:
         e = conf[ext_key]
-        px0 = int(math.floor((e["xmin"] - ox) / res))
-        py0 = int(math.floor((oy - e["ymax"]) / res))
-        px1 = int(math.ceil((e["xmax"] - ox) / res))
-        py1 = int(math.ceil((oy - e["ymin"]) / res))
+        # ±0.001 px: an extent on a pixel boundary must not gain a
+        # row/column from FP rounding (same window as pmtiles.py)
+        px0 = int(math.floor((e["xmin"] - ox) / res + 0.001))
+        py0 = int(math.floor((oy - e["ymax"]) / res + 0.001))
+        px1 = int(math.ceil((e["xmax"] - ox) / res - 0.001))
+        py1 = int(math.ceil((oy - e["ymin"]) / res - 0.001))
     else:                                # whole tiling scheme level
         px0 = py0 = 0
         px1 = py1 = tsz * (1 << lod)

@@ -775,7 +775,7 @@ def _decode_ifd(mv: bytes, bo: str, ifd_off: int, big: bool = False):
                 continue                 # sparse block (unwritten)
             if c == 0:                   # zeroed count: infer from
                 nxt = [oo for oo in offs if oo > o]   # neighbours
-                c = (min(nxt) if nxt else len(buf)) - o
+                c = (min(nxt) if nxt else len(mv)) - o
             band0 = 0 if planar == 1 else ti // tiles_per_band
             bi = ti if planar == 1 else ti % tiles_per_band
             row0 = (bi // tiles_across) * tl
@@ -806,7 +806,7 @@ def _decode_ifd(mv: bytes, bo: str, ifd_off: int, big: bool = False):
                 continue                 # sparse block (unwritten)
             if c == 0:
                 nxt = [oo for oo in offs if oo > o]
-                c = (min(nxt) if nxt else len(buf)) - o
+                c = (min(nxt) if nxt else len(mv)) - o
             band0 = 0 if planar == 1 else si // strips_per_band
             bi = si if planar == 1 else si % strips_per_band
             row0 = bi * rps

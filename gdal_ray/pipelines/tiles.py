@@ -2,11 +2,18 @@
 
 Composition (all lazy; the streaming executor pipelines the stages):
 
-  images ─ map_batches(with_georef)        metadata only
-         ─ map_batches(cover_batch)        flat-map to (cell, contribution)
-         ─ groupby(cell).map_groups(RenderTile)     ← the shuffle
-         ─ [per zoom, descending] groupby(parent).map_groups(CombineChildren)
-         ─ write_parquet(out/z=K/)         resumable partitioned layout
+  images ─ map_batches(with_georef)            metadata only
+         ─ map_batches(warp_fragments_batch)   decode once, one pre-warped
+                                               fragment per covering tile
+         ─ map_batches(_with_bucket("cell"))   salted shuffle key
+         ─ groupby(bucket).map_groups(RenderFragments)    ← the shuffle
+         ─ [per zoom, descending] add_parent_cell → _with_bucket("parent")
+           → groupby(bucket).map_groups(CombineChildren)
+         ─ write_parquet(out/z=K/)             resumable partitioned layout
+
+Both exchanges hand their callables Arrow groups (batch_format=
+"pyarrow") and get TILE_SCHEMA tables back: no pandas round trip, and no
+pandas schema metadata in the tile store's Parquet footers.
 
 The overview cascade keeps gdal2tiles' per-zoom barrier
 (gdal2tiles.py:4547): level z is materialized before level z-1 starts —
@@ -21,12 +28,14 @@ import pyarrow as pa
 
 from ..sources.images import images_dataset
 from ..stages.georef import with_georef
-from ..stages.tiles import (CombineChildren, RenderFragments, RenderTile,
-                            add_parent_cell, cover_batch,
-                            warp_fragments_batch)
+from ..stages.tiles import (CombineChildren, RenderFragments,
+                            add_parent_cell, warp_fragments_batch)
 
 
 N_RENDER_BUCKETS = 128
+# Arrow's default row-group cap; any tile-store file below it is one
+# row group
+_ROW_GROUP_ROWS = 1 << 20
 
 
 def _with_bucket(batch: pa.Table, key: str) -> pa.Table:
@@ -63,7 +72,7 @@ def build_base_tiles(images, zoom: int | None = None, *,
         return renderer(g)
 
     return ds.groupby("bucket").map_groups(render_tile_group,
-                                           batch_format="pandas")
+                                           batch_format="pyarrow")
 
 
 def build_overviews(tiles, min_z: int, max_z: int):
@@ -83,7 +92,7 @@ def build_overviews(tiles, min_z: int, max_z: int):
                .map_batches(lambda b: _with_bucket(b, "parent"),
                             batch_format="pyarrow")
                .groupby("bucket")
-               .map_groups(combine_children_group, batch_format="pandas")
+               .map_groups(combine_children_group, batch_format="pyarrow")
                .materialize())
         levels[z - 1] = cur
     return levels
@@ -124,14 +133,15 @@ def write_pyramid(levels: dict, out_dir: str):
         t0 = time.time()
         drop = [c for c in ("parent", "bucket") if c in ds.schema().names]
         out = (ds.drop_columns(drop) if drop else ds).materialize()
-        out.write_parquet(path)
+        # Ray's block builder keeps each group's table as its own chunk,
+        # and write_dataset writes a row group per chunk unless told to
+        # buffer: one row group per file keeps the footers small
+        out.write_parquet(path, row_group_size=_ROW_GROUP_ROWS)
         # per-partition LINEAGE + METRICS row (north rule): counts,
         # source fan-in, a checksum digest of the level's tile
         # checksums (order-free XOR — parallel-safe), wall time.
         # count()/aggregates on the materialized handle read cached
         # blocks instead of re-running the render pipeline.
-        import pyarrow as _pa
-
         digest = 0
         n_src_total = 0
         for b in out.iter_batches(batch_format="pyarrow", batch_size=4096):
@@ -218,7 +228,7 @@ def render_base_resumable(images, zoom: int, out_dir: str, *,
         return renderer(g)
 
     rendered = ds.groupby("bucket").map_groups(render_tile_group,
-                                               batch_format="pandas")
+                                               batch_format="pyarrow")
 
     def commit_block(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:

@@ -95,3 +95,31 @@ def test_tpkx_min_lod_not_zero():
     x = int((-11131949 - gt[0]) / gt[1])
     y = int((4865942 - gt[3]) / gt[5])
     assert px[y, x, :3].any()
+
+
+def test_tpkx_extent_on_pixel_boundaries(tmp_path):
+    # (edge - origin) / res lands a hair off an integer in floating
+    # point (4.9999999999997 / 12.0000000000003): the window must stay
+    # exactly the 7×7 pixels between the boundaries, no spurious
+    # row or column
+    import json
+    import zipfile
+    from gdal_ray.codecs.esric import decode_tpkx
+
+    o = 20037508.342787
+    res = 2 * o / 256 / 2 ** 5
+    assert (o + (-o + 5 * res)) / res != 5
+    assert (o + (-o + 12 * res)) / res != 12
+    root = {"tileInfo": {"cols": 256, "origin": {"x": -o, "y": o},
+                         "lods": [{"level": 5, "resolution": res}]},
+            "fullExtent": {"xmin": -o + 5 * res, "xmax": -o + 12 * res,
+                           "ymin": o - 12 * res, "ymax": o - 5 * res},
+            "spatialReference": {"wkid": 3857}}
+    path = tmp_path / "edge.tpkx"
+    with zipfile.ZipFile(path, "w") as z:
+        z.writestr("root.json", json.dumps(root))
+    px, gt, _, meta = decode_tpkx(str(path))
+    assert px.shape == (7, 7, 4)
+    assert gt[0] == pytest.approx(-o + 5 * res)
+    assert gt[3] == pytest.approx(o - 5 * res)
+    assert meta["crs"] == "EPSG:3857"

@@ -356,3 +356,68 @@ def test_old_style_jpeg():
         "rb").read())
     assert g.pixels.shape == (213, 234, 3)
     assert checksum(g.pixels[:, :, 0]) == 61570
+
+
+def _zero_last_block_count(buf: bytes, off_tag: int, cnt_tag: int) -> bytes:
+    """Zero the byte count of the highest-offset block of a classic
+    little-endian TIFF (LONG offset/count arrays)."""
+    import struct
+    (ifd,) = struct.unpack_from("<I", buf, 4)
+    (n,) = struct.unpack_from("<H", buf, ifd)
+    where = {}
+    for i in range(n):
+        tag, typ, cnt, val = struct.unpack_from("<HHII", buf, ifd + 2 + 12 * i)
+        assert tag not in (off_tag, cnt_tag) or typ == 4
+        # LONG arrays of one value sit inline in the entry
+        where[tag] = (cnt, ifd + 2 + 12 * i + 8 if cnt == 1 else val)
+    cnt, at = where[off_tag]
+    offs = struct.unpack_from(f"<{cnt}I", buf, at)
+    last = max(range(cnt), key=offs.__getitem__)
+    out = bytearray(buf)
+    struct.pack_into("<I", out, where[cnt_tag][1] + 4 * last, 0)
+    return bytes(out)
+
+
+def _strip_tiff(img, rows_per_strip: int) -> bytes:
+    """Uncompressed single-band uint8 strip TIFF: header, IFD, strips."""
+    import struct
+    h, w = img.shape
+    strips = [img[r:r + rows_per_strip].tobytes()
+              for r in range(0, h, rows_per_strip)]
+    k = len(strips)
+    n = 9
+    arrays = 8 + 2 + 12 * n + 4
+    data = arrays + 8 * k
+    offs, pos = [], data
+    for s in strips:
+        offs.append(pos)
+        pos += len(s)
+    entries = [(256, 4, 1, w), (257, 4, 1, h), (258, 3, 1, 8),
+               (259, 3, 1, 1), (262, 3, 1, 1), (273, 4, k, arrays),
+               (277, 3, 1, 1), (278, 4, 1, rows_per_strip),
+               (279, 4, k, arrays + 4 * k)]
+    out = b"II*\x00" + struct.pack("<I", 8) + struct.pack("<H", n)
+    for tag, typ, cnt, val in entries:
+        out += struct.pack("<HHII", tag, typ, cnt, val)
+    out += struct.pack("<I", 0)
+    out += struct.pack(f"<{k}I", *offs)
+    out += struct.pack(f"<{k}I", *(len(s) for s in strips))
+    return out + b"".join(strips)
+
+
+def test_zeroed_count_on_last_block_tiled():
+    # the highest-offset block has no next block to infer its count
+    # from: it runs to the end of the file (no NameError)
+    img = (np.arange(32 * 32) % 251).astype(np.uint8).reshape(32, 32)
+    buf = encode_gtiff(img, tile_size=16, compress="none")
+    g = decode_gtiff(_zero_last_block_count(buf, 324, 325))
+    assert np.array_equal(g.pixels[:, :, 0] if g.pixels.ndim == 3
+                          else g.pixels, img)
+
+
+def test_zeroed_count_on_last_block_stripped():
+    img = (np.arange(8 * 6) * 5 % 256).astype(np.uint8).reshape(6, 8)
+    buf = _strip_tiff(img, 2)
+    assert np.array_equal(np.squeeze(decode_gtiff(buf).pixels), img)
+    g = decode_gtiff(_zero_last_block_count(buf, 273, 279))
+    assert np.array_equal(np.squeeze(g.pixels), img)

@@ -4,6 +4,7 @@ render pixel-exactness, overview cascade math, caption preservation."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from gdal_ray.codecs import decode, encode, psnr
@@ -68,11 +69,12 @@ class TestRender:
             "img_w": [256], "img_h": [256],
         })
         out = RenderTile(resampling="near")(group)
-        assert len(out) == 1
-        rgba = decode(out.iloc[0]["png"], "png")
+        assert out.num_rows == 1
+        row = out.to_pylist()[0]
+        rgba = decode(row["png"], "png")
         assert np.array_equal(rgba[:, :, :3], img)
         assert (rgba[:, :, 3] == 255).all()
-        assert [out.iloc[0]["cs_r"], out.iloc[0]["cs_g"], out.iloc[0]["cs_b"]] \
+        assert [row["cs_r"], row["cs_g"], row["cs_b"]] \
             == checksum_multiband(img)
 
     def test_compositing_order(self):
@@ -92,7 +94,7 @@ class TestRender:
                 "img_w": 256, "img_h": 256,
             })
         out = RenderTile(resampling="near")(pd.DataFrame(rows[::-1]))
-        rgba = decode(out.iloc[0]["png"], "png")
+        rgba = decode(out["png"][0].as_py(), "png")
         assert (rgba[:, :, 0] == 200).all()
 
     def test_blank_tile_skipped(self):
@@ -107,7 +109,7 @@ class TestRender:
             "img_w": [8], "img_h": [8],
         })
         out = RenderTile()(group)
-        assert len(out) == 0
+        assert out.num_rows == 0
 
 
 class TestOverview:
@@ -129,10 +131,11 @@ class TestOverview:
                     "parent": np.uint64(merc.cell_id(z - 1, 5, 10)),
                 })
         out = CombineChildren()(pd.DataFrame(children))
-        assert len(out) == 1
-        assert int(out.iloc[0]["z"]) == z - 1
-        assert (int(out.iloc[0]["x"]), int(out.iloc[0]["y"])) == (5, 10)
-        rgba = decode(out.iloc[0]["png"], "png")
+        assert out.num_rows == 1
+        row = out.to_pylist()[0]
+        assert int(row["z"]) == z - 1
+        assert (int(row["x"]), int(row["y"])) == (5, 10)
+        rgba = decode(row["png"], "png")
         # each child shrinks to its 128×128 quadrant: top-left = child (0,0)
         assert (rgba[:128, :128, 0] == 50).all()
         assert (rgba[:128, 128:, 0] == 100).all()
@@ -247,6 +250,79 @@ class TestWriteTileTree:
             assert n == m["z=7"]["n_tiles"]
 
 
+class TestTileStoreLayout:
+    """The tile store is Arrow end to end: no pandas schema key in any
+    footer, one row group per file, and the callables give the same
+    table for an Arrow group and for the same group as a DataFrame."""
+
+    @staticmethod
+    def _fragments():
+        from gdal_ray.sources.images import make_image_batch
+        from gdal_ray.stages.georef import with_georef
+        from gdal_ray.stages.tiles import warp_fragments_batch
+
+        frags = warp_fragments_batch(
+            with_georef(make_image_batch(list(range(40)))), 6)
+        assert frags.num_rows > len(set(frags["cell"].to_pylist()))
+        return frags
+
+    def test_parquet_files_arrow_only(self, ray_session, tmp_path):
+        import os
+        import pyarrow.parquet as pq
+        from gdal_ray.pipelines.tiles import tile_pyramid, write_pyramid
+        from gdal_ray.stages.tiles import TILE_SCHEMA
+
+        out = str(tmp_path / "pyr")
+        write_pyramid(tile_pyramid(24, zoom=7, min_z=6), out)
+        files = [os.path.join(out, d, f) for d in ("z=6", "z=7")
+                 for f in os.listdir(os.path.join(out, d))]
+        assert files
+        for f in files:
+            pf = pq.ParquetFile(f)
+            assert b"pandas" not in (pf.metadata.metadata or {})
+            assert b"pandas" not in (pf.schema_arrow.metadata or {})
+            assert pf.metadata.num_row_groups == 1
+            assert pf.schema_arrow.equals(TILE_SCHEMA)
+
+    def test_render_fragments_arrow_equals_pandas(self):
+        from gdal_ray.stages.join import salted_bucket
+        from gdal_ray.stages.tiles import RenderFragments, TILE_SCHEMA
+
+        frags = self._fragments()
+        bucketed = salted_bucket(frags, "cell", 4)
+        rf = RenderFragments()
+        for b in np.unique(bucketed["bucket"].to_numpy()):
+            t = bucketed.filter(pc.equal(bucketed["bucket"], b))
+            got = rf(t)
+            assert got.schema.equals(TILE_SCHEMA, check_metadata=True)
+            assert got.equals(rf(t.to_pandas()))
+            # arrival order within a bucket does not change the tiles
+            assert got.equals(rf(t.take(np.arange(t.num_rows)[::-1])))
+        # a many-cell bucket renders each cell as a one-cell group would
+        whole = rf(bucketed)
+        per_cell = pa.concat_tables(
+            [rf(frags.filter(pc.equal(frags["cell"], c)))
+             for c in sorted(set(frags["cell"].to_pylist()))])
+        assert whole.equals(per_cell)
+
+    def test_combine_children_arrow_equals_pandas(self):
+        from gdal_ray.stages.join import salted_bucket
+        from gdal_ray.stages.tiles import (CombineChildren, RenderFragments,
+                                           TILE_SCHEMA, add_parent_cell)
+
+        base = RenderFragments()(self._fragments())
+        parents = salted_bucket(add_parent_cell(base), "parent", 4)
+        cc = CombineChildren()
+        n = 0
+        for b in np.unique(parents["bucket"].to_numpy()):
+            t = parents.filter(pc.equal(parents["bucket"], b))
+            got = cc(t)
+            assert got.schema.equals(TILE_SCHEMA, check_metadata=True)
+            assert got.equals(cc(t.to_pandas()))
+            n += got.num_rows
+        assert n == len(set(parents["parent"].to_pylist()))
+
+
 class TestFragmentParity:
     """Round-2 shuffle fix: pre-warped fragments must produce
     checksum-identical tiles to the warp-in-reduce RenderTile path."""
@@ -269,8 +345,8 @@ class TestFragmentParity:
             old_rows.append(b)
         old = pd.concat(old_rows, ignore_index=True)
         rt = RenderTile(resampling="bilinear")
-        old_tiles = pd.concat([rt(g) for _, g in old.groupby("cell")],
-                              ignore_index=True)
+        old_tiles = pa.concat_tables(
+            [rt(g) for _, g in old.groupby("cell")]).to_pandas()
 
         # new path: pre-warp fragments in map, composite in reduce
         frag_rows = []
@@ -281,8 +357,8 @@ class TestFragmentParity:
             frag_rows.append(b)
         frags = pd.concat(frag_rows, ignore_index=True)
         rf = RenderFragments()
-        new_tiles = pd.concat([rf(g) for _, g in frags.groupby("cell")],
-                              ignore_index=True)
+        new_tiles = pa.concat_tables(
+            [rf(g) for _, g in frags.groupby("cell")]).to_pandas()
 
         cols = ["cell", "z", "x", "y", "n_src", "cs_r", "cs_g", "cs_b"]
         o = old_tiles[cols].sort_values("cell").reset_index(drop=True)
