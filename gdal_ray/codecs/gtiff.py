@@ -378,23 +378,29 @@ def _decode_ojpeg_block(raw: bytes, buf, tags, bh: int, bw: int,
     tables; 16-count + symbols Huffman tables) around the strip/tile
     entropy data, decode to raw subsampled planes, replicate chroma,
     and convert with the file's YCbCrCoefficients/ReferenceBlackWhite
-    (video-range) tables — not JPEG full range."""
+    (video-range) tables — not JPEG full range. SamplesPerPixel=1 is a
+    single-component grayscale stream, returned as one band."""
     if int(tags.get(512, [1])[0]) != 1:
         raise ValueError("OJPEG: only JPEGProc=1 (baseline)")
     if 513 in tags and 514 in tags and not raw[:2] == b"\xff\xd8":
         o = int(tags[513][0])
         ln = int(tags[514][0])
         raw = bytes(buf[o:o + ln])
+    ncomp = 1 if int(tags.get(_T_SPP, [1])[0]) == 1 else 3
     if raw[:2] == b"\xff\xd8":
         stream = raw                     # already a full JPEG
     else:
+        # component k uses table k, or the last table the file carries
+        qts, dcs, acs = (tags.get(t, [])[:ncomp] for t in (519, 520, 521))
+        if not (qts and dcs and acs):
+            raise ValueError("OJPEG: missing JPEGQ/DC/ACTables tags")
         out = bytearray(b"\xff\xd8")
-        for k, qoff in enumerate(tags.get(519, [])[:3]):
+        for k, qoff in enumerate(qts):
             qoff = int(qoff)
             out += b"\xff\xdb" + struct.pack(">H", 2 + 1 + 64)
             out += bytes([k]) + bytes(buf[qoff:qoff + 64])
-        for cls, tag in ((0, 520), (1, 521)):
-            for k, hoff in enumerate(tags.get(tag, [])[:3]):
+        for cls, offs in ((0, dcs), (1, acs)):
+            for k, hoff in enumerate(offs):
                 hoff = int(hoff)
                 bits = bytes(buf[hoff:hoff + 16])
                 nsym = sum(bits)
@@ -402,13 +408,18 @@ def _decode_ojpeg_block(raw: bytes, buf, tags, bh: int, bw: int,
                 out += b"\xff\xc4" + struct.pack(
                     ">H", 2 + 1 + 16 + nsym)
                 out += bytes([(cls << 4) | k]) + bits + vals
-        out += b"\xff\xc0" + struct.pack(">HBHHB", 17, 8, bh, bw, 3)
-        out += bytes([1, (ss_h << 4) | ss_v, 0])
-        out += bytes([2, 0x11, 1])
-        out += bytes([3, 0x11, 2])
-        out += b"\xff\xda" + struct.pack(">HB", 12, 3)
-        out += bytes([1, 0x00, 2, 0x11, 3, 0x22, 0, 63, 0])
-        out += raw + b"\xff\xd9"
+        out += b"\xff\xc0" + struct.pack(">HBHHB", 8 + 3 * ncomp, 8,
+                                         bh, bw, ncomp)
+        for k in range(ncomp):
+            # luma carries the file's subsampling; a lone component none
+            samp = ((ss_h << 4) | ss_v) if k == 0 and ncomp == 3 \
+                else 0x11
+            out += bytes([k + 1, samp, min(k, len(qts) - 1)])
+        out += b"\xff\xda" + struct.pack(">HB", 6 + 2 * ncomp, ncomp)
+        for k in range(ncomp):
+            out += bytes([k + 1, (min(k, len(dcs) - 1) << 4)
+                          | min(k, len(acs) - 1)])
+        out += bytes([0, 63, 0]) + raw + b"\xff\xd9"
         stream = bytes(out)
     from .jpeg import decode as _jpeg_decode
     planes = _jpeg_decode(stream, raw_planes=True)
@@ -423,12 +434,12 @@ def _decode_ojpeg_block(raw: bytes, buf, tags, bh: int, bw: int,
         return p[:bh, :bw]
 
     if len(comps) < 3:
-        blk = np.repeat(y[:, :, None], 3, axis=2)
+        blk = np.repeat(y[:, :, None], ncomp, axis=2)
     else:
         blk = _ycbcr_planes_to_rgb(full(comps[0]), full(comps[1]),
                                    full(comps[2]), luma, refbw)
-    padded = np.zeros((bh, bw, 3), np.uint8)
-    padded[:blk.shape[0], :blk.shape[1]] = blk[:bh, :bw]
+    padded = np.zeros((bh, bw, ncomp), np.uint8)
+    padded[:blk.shape[0], :blk.shape[1]] = blk[:bh, :bw, :ncomp]
     return padded.tobytes()
 
 

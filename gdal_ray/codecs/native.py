@@ -24,6 +24,18 @@ import tempfile
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _CACHE: dict[str, object] = {}
+_REASONS: dict[str, str] = {}       # stem → why it fell back
+
+
+def _reason(e: Exception) -> str:
+    """One line saying why a build or load failed."""
+    if isinstance(e, subprocess.CalledProcessError):
+        lines = (e.stderr or b"").decode(errors="replace").splitlines()
+        # the first diagnostic, not gcc's trailing caret line
+        msg = next((ln for ln in lines if "error" in ln),
+                   lines[-1] if lines else "")
+        return f"cc exited {e.returncode}: {msg.strip()}".rstrip(": ")
+    return f"{type(e).__name__}: {e}"
 
 
 def _build(stem: str):
@@ -34,6 +46,7 @@ def _build(stem: str):
         return lib if lib else None
     if os.environ.get("GDAL_RAY_NO_NATIVE"):
         _CACHE[stem] = False
+        _REASONS[stem] = "GDAL_RAY_NO_NATIVE is set"
         return None
     src = os.path.join(_HERE, stem + ".c")
     # ".bin" not ".so": the import-sweep test (pkgutil) must not
@@ -53,11 +66,22 @@ def _build(stem: str):
                 if os.path.exists(tmp):
                     os.unlink(tmp)
         lib = ctypes.CDLL(so)
-    except Exception:
+    except Exception as e:
         _CACHE[stem] = False
+        _REASONS[stem] = _reason(e)
         return None
     _CACHE[stem] = lib
     return lib
+
+
+def status() -> dict[str, str]:
+    """Per twin (``t1``, ``vp8l``, ...): ``"native"`` when the C kernel
+    loads, else ``"fallback: <reason>"`` — the Python twin runs."""
+    stems = sorted(f[:-2] for f in os.listdir(_HERE)
+                   if f.startswith("_") and f.endswith(".c"))
+    return {s[1:]: "native" if _build(s) is not None
+            else f"fallback: {_REASONS.get(s, 'disabled')}"
+            for s in stems}
 
 
 def get_t1():

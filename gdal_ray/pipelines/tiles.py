@@ -9,7 +9,10 @@ Composition (all lazy; the streaming executor pipelines the stages):
          ─ groupby(bucket).map_groups(RenderFragments)    ← the shuffle
          ─ [per zoom, descending] add_parent_cell → _with_bucket("parent")
            → groupby(bucket).map_groups(CombineChildren)
-         ─ write_parquet(out/z=K/)             resumable partitioned layout
+         ─ write_parquet(out/z=K/)             resumable, one directory per
+                                               zoom: one file per level up to
+                                               Ray's block-size target; no
+                                               blob statistics
 
 Both exchanges hand their callables Arrow groups (batch_format=
 "pyarrow") and get TILE_SCHEMA tables back: no pandas round trip, and no
@@ -36,6 +39,16 @@ N_RENDER_BUCKETS = 128
 # Arrow's default row-group cap; any tile-store file below it is one
 # row group
 _ROW_GROUP_ROWS = 1 << 20
+
+
+def _stats_columns(schema: pa.Schema) -> list[str]:
+    """Columns that get Parquet min/max statistics: every non-binary
+    one. A binary blob (the PNG tile) is never pruned on, and its min and
+    max values would be stored twice per file, in the footer and in the
+    data-page header."""
+    return [f.name for f in schema
+            if not (pa.types.is_binary(f.type)
+                    or pa.types.is_large_binary(f.type))]
 
 
 def _with_bucket(batch: pa.Table, key: str) -> pa.Table:
@@ -107,7 +120,9 @@ def tile_pyramid(n_images: int, zoom: int = 8, min_z: int = 5, *,
 
 
 def write_pyramid(levels: dict, out_dir: str):
-    """Write each level to out_dir/z=K/ (one directory per zoom).
+    """Write each level to out_dir/z=K/ (one directory per zoom; one
+    Parquet file per level up to Ray's block-size target; min/max
+    statistics on every column but the PNG blobs).
 
     Resumable (gdal raster tile --resume, gdalalg_raster_tile.cpp:288):
     a level whose directory is already recorded in manifest.json is
@@ -116,6 +131,8 @@ def write_pyramid(levels: dict, out_dir: str):
     the manifest dict."""
     import json
     import os
+
+    from ray.data import DataContext
 
     os.makedirs(out_dir, exist_ok=True)
     mpath = os.path.join(out_dir, "manifest.json")
@@ -133,27 +150,38 @@ def write_pyramid(levels: dict, out_dir: str):
         t0 = time.time()
         drop = [c for c in ("parent", "bucket") if c in ds.schema().names]
         out = (ds.drop_columns(drop) if drop else ds).materialize()
-        # Ray's block builder keeps each group's table as its own chunk,
-        # and write_dataset writes a row group per chunk unless told to
-        # buffer: one row group per file keeps the footers small
-        out.write_parquet(path, row_group_size=_ROW_GROUP_ROWS)
+        # count()/size_bytes() on the materialized handle are block
+        # metadata, and the aggregates below read cached blocks instead
+        # of re-running the render pipeline
+        n = out.count()
+        size = out.size_bytes()
+        avg_row = max(1, size // max(n, 1))
+        # One file per level, capped by Ray's own block-size target: a
+        # small level (every overview) is exactly one file, a large base
+        # level still writes files of about that size in parallel. Ray
+        # keeps each group's table as its own chunk and write_dataset
+        # writes a row group per chunk unless told to buffer, so
+        # row_group_size keeps one row group per file. No statistics on
+        # the PNG blobs: a min and a max tile would pad every file.
+        target = DataContext.get_current().target_max_block_size or size
+        out.write_parquet(path, min_rows_per_file=max(1, target // avg_row),
+                          row_group_size=_ROW_GROUP_ROWS,
+                          write_statistics=_stats_columns(
+                              out.schema().base_schema))
         # per-partition LINEAGE + METRICS row (north rule): counts,
         # source fan-in, a checksum digest of the level's tile
         # checksums (order-free XOR — parallel-safe), wall time.
-        # count()/aggregates on the materialized handle read cached
-        # blocks instead of re-running the render pipeline.
         digest = 0
         n_src_total = 0
         for b in out.iter_batches(batch_format="pyarrow", batch_size=4096):
             cs = (b["cs_r"].to_numpy().astype(np.int64)
                   ^ (b["cs_g"].to_numpy().astype(np.int64) << 16)
                   ^ (b["cs_b"].to_numpy().astype(np.int64) << 32))
-            for v in cs.tolist():
-                digest ^= v
+            digest ^= int(np.bitwise_xor.reduce(cs))
             n_src_total += int(np.sum(b["n_src"].to_numpy()))
-        manifest[key] = {"n_tiles": out.count(),
+        manifest[key] = {"n_tiles": n,
                          "n_source_contributions": n_src_total,
-                         "checksum_digest": int(digest),
+                         "checksum_digest": digest,
                          "wall_sec": round(time.time() - t0, 3)}
         with open(mpath, "w") as f:
             json.dump(manifest, f)
@@ -236,8 +264,9 @@ def render_base_resumable(images, zoom: int, out_dir: str, *,
         cells = np.sort(t["cell"].to_numpy())
         name = hashlib.sha1(cells.tobytes()).hexdigest()[:16]
         drop = [c for c in ("parent", "bucket") if c in t.column_names]
-        pq.write_table(t.drop_columns(drop) if drop else t,
-                       os.path.join(tiles_dir, f"{name}.parquet"))
+        t = t.drop_columns(drop) if drop else t
+        pq.write_table(t, os.path.join(tiles_dir, f"{name}.parquet"),
+                       write_statistics=_stats_columns(t.schema))
         # manifest row lands strictly AFTER the tiles file: the commit
         pq.write_table(pa.table({"cell": pa.array(cells)}),
                        os.path.join(cells_dir, f"{name}.parquet"))

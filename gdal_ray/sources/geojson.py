@@ -10,6 +10,7 @@ as the standard WKB column + envelope columns, fid from the feature's
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pyarrow as pa
@@ -22,6 +23,18 @@ _GEOM_TYPES = {"Point", "MultiPoint", "LineString", "MultiLineString",
                "Polygon", "MultiPolygon", "GeometryCollection"}
 
 
+# a string literal (escapes included) or a comma before a closing bracket
+_STRING_OR_TRAILING_COMMA = re.compile(r'"(?:[^"\\]|\\.)*"|,(\s*[}\]])',
+                                       re.S)
+
+
+def _strip_trailing_commas(text: str) -> str:
+    """Drop commas that directly precede ``}`` or ``]``. String literals
+    match first as whole tokens, so text inside them is left as is."""
+    return _STRING_OR_TRAILING_COMMA.sub(
+        lambda m: m.group(0) if m.group(1) is None else m.group(1), text)
+
+
 def read_geojson_table(path: str) -> pa.Table:
     """GeoJSON file → Arrow table (fid, properties..., wkb, minx,
     miny, maxx, maxy).  Like the reference driver, accepts a
@@ -32,8 +45,7 @@ def read_geojson_table(path: str) -> pa.Table:
         fc = json.loads(text)
     except json.JSONDecodeError:
         # the reference's json-c parser tolerates trailing commas
-        import re
-        fc = json.loads(re.sub(r",\s*([}\]])", r"\1", text))
+        fc = json.loads(_strip_trailing_commas(text))
     t = fc.get("type") if isinstance(fc, dict) else None
     if t == "FeatureCollection":
         feats = fc.get("features") or []

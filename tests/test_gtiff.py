@@ -421,3 +421,83 @@ def test_zeroed_count_on_last_block_stripped():
     assert np.array_equal(np.squeeze(decode_gtiff(buf).pixels), img)
     g = decode_gtiff(_zero_last_block_count(buf, 273, 279))
     assert np.array_equal(np.squeeze(g.pixels), img)
+
+
+def _ojpeg_tiff(px: np.ndarray) -> bytes:
+    """Old-style JPEG (compression 6) strip TIFF built from this repo's
+    baseline encoder: its DQT/DHT payloads become JPEGQTables /
+    JPEGDCTables / JPEGACTables and its entropy-coded scan is the
+    strip, with no JPEGInterchangeFormat stream."""
+    import struct
+    from gdal_ray.codecs.jpeg import encode as jpeg_encode
+
+    jpg = jpeg_encode(px, quality=90)
+    h, w = px.shape[:2]
+    spp = 1 if px.ndim == 2 else px.shape[2]
+    q, dc, ac = [], [], []
+    pos = 2
+    while True:
+        marker, ln = struct.unpack(">HH", jpg[pos:pos + 4])
+        seg = jpg[pos + 4:pos + 2 + ln]
+        if marker == 0xFFDB:
+            q.append(seg[1:65])
+        elif marker == 0xFFC4:
+            (ac if seg[0] >> 4 else dc).append(seg[1:])
+        elif marker == 0xFFDA:
+            scan = jpg[pos + 2 + ln:-2]          # up to the EOI
+            break
+        pos += 2 + ln
+    blobs = bytearray()
+    offs = {}
+    for name, items in (("q", q), ("dc", dc), ("ac", ac),
+                        ("scan", [scan])):
+        offs[name] = []
+        for b in items:
+            offs[name].append(8 + len(blobs))
+            blobs += b
+    entries = [(256, 4, [w]), (257, 4, [h]), (258, 3, [8]),
+               (259, 3, [6]), (262, 3, [1 if spp == 1 else 6]),
+               (273, 4, offs["scan"]), (277, 3, [spp]), (278, 4, [h]),
+               (279, 4, [len(scan)]), (512, 3, [1]),
+               (519, 4, offs["q"]), (520, 4, offs["dc"]),
+               (521, 4, offs["ac"])]
+    if spp == 3:                         # 4:4:4, full-range YCbCr
+        entries += [(530, 3, [1, 1]),
+                    (532, 5, [0, 1, 255, 1, 128, 1, 255, 1, 128, 1,
+                              255, 1])]
+    ifd_off = 8 + len(blobs) + (len(blobs) & 1)
+    extra_off = ifd_off + 2 + 12 * len(entries) + 4
+    ifd, extra = bytearray(struct.pack("<H", len(entries))), bytearray()
+    for tag, typ, vals in entries:
+        fmt = {3: "H", 4: "I", 5: "I"}[typ]
+        data = struct.pack(f"<{len(vals)}{fmt}", *vals)
+        cnt = len(vals) // 2 if typ == 5 else len(vals)
+        if len(data) <= 4:
+            field = data.ljust(4, b"\0")
+        else:
+            field = struct.pack("<I", extra_off + len(extra))
+            extra += data
+        ifd += struct.pack("<HHI", tag, typ, cnt) + field
+    ifd += struct.pack("<I", 0)
+    return (b"II*\0" + struct.pack("<I", ifd_off) + bytes(blobs)
+            + b"\0" * (ifd_off - 8 - len(blobs)) + bytes(ifd)
+            + bytes(extra))
+
+
+@pytest.mark.parametrize("bands", [1, 3])
+def test_old_style_jpeg_from_table_tags(bands):
+    # a 1-sample OJPEG strip has one Q/DC/AC table and a one-component
+    # scan; a 3-sample strip with two tables of each kind reuses the
+    # last for the second chroma component
+    from gdal_ray.codecs.jpeg import decode as jpeg_decode
+    from gdal_ray.codecs.jpeg import encode as jpeg_encode
+    yy, xx = np.mgrid[0:21, 0:37]
+    px = np.stack([yy * 6 + xx * 3, xx * 6,
+                   255 - yy * 10], axis=-1).astype(np.uint8)
+    px = px[:, :, 0] if bands == 1 else px
+    g = decode_gtiff(_ojpeg_tiff(px))
+    assert g.pixels.shape == px.shape
+    assert np.abs(g.pixels.astype(int) - px).max() <= 4
+    if bands == 1:                       # the same scan, same pixels
+        ref = jpeg_decode(jpeg_encode(px, quality=90))
+        assert np.array_equal(g.pixels, ref.reshape(px.shape))

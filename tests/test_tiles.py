@@ -322,6 +322,95 @@ class TestTileStoreLayout:
             n += got.num_rows
         assert n == len(set(parents["parent"].to_pylist()))
 
+    @pytest.fixture(scope="class")
+    def pyramid(self, ray_session, tmp_path_factory):
+        """Levels of a small pyramid and the store write_pyramid made."""
+        from gdal_ray.pipelines.tiles import tile_pyramid, write_pyramid
+
+        levels = tile_pyramid(24, zoom=7, min_z=6)
+        out = str(tmp_path_factory.mktemp("store") / "pyr")
+        return levels, out, write_pyramid(levels, out)
+
+    @staticmethod
+    def _files(d):
+        import os
+        return sorted(os.path.join(d, f) for f in os.listdir(d)
+                      if f.endswith(".parquet"))
+
+    @staticmethod
+    def _tile_rows(files):
+        import pyarrow.parquet as pq
+        t = pa.concat_tables([pq.read_table(f) for f in files])
+        cols = ["cell", "png", "n_src", "cs_r", "cs_g", "cs_b"]
+        return sorted(zip(*(t[c].to_pylist() for c in cols)))
+
+    @staticmethod
+    def _stats(f):
+        import pyarrow.parquet as pq
+        rg = pq.ParquetFile(f).metadata.row_group(0)
+        return {rg.column(i).path_in_schema: rg.column(i).is_stats_set
+                for i in range(rg.num_columns)}
+
+    def test_one_file_per_level(self, pyramid):
+        import os
+        levels, out, manifest = pyramid
+        for z in levels:
+            files = self._files(os.path.join(out, f"z={z}"))
+            assert len(files) == 1
+            rows = self._tile_rows(files)
+            assert len(rows) == manifest[f"z={z}"]["n_tiles"]
+            # the manifest digest is the XOR of the per-tile checksums
+            digest = 0
+            for _, _, _, r, g, b in rows:
+                digest ^= r ^ (g << 16) ^ (b << 32)
+            assert manifest[f"z={z}"]["checksum_digest"] == digest
+
+    def test_no_statistics_on_png(self, pyramid):
+        import os
+        levels, out, _ = pyramid
+        for z in levels:
+            for f in self._files(os.path.join(out, f"z={z}")):
+                stats = self._stats(f)
+                assert not stats["png"]
+                assert stats["cell"] and stats["x"] and stats["y"]
+
+    def test_resumable_tiles_have_no_png_statistics(self, ray_session,
+                                                   tmp_path):
+        import os
+        from gdal_ray.pipelines.tiles import render_base_resumable
+        from gdal_ray.sources.images import images_dataset
+
+        out = str(tmp_path / "lvl")
+        assert render_base_resumable(images_dataset(8), 7, out)[
+            "n_rendered"] > 0
+        files = self._files(os.path.join(out, "tiles"))
+        assert files
+        for f in files:
+            stats = self._stats(f)
+            assert not stats["png"] and stats["cell"]
+
+    def test_level_splits_below_block_target(self, pyramid, tmp_path):
+        import os
+        from ray.data import DataContext
+        from gdal_ray.pipelines.tiles import write_pyramid
+
+        levels, out, _ = pyramid
+        z = max(levels)
+        level = levels[z].materialize()
+        assert level.num_blocks() > 1
+        ctx = DataContext.get_current()
+        saved = ctx.target_max_block_size
+        ctx.target_max_block_size = max(1, level.size_bytes() // 3)
+        try:
+            split = str(tmp_path / "split")
+            write_pyramid({z: level}, split)
+        finally:
+            ctx.target_max_block_size = saved
+        files = self._files(os.path.join(split, f"z={z}"))
+        assert len(files) > 1
+        assert self._tile_rows(files) == self._tile_rows(
+            self._files(os.path.join(out, f"z={z}")))
+
 
 class TestFragmentParity:
     """Round-2 shuffle fix: pre-warped fragments must produce

@@ -119,3 +119,22 @@ def test_geojson_lenient_documents():
     assert t.num_rows == 5
     t = read_geojson_table(A + "test_type_promotion.json")
     assert t.num_rows > 0
+
+
+def test_geojson_trailing_comma_strip_skips_strings(tmp_path):
+    # the lenient re-parse drops trailing commas outside string
+    # literals only: a property value that looks like one survives
+    from gdal_ray.sources.geojson import read_geojson_table
+    p = tmp_path / "t.geojson"
+    p.write_text('{"type": "FeatureCollection", "features": [\n'
+                 '  {"type": "Feature", "properties": {"s": "a, ]",\n'
+                 '   "q": "say \\"b, }\\"", "n": 1,},\n'
+                 '   "geometry": {"type": "Point",'
+                 ' "coordinates": [1.0, 2.0,]},},\n'
+                 ']}')
+    t = read_geojson_table(str(p))
+    assert t.num_rows == 1
+    assert t["s"][0].as_py() == "a, ]"
+    assert t["q"][0].as_py() == 'say "b, }"'
+    assert t["n"][0].as_py() == 1
+    assert t["minx"][0].as_py() == 1.0 and t["miny"][0].as_py() == 2.0
