@@ -40,6 +40,29 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
+def compare(mine: pd.DataFrame, theirs: pd.DataFrame) -> str | None:
+    """Canonicalize a query result and its oracle's result, then diff
+    column names, row count and values (floats within 1e-6, everything
+    else as strings). Returns the first difference, or None on a match."""
+    mine, theirs = canon(mine), canon(theirs)
+    if list(mine.columns) != list(theirs.columns):
+        return f"columns {list(mine.columns)} vs {list(theirs.columns)}"
+    if len(mine) != len(theirs):
+        return f"rows {len(mine)} vs {len(theirs)}"
+    for c in mine.columns:
+        a, b = mine[c], theirs[c]
+        if pd.api.types.is_float_dtype(a):
+            ok = np.allclose(a.to_numpy(dtype=float), b.to_numpy(dtype=float),
+                             rtol=0, atol=1e-6, equal_nan=True)
+        else:
+            ok = a.astype(str).equals(b.astype(str))
+        if not ok:
+            bad = (a.astype(str) != b.astype(str))
+            return (f"column {c} differs, e.g.\n"
+                    f"{pd.concat([a[bad].head(3), b[bad].head(3)], axis=1)}")
+    return None
+
+
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
@@ -66,7 +89,7 @@ def main():
         import time
         t0 = time.time()
         try:
-            mine = canon(to_pandas(fn(sf_dir)))
+            mine = to_pandas(fn(sf_dir))
         except Exception as e:
             print(f"FAIL {name}: query raised {type(e).__name__}: {e}")
             failures += 1
@@ -77,36 +100,16 @@ def main():
             print(f"ok   {name}: {len(mine)} rows (no oracle; rows-only) [{dt:.1f}s]")
             continue
         try:
-            theirs = canon(con.execute(sql).df())
+            theirs = con.execute(sql).df()
         except Exception as e:
             print(f"FAIL {name}: oracle raised {e}")
             failures += 1
             continue
-        if list(mine.columns) != list(theirs.columns):
-            print(f"FAIL {name}: columns {list(mine.columns)} vs {list(theirs.columns)}")
-            failures += 1
-            continue
-        if len(mine) != len(theirs):
-            print(f"FAIL {name}: rows {len(mine)} vs {len(theirs)}")
-            failures += 1
-            continue
-        eq = True
-        for c in mine.columns:
-            a, b = mine[c], theirs[c]
-            if pd.api.types.is_float_dtype(a):
-                ok = np.allclose(a.to_numpy(dtype=float), b.to_numpy(dtype=float),
-                                 rtol=0, atol=1e-6, equal_nan=True)
-            else:
-                ok = a.astype(str).equals(b.astype(str))
-            if not ok:
-                bad = (a.astype(str) != b.astype(str))
-                print(f"FAIL {name}: column {c} differs, e.g.\n",
-                      pd.concat([a[bad].head(3), b[bad].head(3)], axis=1))
-                eq = False
-                break
-        if eq:
+        err = compare(mine, theirs)
+        if err is None:
             print(f"OK   {name}: {len(mine)} rows match [{dt:.1f}s]")
         else:
+            print(f"FAIL {name}: {err}")
             failures += 1
     print("failures:", failures)
     ray.shutdown()
