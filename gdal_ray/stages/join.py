@@ -7,10 +7,15 @@ reject → rectangle-contains fast accept → exact Intersects; and the
 layer-algebra candidate-pair pattern (ogrlayer.cpp:5386+).
 
 Partitioning: both sides flat-map to covering quadkey cells at a join
-zoom, then one groupby(cell) co-partitions candidates. Pairs whose
-geometries span several cells are deduplicated with the PBSM
-*reference-point* rule — a pair is emitted only from the cell that
-contains the top-left corner of the envelope intersection — so no
+zoom, and each row takes the salted shuffle bucket of its cell
+(salted_bucket), so one groupby(bucket) co-partitions candidates. A
+bucket holds any number of cells; one Arrow kernel per bucket splits it
+into its two sides, expands every same-cell row pair at once
+(same_cell_pairs), runs the envelope test, the dedup rule and the exact
+predicate on flat arrays, and takes the output columns with Arrow.
+Pairs whose geometries span several cells are deduplicated with the
+PBSM *reference-point* rule — a pair is emitted only from the cell that
+contains the bottom-left corner of the envelope intersection — so no
 second dedup shuffle is needed.
 
 Scale note: join zoom picks the partition granularity; higher zoom →
@@ -25,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..core import geom, mercator as merc, wkb as wkb_mod
 
@@ -95,11 +101,62 @@ def reference_cell(minx_a, miny_a, minx_b, miny_b, zoom: int):
     return merc.cell_id(zoom, tx, merc.tms_to_xyz(ty, zoom))
 
 
+def same_cell_pairs(a_cells: np.ndarray, b_cells: np.ndarray):
+    """Every (i, j) with a_cells[i] == b_cells[j], as two index arrays:
+    one stable argsort of b and two searchsorted passes. i ascends, and
+    within one i the j follow b's stable sort order."""
+    order = np.argsort(b_cells, kind="stable")
+    sb = b_cells[order]
+    lo = np.searchsorted(sb, a_cells, side="left")
+    n = np.searchsorted(sb, a_cells, side="right") - lo
+    i = np.repeat(np.arange(len(a_cells)), n)
+    run0 = np.repeat(np.cumsum(n) - n, n)
+    j = order[np.repeat(lo, n) + np.arange(len(i)) - run0]
+    return i, j
+
+
+def split_sides(t: pa.Table, a: str, b: str) -> tuple[pa.Table, pa.Table]:
+    """Split a bucket into its two sides by the `side` column."""
+    return (t.filter(pc.equal(t["side"], a)).combine_chunks(),
+            t.filter(pc.equal(t["side"], b)).combine_chunks())
+
+
+def _envelopes(t: pa.Table) -> np.ndarray:
+    return np.column_stack([t[c].to_numpy()
+                            for c in ("minx", "miny", "maxx", "maxy")])
+
+
+def overlap_pairs(a: pa.Table, b: pa.Table):
+    """Same-cell (i, j) row pairs of two sides whose envelopes overlap,
+    with both sides' envelope arrays; i ascends."""
+    i, j = same_cell_pairs(a["cell"].to_numpy(), b["cell"].to_numpy())
+    ea, eb = _envelopes(a), _envelopes(b)
+    ok = ((ea[i, 0] <= eb[j, 2]) & (eb[j, 0] <= ea[i, 2])
+          & (ea[i, 1] <= eb[j, 3]) & (eb[j, 1] <= ea[i, 3]))
+    return i[ok], j[ok], ea, eb
+
+
+def _by_polygon(keys: np.ndarray):
+    """Runs of a pair list that share one polygon key: yields the pair
+    positions of each run, ascending, one run per distinct key."""
+    if not len(keys):
+        return
+    order = np.argsort(keys, kind="stable")
+    yield from np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+
+
+PREDICATES = ("intersects", "contains")
+
+
 class SpatialJoinCell:
-    """map_groups callable over one cell: images (side I, axis-aligned
-    footprint boxes) × polygons (side P, WKB) → matched pairs."""
+    """Bucket kernel: images (side I, axis-aligned footprint boxes) ×
+    polygons (side P, WKB) of every cell in one salted bucket → matched
+    (image_id, fid, name, category) pairs."""
 
     def __init__(self, zoom: int, predicate: str = "intersects"):
+        if predicate not in PREDICATES:
+            raise ValueError(f"predicate must be one of {PREDICATES}, "
+                             f"got {predicate!r}")
         self.zoom = zoom
         self.predicate = predicate
         self._geom_cache: dict[int, object] = {}
@@ -113,79 +170,37 @@ class SpatialJoinCell:
             self._geom_cache[fid] = g
         return g
 
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        cell = np.uint64(group["cell"].iloc[0])
-        imgs = group[group["side"] == "I"]
-        polys = group[group["side"] == "P"]
-        out = {"image_id": [], "fid": [], "name": [], "category": []}
-        if len(imgs) == 0 or len(polys) == 0:
-            return _typed_pairs_frame(out)
-        ia = imgs[["minx", "miny", "maxx", "maxy"]].to_numpy()
-        pa_ = polys[["minx", "miny", "maxx", "maxy"]].to_numpy()
-        # vectorized envelope prefilter: (n_img, n_poly) mask
-        overlap = ((ia[:, None, 0] <= pa_[None, :, 2]) & (pa_[None, :, 0] <= ia[:, None, 2])
-                   & (ia[:, None, 1] <= pa_[None, :, 3]) & (pa_[None, :, 1] <= ia[:, None, 3]))
-        # PBSM reference-point dedup
-        ii, jj = np.nonzero(overlap)
-        if len(ii) == 0:
-            return _typed_pairs_frame(out)
-        ref = reference_cell(ia[ii, 0], ia[ii, 1], pa_[jj, 0], pa_[jj, 1], self.zoom)
-        own = ref == cell
-        oi, oj = ii[own], jj[own]
-        if not len(oi):
-            return _typed_pairs_frame(out)
-        img_ids = imgs["image_id"].to_numpy()
-        p_fids = polys["fid"].to_numpy()
-        p_names = polys["name"].to_numpy()
-        p_cats = polys["category"].to_numpy()
-        p_wkbs = polys["wkb"].to_numpy()
-        # vectorize the exact predicate per polygon over all of its
-        # candidate image boxes (image footprints are axis-aligned)
-        order = np.argsort(oj, kind="stable")
-        oi, oj = oi[order], oj[order]
-        for j0 in np.split(np.arange(len(oj)),
-                           np.flatnonzero(np.diff(oj)) + 1):
-            j = int(oj[j0[0]])
-            cand = oi[j0]
-            poly = self._poly(int(p_fids[j]), p_wkbs[j])
-            if self.predicate == "intersects":
-                if _is_rect(poly):
-                    # a rectangle IS its envelope: the envelope overlap
-                    # prefilter already decided (ogrlayer.cpp:4039-4042)
-                    hits = np.ones(len(cand), bool)
-                else:
-                    hits = geom.boxes_intersect_polygon(
-                        ia[cand, 0], ia[cand, 1], ia[cand, 2], ia[cand, 3],
-                        poly)
-            elif self.predicate == "contains":  # polygon contains image
-                hits = np.array([
-                    geom.contains(poly, wkb_mod.box(*ia[c])) for c in cand])
+    def __call__(self, t: pa.Table) -> pa.Table:
+        imgs, polys = split_sides(t, "I", "P")
+        i, j, ia, pe = overlap_pairs(imgs, polys)
+        # PBSM reference-point dedup: keep a pair only in its own cell
+        cells = imgs["cell"].to_numpy()
+        own = reference_cell(ia[i, 0], ia[i, 1], pe[j, 0], pe[j, 1],
+                             self.zoom) == cells[i]
+        i, j = i[own], j[own]
+        fids = polys["fid"].to_numpy()
+        wkbs = polys["wkb"]
+        hit = np.zeros(len(i), bool)
+        # the exact predicate once per polygon over all of its candidate
+        # image boxes (image footprints are axis-aligned)
+        for run in _by_polygon(fids[j]):
+            p = int(j[run[0]])
+            poly = self._poly(int(fids[p]), wkbs[p].as_py())
+            b = ia[i[run]]
+            if self.predicate == "contains":  # polygon contains image
+                hit[run] = [geom.contains(poly, wkb_mod.box(*e)) for e in b]
+            elif _is_rect(poly):
+                # a rectangle IS its envelope: the envelope overlap
+                # prefilter already decided (ogrlayer.cpp:4039-4042)
+                hit[run] = True
             else:
-                raise ValueError(self.predicate)
-            for c in cand[hits]:
-                out["image_id"].append(img_ids[c])
-                out["fid"].append(np.int64(p_fids[j]))
-                out["name"].append(p_names[j])
-                out["category"].append(p_cats[j])
-        return _typed_pairs_frame(out)
-
-
-def _typed_pairs_frame(out: dict) -> pd.DataFrame:
-    return pd.DataFrame({
-        "image_id": pd.Series(out["image_id"], dtype=object),
-        "fid": pd.Series(out["fid"], dtype="int64"),
-        "name": pd.Series(out["name"], dtype=object),
-        "category": pd.Series(out["category"], dtype=object),
-    })
-
-
-def _typed_pip_frame(out: dict) -> pd.DataFrame:
-    return pd.DataFrame({
-        "pt_fid": pd.Series(out["pt_fid"], dtype="int64"),
-        "fid": pd.Series(out["fid"], dtype="int64"),
-        "name": pd.Series(out["name"], dtype=object),
-        "category": pd.Series(out["category"], dtype=object),
-    })
+                hit[run] = geom.boxes_intersect_polygon(
+                    b[:, 0], b[:, 1], b[:, 2], b[:, 3], poly)
+        i, j = pa.array(i[hit]), pa.array(j[hit])
+        return pa.table({"image_id": imgs["image_id"].take(i),
+                         "fid": polys["fid"].take(j),
+                         "name": polys["name"].take(j),
+                         "category": polys["category"].take(j)})
 
 
 def _is_rect(g) -> bool:
@@ -198,6 +213,30 @@ def _is_rect(g) -> bool:
     return len(xs) == 2 and len(ys) == 2
 
 
+def bucket_groups(both, group_fn, n_buckets: int = N_JOIN_BUCKETS):
+    """Co-partition (cell, side, ...) rows by their salted cell bucket and
+    run the bucket kernel `group_fn` once per bucket, on Arrow tables.
+    Name `group_fn` `*_group`: the benchmark's op.group.* metrics count
+    Ray operators by that name."""
+    return both.map_batches(lambda b: salted_bucket(b, "cell", n_buckets),
+                            batch_format="pyarrow") \
+        .groupby("bucket").map_groups(group_fn, batch_format="pyarrow")
+
+
+PAIR_COLS = ["cell", "side", "image_id", "fid", "wkb",
+             "minx", "miny", "maxx", "maxy", "name", "category"]
+
+
+def _polygon_side(polygons, zoom: int, id_type: pa.DataType):
+    """T2 polygons → the P side of an image or point join, PAIR_COLS."""
+    pols = with_cells(polygons, zoom, ["fid", "wkb", "minx", "miny", "maxx",
+                                       "maxy", "name", "category"])
+    return pols.map_batches(
+        lambda b: (b.append_column("side", pa.array(["P"] * b.num_rows))
+                   .append_column("image_id", pa.nulls(b.num_rows, id_type))),
+        batch_format="pyarrow").select_columns(PAIR_COLS)
+
+
 def spatial_join(images_geo, polygons, zoom: int = 7,
                  predicate: str = "intersects"):
     """images (georef'd) × polygons → (image_id, fid, name, category).
@@ -205,8 +244,7 @@ def spatial_join(images_geo, polygons, zoom: int = 7,
     Inner spatial join on footprint-intersects-polygon. Both inputs are
     Datasets; images_geo must already carry envelope columns (georef
     stage), polygons the T2 schema."""
-    import pyarrow as pa
-
+    joiner = SpatialJoinCell(zoom, predicate)
     imgs = with_cells(images_geo, zoom, ["image_id", "minx", "miny", "maxx", "maxy"])
     imgs = imgs.map_batches(
         lambda b: (b.append_column("side", pa.array(["I"] * b.num_rows))
@@ -215,82 +253,54 @@ def spatial_join(images_geo, polygons, zoom: int = 7,
                    .append_column("name", pa.nulls(b.num_rows, pa.string()))
                    .append_column("category", pa.nulls(b.num_rows, pa.string()))),
         batch_format="pyarrow")
-    pols = with_cells(polygons, zoom,
-                      ["fid", "wkb", "minx", "miny", "maxx", "maxy", "name", "category"])
-    pols = pols.map_batches(
-        lambda b: (b.append_column("side", pa.array(["P"] * b.num_rows))
-                   .append_column("image_id", pa.nulls(b.num_rows, pa.string()))),
-        batch_format="pyarrow")
-    cols = ["cell", "side", "image_id", "fid", "wkb",
-            "minx", "miny", "maxx", "maxy", "name", "category"]
-    both = imgs.select_columns(cols).union(pols.select_columns(cols))
-    joiner = SpatialJoinCell(zoom, predicate)
 
-    def bucketize(b: pa.Table) -> pa.Table:
-        return salted_bucket(b, "cell")
+    def join_cell_group(t: pa.Table) -> pa.Table:
+        return joiner(t)
 
-    def join_cell_group(g):
-        if g["cell"].nunique() > 1:
-            frames = [joiner(sub) for _, sub in g.groupby("cell", sort=False)]
-            frames = [f for f in frames if len(f)]
-            if not frames:
-                return _typed_pairs_frame(
-                    {"image_id": [], "fid": [], "name": [], "category": []})
-            return pd.concat(frames, ignore_index=True)
-        return joiner(g)
-
-    return both.map_batches(bucketize, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(join_cell_group, batch_format="pandas")
+    both = imgs.select_columns(PAIR_COLS).union(
+        _polygon_side(polygons, zoom, pa.string()))
+    return bucket_groups(both, join_cell_group)
 
 
 # ---------------------------------------------------------------------------
 # point-in-polygon join
 # ---------------------------------------------------------------------------
 
+EMITS = ("inner", "semi", "anti")
+
+
 class PiPJoinCell:
-    """Per-cell point-in-polygon: points are in exactly one cell, so no
-    pair dedup is needed (polygons are the duplicated side)."""
+    """Bucket kernel for point-in-polygon: points are in exactly one
+    cell, so no pair dedup is needed (polygons are the duplicated side)."""
 
     def __init__(self, emit: str = "inner"):
-        self.emit = emit  # inner | semi | anti
+        if emit not in EMITS:
+            raise ValueError(f"emit must be one of {EMITS}, got {emit!r}")
+        self.emit = emit
 
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        pts = group[group["side"] == "I"]
-        polys = group[group["side"] == "P"]
-        out = {"pt_fid": [], "fid": [], "name": [], "category": []}
-        if len(pts) == 0:
-            return _typed_pip_frame(out)
-        px = pts["minx"].to_numpy()  # for points minx==maxx==x
-        py = pts["miny"].to_numpy()
-        pt_ids = pts["image_id"].to_numpy()
-        matched = np.zeros(len(pts), dtype=bool)
-        for _, prow in polys.iterrows():
-            env_ok = ((px >= prow["minx"]) & (px <= prow["maxx"])
-                      & (py >= prow["miny"]) & (py <= prow["maxy"]))
-            if not env_ok.any():
-                continue
-            g = wkb_mod.loads(prow["wkb"])
-            inside = np.zeros(len(pts), dtype=bool)
-            inside[env_ok] = geom.points_in_polygon(px[env_ok], py[env_ok], g)
-            matched |= inside
-            if self.emit == "inner":
-                # vectorized emit: slice the hit rows at once instead of
-                # iloc-per-row (the round-1 per-row loop)
-                hit = np.nonzero(inside)[0]
-                if len(hit):
-                    out["pt_fid"].extend(
-                        pt_ids[hit].astype(np.int64).tolist())
-                    out["fid"].extend([np.int64(prow["fid"])] * len(hit))
-                    out["name"].extend([prow["name"]] * len(hit))
-                    out["category"].extend([prow["category"]] * len(hit))
-        if self.emit in ("semi", "anti"):
-            sel = np.nonzero(matched if self.emit == "semi" else ~matched)[0]
-            if len(sel):
-                out["pt_fid"].extend(pt_ids[sel].astype(np.int64).tolist())
-                out["fid"].extend([np.int64(-1)] * len(sel))
-                out["name"].extend([None] * len(sel))
-                out["category"].extend([None] * len(sel))
-        return _typed_pip_frame(out)
+    def __call__(self, t: pa.Table) -> pa.Table:
+        pts, polys = split_sides(t, "I", "P")
+        i, j, ep, _ = overlap_pairs(pts, polys)
+        px, py = ep[:, 0], ep[:, 1]  # for points minx==maxx==x
+        fids = polys["fid"].to_numpy()
+        inside = np.zeros(len(i), bool)
+        for run in _by_polygon(fids[j]):
+            g = wkb_mod.loads(polys["wkb"][int(j[run[0]])].as_py())
+            inside[run] = geom.points_in_polygon(px[i[run]], py[i[run]], g)
+        pt_fid = pts["image_id"].cast(pa.int64())
+        if self.emit == "inner":
+            i, j = pa.array(i[inside]), pa.array(j[inside])
+            return pa.table({"pt_fid": pt_fid.take(i),
+                             "fid": polys["fid"].take(j),
+                             "name": polys["name"].take(j),
+                             "category": polys["category"].take(j)})
+        matched = np.zeros(pts.num_rows, bool)
+        matched[i[inside]] = True
+        sel = np.flatnonzero(matched if self.emit == "semi" else ~matched)
+        return pa.table({"pt_fid": pt_fid.take(pa.array(sel)),
+                         "fid": pa.array(np.full(len(sel), -1), pa.int64()),
+                         "name": pa.nulls(len(sel), pa.string()),
+                         "category": pa.nulls(len(sel), pa.string())})
 
 
 def pip_join(points, polygons, zoom: int = 7, emit: str = "inner"):
@@ -298,6 +308,8 @@ def pip_join(points, polygons, zoom: int = 7, emit: str = "inner"):
 
     emit='inner' returns one row per (point, containing polygon);
     'semi'/'anti' return points with/without any container."""
+    pip = PiPJoinCell(emit)
+
     def pts_prep(b: pa.Table) -> pa.Table:
         x = b["x"].to_numpy(); y = b["y"].to_numpy()
         tx, ty = merc.meters_to_tile(x, y, zoom)
@@ -316,35 +328,13 @@ def pip_join(points, polygons, zoom: int = 7, emit: str = "inner"):
             "category": pa.nulls(b.num_rows, pa.string()),
         })
 
-    pts = points.map_batches(pts_prep, batch_format="pyarrow")
-    pols = with_cells(polygons, zoom,
-                      ["fid", "wkb", "minx", "miny", "maxx", "maxy", "name", "category"])
-    pols = pols.map_batches(
-        lambda b: (b.append_column("side", pa.array(["P"] * b.num_rows))
-                   .append_column("image_id", pa.nulls(b.num_rows, pa.int64()))),
-        batch_format="pyarrow")
-    cols = ["cell", "side", "image_id", "fid", "wkb",
-            "minx", "miny", "maxx", "maxy", "name", "category"]
-    both = pts.select_columns(cols).union(pols.select_columns(cols))
-    j = PiPJoinCell(emit)
+    def pip_cell_group(t: pa.Table) -> pa.Table:
+        return pip(t)
 
-    def bucketize(b: pa.Table) -> pa.Table:
-        return salted_bucket(b, "cell")
-
-    def pip_cell_group(g):
-        if g["cell"].nunique() > 1:
-            frames = [j(sub) for _, sub in g.groupby("cell", sort=False)]
-            frames = [f for f in frames if len(f)]
-            if not frames:
-                return _typed_pip_frame(
-                    {"pt_fid": [], "fid": [], "name": [], "category": []})
-            return pd.concat(frames, ignore_index=True)
-        return j(g)
-
-    both = both.map_batches(bucketize, batch_format="pyarrow")
-
-    return both.groupby("bucket").map_groups(pip_cell_group,
-                                             batch_format="pandas")
+    both = points.map_batches(pts_prep, batch_format="pyarrow") \
+        .select_columns(PAIR_COLS) \
+        .union(_polygon_side(polygons, zoom, pa.int64()))
+    return bucket_groups(both, pip_cell_group)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +364,11 @@ def broadcast_spatial_filter(ds, filter_wkb: bytes, *, x_col="x", y_col="y"):
 # ---------------------------------------------------------------------------
 
 class KnnCell:
-    """Per-cell brute-force kNN candidates: queries were flat-mapped to
-    their cell + ring-1 halo, so every data point within one cell radius
-    is a candidate. Emits (qid, fid, dist) candidates; a global
-    groupby(qid) top-k merge finishes the join.
+    """Bucket kernel for brute-force kNN candidates: queries were
+    flat-mapped to their cell + ring-1 halo, so every data point within
+    one cell radius is a candidate. Emits (qid, fid, dist) candidates, the
+    k nearest per query row; a global groupby(qid) top-k merge finishes
+    the join.
 
     Partitioning assumption (documented per SURVEY §2.4): the true kth
     neighbor lies within the 3×3 cell halo — choose the join zoom so a
@@ -386,26 +377,20 @@ class KnnCell:
     def __init__(self, k: int):
         self.k = k
 
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        qs = group[group["side"] == "Q"]
-        ps = group[group["side"] == "P"]
-        if len(qs) == 0 or len(ps) == 0:
-            return pd.DataFrame({"qid": pd.Series([], dtype="int64"),
-                                 "fid": pd.Series([], dtype="int64"),
-                                 "dist": pd.Series([], dtype="float64")})
-        qx = qs["x"].to_numpy()[:, None]; qy = qs["y"].to_numpy()[:, None]
-        px = ps["x"].to_numpy()[None, :]; py = ps["y"].to_numpy()[None, :]
-        d2 = (qx - px) ** 2 + (qy - py) ** 2
-        k = min(self.k, d2.shape[1])
-        nn = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        qids = qs["qid"].to_numpy()
-        fids = ps["fid"].to_numpy()
-        # vectorized emit: gather the (query, neighbor) matrix at once
-        qrep = np.repeat(qids, k).astype(np.int64)
-        frep = fids[nn.ravel()].astype(np.int64)
-        drep = np.sqrt(np.take_along_axis(d2, nn, axis=1)).ravel()
-        return pd.DataFrame({"qid": qrep, "fid": frep,
-                             "dist": drep.astype(np.float64)})
+    def __call__(self, t: pa.Table) -> pa.Table:
+        qs, ps = split_sides(t, "Q", "P")
+        i, j = same_cell_pairs(qs["cell"].to_numpy(), ps["cell"].to_numpy())
+        d2 = ((qs["x"].to_numpy()[i] - ps["x"].to_numpy()[j]) ** 2
+              + (qs["y"].to_numpy()[i] - ps["y"].to_numpy()[j]) ** 2)
+        # the k smallest d2 of each query row: sort by (row, d2), then
+        # keep the first k of each run of equal rows
+        order = np.lexsort((d2, i))
+        i, j, d2 = i[order], j[order], d2[order]
+        keep = np.arange(len(i)) - np.searchsorted(i, i) < self.k
+        return pa.table({
+            "qid": qs["qid"].take(pa.array(i[keep])).cast(pa.int64()),
+            "fid": ps["fid"].take(pa.array(j[keep])).cast(pa.int64()),
+            "dist": pa.array(np.sqrt(d2[keep]), pa.float64())})
 
 
 def knn_join(points, queries, k: int = 3, zoom: int = 6):
@@ -464,21 +449,10 @@ def knn_join(points, queries, k: int = 3, zoom: int = 6):
     both = pts.select_columns(cols).union(qs.select_columns(cols))
     knn = KnnCell(k)
 
-    def bucketize(b: pa.Table, key: str) -> pa.Table:
-        return salted_bucket(b, key)
+    def knn_cell_group(t: pa.Table) -> pa.Table:
+        return knn(t)
 
-    def knn_cell_group(g):
-        if g["cell"].nunique() > 1:
-            frames = [knn(sub) for _, sub in g.groupby("cell", sort=False)]
-            frames = [f for f in frames if len(f)]
-            if not frames:
-                return knn(g.iloc[0:0])
-            return pd.concat(frames, ignore_index=True)
-        return knn(g)
-
-    cands = both.map_batches(lambda b: bucketize(b, "cell"),
-                             batch_format="pyarrow") \
-        .groupby("bucket").map_groups(knn_cell_group, batch_format="pandas")
+    cands = bucket_groups(both, knn_cell_group)
 
     # final top-k per query: salt-bucket by qid, vectorized inner head(k)
     def topk(g: pd.DataFrame) -> pd.DataFrame:
@@ -486,7 +460,7 @@ def knn_join(points, queries, k: int = 3, zoom: int = 6):
             .drop_duplicates(subset=["qid", "fid"])
         return g.groupby("qid", sort=False).head(k)
 
-    return cands.map_batches(lambda b: bucketize(b, "qid"),
+    return cands.map_batches(lambda b: salted_bucket(b, "qid"),
                              batch_format="pyarrow") \
         .groupby("bucket").map_groups(topk, batch_format="pandas") \
         .drop_columns(["bucket"])

@@ -16,9 +16,11 @@ Ray-Data-first plan (round-2 scale shape):
   2. SHUFFLE: groupby on the house salted bucket (stages/join.py
      salted_bucket) — balanced reduce tasks, no per-cell group
      overhead, no hot-cell straggler groups.
-  3. REDUCE (ZonalCell): inside a cell, envelope-prefilter crop×polygon
-     pairs, burn the polygon on each crop's grid, emit partial rows
-     (fid, sum, count, min, max).
+  3. REDUCE (ZonalCell): one Arrow kernel per bucket, whatever the
+     number of cells in it — expand all same-cell crop×polygon pairs at
+     once (join.same_cell_pairs), envelope-prefilter them, decode each
+     crop once, burn each polygon on the crop's grid, and emit partial
+     rows (fid, sum, count, min, max) in PARTIAL_SCHEMA.
   4. tiny final groupby(fid).aggregate — the only all-to-all on the
      small partials table, never on pixels.
 """
@@ -26,14 +28,12 @@ Ray-Data-first plan (round-2 scale shape):
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from ..core import geom
 from ..core import mercator as merc
 from ..core import wkb as wkb_mod
 from ..core.rastervec import rasterize
-from .join import salted_bucket, with_cells
+from .join import bucket_groups, overlap_pairs, split_sides, with_cells
 
 N_ZONAL_BUCKETS = 128
 
@@ -109,8 +109,46 @@ def crop_images_to_cells(batch: pa.Table, zoom: int) -> pa.Table:
     return pa.Table.from_pydict(out, schema=CROP_SCHEMA)
 
 
+PARTIAL_SCHEMA = pa.schema([
+    ("fid", pa.int64()), ("psum", pa.float64()), ("pcount", pa.int64()),
+    ("pmin", pa.float64()), ("pmax", pa.float64()),
+])
+
+
+def _emit_partial(out: dict, fid: int, g, px: np.ndarray, gt) -> None:
+    """Burn polygon g on the pixel grid and append its partial row."""
+    mask = rasterize([(g, 1)], px.shape, gt, dtype=np.uint8).astype(bool)
+    if mask.any():
+        vals = px[mask].astype(np.float64)
+        out["fid"].append(fid)
+        out["psum"].append(float(vals.sum()))
+        out["pcount"].append(int(vals.size))
+        out["pmin"].append(float(vals.min()))
+        out["pmax"].append(float(vals.max()))
+
+
+def _combine(partials):
+    """Partials → per-fid (pixel_sum, pixel_count, pixel_min, pixel_max,
+    pixel_mean): the tiny groupby(fid) all-to-all."""
+    from ray.data.aggregate import Max, Min, Sum
+
+    agg = partials.groupby("fid").aggregate(
+        Sum("psum", alias_name="pixel_sum"),
+        Sum("pcount", alias_name="pixel_count"),
+        Min("pmin", alias_name="pixel_min"),
+        Max("pmax", alias_name="pixel_max"))
+
+    def finish(t: pa.Table) -> pa.Table:
+        s = t.column("pixel_sum").to_numpy()
+        n = t.column("pixel_count").to_numpy()
+        mean = np.where(n > 0, s / np.maximum(n, 1), 0.0)
+        return t.append_column("pixel_mean", pa.array(mean, pa.float64()))
+
+    return agg.map_batches(finish, batch_format="pyarrow")
+
+
 class ZonalCell:
-    """map_groups callable over one salt bucket: emit per-(crop, polygon)
+    """Bucket kernel over one salt bucket: emit per-(crop, polygon)
     partial pixel statistics. Crops partition pixels, so partials are
     additive — no cross-cell dedup."""
 
@@ -119,59 +157,29 @@ class ZonalCell:
         self.band = band
         self._decode = decode
 
-    def _cell_pairs(self, group: pd.DataFrame, out: dict) -> None:
-        imgs = group[group["side"] == "I"]
-        polys = group[group["side"] == "P"]
-        if not len(imgs) or not len(polys):
-            return
-        ia = imgs[["minx", "miny", "maxx", "maxy"]].to_numpy()
-        pe = polys[["minx", "miny", "maxx", "maxy"]].to_numpy()
-        overlap = ((ia[:, None, 0] <= pe[None, :, 2])
-                   & (pe[None, :, 0] <= ia[:, None, 2])
-                   & (ia[:, None, 1] <= pe[None, :, 3])
-                   & (pe[None, :, 1] <= ia[:, None, 3]))
-        ii, jj = np.nonzero(overlap)
-        if not len(ii):
-            return
+    def __call__(self, t: pa.Table) -> pa.Table:
+        imgs, polys = split_sides(t, "I", "P")
+        ii, jj, _, _ = overlap_pairs(imgs, polys)
+        out: dict[str, list] = {k.name: [] for k in PARTIAL_SCHEMA}
+        gts = np.column_stack([imgs[f"gt{k}"].to_numpy() for k in range(6)])
+        fids = polys["fid"].to_numpy()
+        wkbs = polys["wkb"]
         geoms: dict[int, object] = {}
-        for i, j in zip(ii, jj):
-            irow = imgs.iloc[i]
-            prow = polys.iloc[j]
-            fid = int(prow["fid"])
+        cur = -1
+        for i, j in zip(ii.tolist(), jj.tolist()):
+            if i != cur:  # ii ascends: decode each crop once
+                cur = i
+                px = self._decode(imgs["bytes"][i].as_py(),
+                                  imgs["fmt"][i].as_py())
+                if px.ndim == 3:
+                    px = px[:, :, self.band]
+                gt = tuple(gts[i])
+            fid = int(fids[j])
             g = geoms.get(fid)
             if g is None:
-                g = geoms.setdefault(fid, wkb_mod.loads(prow["wkb"]))
-            px = self._decode(irow["bytes"], irow["fmt"])
-            if px.ndim == 3:
-                px = px[:, :, self.band]
-            h, w = px.shape
-            gt = (irow["gt0"], irow["gt1"], irow["gt2"],
-                  irow["gt3"], irow["gt4"], irow["gt5"])
-            mask = rasterize([(g, 1)], (h, w), gt,
-                             dtype=np.uint8).astype(bool)
-            if not mask.any():
-                continue
-            vals = px[mask].astype(np.float64)
-            out["fid"].append(fid)
-            out["psum"].append(float(vals.sum()))
-            out["pcount"].append(int(vals.size))
-            out["pmin"].append(float(vals.min()))
-            out["pmax"].append(float(vals.max()))
-
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        out = {"fid": [], "psum": [], "pcount": [], "pmin": [], "pmax": []}
-        if "bucket" in group.columns and group["cell"].nunique() > 1:
-            for _, sub in group.groupby("cell", sort=False):
-                self._cell_pairs(sub, out)
-        elif len(group):
-            self._cell_pairs(group, out)
-        return pd.DataFrame({
-            "fid": pd.Series(out["fid"], dtype="int64"),
-            "psum": pd.Series(out["psum"], dtype="float64"),
-            "pcount": pd.Series(out["pcount"], dtype="int64"),
-            "pmin": pd.Series(out["pmin"], dtype="float64"),
-            "pmax": pd.Series(out["pmax"], dtype="float64"),
-        })
+                g = geoms.setdefault(fid, wkb_mod.loads(wkbs[j].as_py()))
+            _emit_partial(out, fid, g, px, gt)
+        return pa.Table.from_pydict(out, schema=PARTIAL_SCHEMA)
 
 
 def zonal_raster_broadcast(images_geo, polygons_table: pa.Table,
@@ -185,7 +193,6 @@ def zonal_raster_broadcast(images_geo, polygons_table: pa.Table,
     Use zonal_raster_stats (salted cell co-shuffle) when BOTH sides are
     too large to broadcast."""
     import ray
-    from ray.data.aggregate import Max, Min, Sum
 
     polys = [(int(f), wkb_mod.loads(b), (mn, mi, mx, my))
              for f, b, mn, mi, mx, my in zip(
@@ -203,8 +210,7 @@ def zonal_raster_broadcast(images_geo, polygons_table: pa.Table,
         # stateless task: ray.get of the broadcast polygon list is a
         # zero-copy plasma read per task (no actor-pool startup cost)
         polys_local = ray.get(pref)
-        out = {"fid": [], "psum": [], "pcount": [],
-               "pmin": [], "pmax": []}
+        out: dict[str, list] = {k.name: [] for k in PARTIAL_SCHEMA}
         gts = [t[f"gt{k}"].to_numpy() for k in range(6)]
         blobs = t["bytes"].to_pylist()
         fmts = t["fmt"].to_pylist()
@@ -218,42 +224,13 @@ def zonal_raster_broadcast(images_geo, polygons_table: pa.Table,
             px = _decode_fn(blobs[i], fmts[i])
             if px.ndim == 3:
                 px = px[:, :, band]
-            h, w = px.shape
             gt = tuple(float(g[i]) for g in gts)
             for fid, g in cand:
-                mask = rasterize([(g, 1)], (h, w), gt,
-                                 dtype=np.uint8).astype(bool)
-                if not mask.any():
-                    continue
-                vals = px[mask].astype(np.float64)
-                out["fid"].append(fid)
-                out["psum"].append(float(vals.sum()))
-                out["pcount"].append(int(vals.size))
-                out["pmin"].append(float(vals.min()))
-                out["pmax"].append(float(vals.max()))
-        return pa.table({
-            "fid": pa.array(out["fid"], pa.int64()),
-            "psum": pa.array(out["psum"], pa.float64()),
-            "pcount": pa.array(out["pcount"], pa.int64()),
-            "pmin": pa.array(out["pmin"], pa.float64()),
-            "pmax": pa.array(out["pmax"], pa.float64()),
-        })
+                _emit_partial(out, fid, g, px, gt)
+        return pa.Table.from_pydict(out, schema=PARTIAL_SCHEMA)
 
-    partials = images_geo.map_batches(partials_batch, batch_format="pyarrow",
-                                      batch_size=8)
-    agg = partials.groupby("fid").aggregate(
-        Sum("psum", alias_name="pixel_sum"),
-        Sum("pcount", alias_name="pixel_count"),
-        Min("pmin", alias_name="pixel_min"),
-        Max("pmax", alias_name="pixel_max"))
-
-    def finish(t: pa.Table) -> pa.Table:
-        s = t.column("pixel_sum").to_numpy()
-        n = t.column("pixel_count").to_numpy()
-        mean = np.where(n > 0, s / np.maximum(n, 1), 0.0)
-        return t.append_column("pixel_mean", pa.array(mean, pa.float64()))
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return _combine(images_geo.map_batches(
+        partials_batch, batch_format="pyarrow", batch_size=8))
 
 
 def zonal_raster_stats(images_geo, polygons, zoom: int = 7, band: int = 0):
@@ -261,8 +238,6 @@ def zonal_raster_stats(images_geo, polygons, zoom: int = 7, band: int = 0):
     images. images_geo must carry georef columns (with_georef);
     polygons the T2 schema. Returns Dataset
     (fid, pixel_count, pixel_sum, pixel_min, pixel_max, pixel_mean)."""
-    from ray.data.aggregate import Max, Min, Sum
-
     imgs = images_geo.map_batches(
         lambda b: crop_images_to_cells(b, zoom), batch_format="pyarrow")
     pols = with_cells(polygons, zoom,
@@ -280,26 +255,9 @@ def zonal_raster_stats(images_geo, polygons, zoom: int = 7, band: int = 0):
     pols = pols.map_batches(pol_pad, batch_format="pyarrow")
     cols = [k.name for k in CROP_SCHEMA]
     both = imgs.select_columns(cols).union(pols.select_columns(cols))
-    both = both.map_batches(
-        lambda b: salted_bucket(b, "cell", N_ZONAL_BUCKETS),
-        batch_format="pyarrow")
     zc = ZonalCell(band)
 
-    def zonal_cell_group(g):
-        return zc(g)
+    def zonal_cell_group(t: pa.Table) -> pa.Table:
+        return zc(t)
 
-    partials = both.groupby("bucket").map_groups(zonal_cell_group,
-                                                 batch_format="pandas")
-    agg = partials.groupby("fid").aggregate(
-        Sum("psum", alias_name="pixel_sum"),
-        Sum("pcount", alias_name="pixel_count"),
-        Min("pmin", alias_name="pixel_min"),
-        Max("pmax", alias_name="pixel_max"))
-
-    def finish(t: pa.Table) -> pa.Table:
-        s = t.column("pixel_sum").to_numpy()
-        n = t.column("pixel_count").to_numpy()
-        mean = np.where(n > 0, s / np.maximum(n, 1), 0.0)
-        return t.append_column("pixel_mean", pa.array(mean, pa.float64()))
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    return _combine(bucket_groups(both, zonal_cell_group, N_ZONAL_BUCKETS))
