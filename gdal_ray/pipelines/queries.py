@@ -2178,8 +2178,9 @@ def q_layer_intersection(sf_dir: str):
 def q_layer_setops(sf_dir: str):
     """Layer algebra Union/SymDifference pairwise areas
     (ogrlayer.cpp:5804/:6341): polygons (all non-rotated classes, incl.
-    concave L, hole, multipolygon) × axis-box layer through the cell
-    co-partitioned SetOpCell. Oracle: exact signed-box algebra in SQL."""
+    concave L, hole, multipolygon) × axis-box layer, co-partitioned by
+    salted cell bucket and paired by the set_op_bucket Arrow kernel
+    (stages/layer_algebra.py). Oracle: exact signed-box algebra in SQL."""
     from ..sources.vector import boxes_dataset, polygons_dataset
     from ..stages.layer_algebra import layer_set_op_pairs
 

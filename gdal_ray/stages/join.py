@@ -28,7 +28,6 @@ broadcast_spatial_filter below, the semi-join fast path.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -454,13 +453,21 @@ def knn_join(points, queries, k: int = 3, zoom: int = 6):
 
     cands = bucket_groups(both, knn_cell_group)
 
-    # final top-k per query: salt-bucket by qid, vectorized inner head(k)
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("dist", kind="stable") \
-            .drop_duplicates(subset=["qid", "fid"])
-        return g.groupby("qid", sort=False).head(k)
+    # final top-k per query: salt-bucket by qid, then one Arrow pass
+    def topk_group(t: pa.Table) -> pa.Table:
+        q, f, d = (t[c].to_numpy() for c in ("qid", "fid", "dist"))
+        # (qid, fid) dedup: a point reached from several halo cells keeps
+        # its smallest dist, the first row of its run in (qid, fid, dist)
+        o = np.lexsort((d, f, q))
+        qo, fo = q[o], f[o]
+        first = np.ones(len(o), bool)
+        first[1:] = (qo[1:] != qo[:-1]) | (fo[1:] != fo[:-1])
+        o = o[first]
+        # the k smallest dist of each query, as in KnnCell
+        o = o[np.lexsort((d[o], q[o]))]
+        keep = np.arange(len(o)) - np.searchsorted(q[o], q[o]) < k
+        return t.select(["qid", "fid", "dist"]).take(pa.array(o[keep]))
 
     return cands.map_batches(lambda b: salted_bucket(b, "qid"),
                              batch_format="pyarrow") \
-        .groupby("bucket").map_groups(topk, batch_format="pandas") \
-        .drop_columns(["bucket"])
+        .groupby("bucket").map_groups(topk_group, batch_format="pyarrow")

@@ -1,12 +1,16 @@
 """OGR layer algebra — cell-partitioned pairwise overlay.
 
 Reference: ogrlayer.cpp Intersection :5386 (pairwise GEOS intersection
-of envelope-overlapping features), Clip :7189, Erase :7538. All share
-one skeleton — candidate pairs from a spatial filter, per-pair geometry
-combine — which here becomes the SAME shuffle as the spatial join:
-cell-index both layers, groupby(cell), PBSM reference-point dedup, then
-the per-pair combine from core/overlay (exact intersection areas via
-convex decomposition; no GEOS).
+of envelope-overlapping features), Union :5804, SymDifference :6341,
+Erase :7847. All share one skeleton — candidate pairs from a spatial
+filter, per-pair geometry combine — which here runs on the SAME
+exchange as the spatial join (stages/join.py): both layers flat-map to
+their covering cells, rows co-partition by salted cell bucket
+(bucket_groups), and one Arrow kernel per bucket (set_op_bucket)
+expands the same-cell envelope-overlapping pairs, keeps each pair in
+its PBSM reference cell only, and computes the exact per-pair areas
+from core/overlay (convex decomposition; no GEOS). Intersection is a
+projection of the set-op pairs; Erase/Update sum them per A feature.
 
 Clip/Erase against a rectangle are per-row map_batches (no shuffle):
 clip_to_rect is exact, erase area = area(A) − area(A ∩ rect).
@@ -15,82 +19,96 @@ clip_to_rect is exact, erase area = area(A) − area(A ∩ rect).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..core import geom
 from ..core import wkb as wkb_mod
 from ..core.overlay import intersection_area
-from .join import reference_cell, with_cells
+from .join import (bucket_groups, overlap_pairs, reference_cell, split_sides,
+                   with_cells)
+
+SIDE_COLS = ["cell", "side", "fid", "wkb", "minx", "miny", "maxx", "maxy"]
 
 
-class IntersectCell:
-    """map_groups callable: pairwise exact intersection areas within a
-    cell (A side × B side)."""
-
-    def __init__(self, zoom: int, min_area: float = 0.0):
-        self.zoom = zoom
-        self.min_area = min_area
-
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        cell = np.uint64(group["cell"].iloc[0])
-        A = group[group["side"] == "A"]
-        B = group[group["side"] == "B"]
-        out = {"fid_a": [], "fid_b": [], "inter_area": []}
-        if len(A) and len(B):
-            ea = A[["minx", "miny", "maxx", "maxy"]].to_numpy()
-            eb = B[["minx", "miny", "maxx", "maxy"]].to_numpy()
-            ov = ((ea[:, None, 0] <= eb[None, :, 2])
-                  & (eb[None, :, 0] <= ea[:, None, 2])
-                  & (ea[:, None, 1] <= eb[None, :, 3])
-                  & (eb[None, :, 1] <= ea[:, None, 3]))
-            ii, jj = np.nonzero(ov)
-            if len(ii):
-                ref = reference_cell(ea[ii, 0], ea[ii, 1],
-                                     eb[jj, 0], eb[jj, 1], self.zoom)
-                own = ref == cell
-                ga: dict[int, object] = {}
-                gb: dict[int, object] = {}
-                for i, j in zip(ii[own], jj[own]):
-                    ra, rb = A.iloc[i], B.iloc[j]
-                    fa, fb = int(ra["fid"]), int(rb["fid"])
-                    a = ga.get(fa) or ga.setdefault(
-                        fa, wkb_mod.loads(ra["wkb"]))
-                    b = gb.get(fb) or gb.setdefault(
-                        fb, wkb_mod.loads(rb["wkb"]))
-                    ar = intersection_area(a, b)
-                    if ar > self.min_area:
-                        out["fid_a"].append(fa)
-                        out["fid_b"].append(fb)
-                        out["inter_area"].append(float(ar))
-        return pd.DataFrame({
-            "fid_a": pd.Series(out["fid_a"], dtype="int64"),
-            "fid_b": pd.Series(out["fid_b"], dtype="int64"),
-            "inter_area": pd.Series(out["inter_area"], dtype="float64"),
-        })
+def _layer_side(layer, zoom: int, side: str):
+    """A polygon layer → its side ("A" or "B") of a set-op exchange."""
+    cells = with_cells(layer, zoom, SIDE_COLS[2:])
+    return cells.map_batches(
+        lambda b: b.append_column("side", pa.array([side] * b.num_rows)),
+        batch_format="pyarrow").select_columns(SIDE_COLS)
 
 
-def _tagged(ds, zoom: int, side: str):
-    t = with_cells(ds, zoom, ["fid", "wkb", "minx", "miny", "maxx", "maxy"])
-    return t.map_batches(
-        lambda b, s=side: b.append_column("side", pa.array([s] * b.num_rows)),
-        batch_format="pyarrow")
+def _areas(wkbs) -> np.ndarray:
+    """Exact area of every WKB geometry of a column."""
+    return np.array([geom.area(wkb_mod.loads(b)) for b in wkbs.to_pylist()],
+                    np.float64)
+
+
+def _geometries(side: pa.Table):
+    """Row → (geometry, area) of one bucket side, parsed once per fid."""
+    fids, wkbs = side["fid"].to_numpy(), side["wkb"]
+    cache: dict[int, tuple] = {}
+
+    def get(row: int) -> tuple:
+        fid = int(fids[row])
+        if fid not in cache:
+            g = wkb_mod.loads(wkbs[row].as_py())
+            cache[fid] = (g, geom.area(g))
+        return cache[fid]
+
+    return get
+
+
+def set_op_bucket(t: pa.Table, zoom: int, min_area: float) -> pa.Table:
+    """Bucket kernel: layer A × layer B rows of every cell in one salted
+    bucket → one row per pair whose intersection area exceeds min_area:
+      fid_a, fid_b, area_a, area_b, inter_area,
+      union_area = a + b − inter, symdiff_area = a + b − 2·inter
+    (ogrlayer.cpp Union :5804 / SymDifference :6341 per-pair semantics,
+    area-exact via convex decomposition)."""
+    a, b = split_sides(t, "A", "B")
+    i, j, ea, eb = overlap_pairs(a, b)
+    # PBSM reference-point dedup: keep a pair only in its own cell
+    own = reference_cell(ea[i, 0], ea[i, 1], eb[j, 0], eb[j, 1],
+                         zoom) == a["cell"].to_numpy()[i]
+    i, j = i[own], j[own]
+    geom_a, geom_b = _geometries(a), _geometries(b)
+    area_a, area_b, inter = (np.empty(len(i)) for _ in range(3))
+    for k, (p, q) in enumerate(zip(i.tolist(), j.tolist())):
+        ga, area_a[k] = geom_a(p)
+        gb, area_b[k] = geom_b(q)
+        inter[k] = intersection_area(ga, gb)
+    keep = inter > min_area
+    area_a, area_b, inter = area_a[keep], area_b[keep], inter[keep]
+    # fids by Arrow take: tile-rect fids are cell ids above 2**53
+    i, j = pa.array(i[keep]), pa.array(j[keep])
+    return pa.table({"fid_a": a["fid"].take(i).cast(pa.int64()),
+                     "fid_b": b["fid"].take(j).cast(pa.int64()),
+                     "area_a": area_a, "area_b": area_b,
+                     "inter_area": inter,
+                     "union_area": area_a + area_b - inter,
+                     "symdiff_area": area_a + area_b - 2.0 * inter})
+
+
+def layer_set_op_pairs(layer_a, layer_b, zoom: int = 7,
+                       min_area: float = 1e-9):
+    """A × B → per-pair intersection/union/symmetric-difference areas
+    (the pairwise layer-algebra core shared by Union/SymDifference/
+    Identity, ogrlayer.cpp:5804/6341/6771)."""
+    def setop_cell_group(t: pa.Table) -> pa.Table:
+        return set_op_bucket(t, zoom, min_area)
+
+    both = _layer_side(layer_a, zoom, "A").union(
+        _layer_side(layer_b, zoom, "B"))
+    return bucket_groups(both, setop_cell_group)
 
 
 def layer_intersection(layer_a, layer_b, zoom: int = 7,
                        min_area: float = 1e-9):
     """A × B → (fid_a, fid_b, inter_area) for every intersecting pair
     (exact areas; ogrlayer.cpp:5386 semantics minus geometry output)."""
-    cols = ["cell", "side", "fid", "wkb", "minx", "miny", "maxx", "maxy"]
-    both = _tagged(layer_a, zoom, "A").select_columns(cols) \
-        .union(_tagged(layer_b, zoom, "B").select_columns(cols))
-    ic = IntersectCell(zoom, min_area)
-
-    def intersect_cell_group(g):
-        return ic(g)
-
-    return both.groupby("cell").map_groups(intersect_cell_group,
-                                           batch_format="pandas")
+    return layer_set_op_pairs(layer_a, layer_b, zoom, min_area) \
+        .select_columns(["fid_a", "fid_b", "inter_area"])
 
 
 def layer_clip_rect(layer, minx, miny, maxx, maxy):
@@ -125,97 +143,13 @@ def layer_erase_rect(layer, minx, miny, maxx, maxy):
     rect = wkb_mod.box(minx, miny, maxx, maxy)
 
     def erase_batch(t: pa.Table) -> pa.Table:
-        fids, areas, erased = [], [], []
-        for fid, buf in zip(t["fid"].to_pylist(), t["wkb"].to_pylist()):
-            g = wkb_mod.loads(buf)
-            a = geom.area(g)
-            inter = intersection_area(g, rect)
-            fids.append(fid)
-            areas.append(float(a))
-            erased.append(float(a - inter))
-        return pa.table({"fid": pa.array(fids, pa.int64()),
-                         "area": pa.array(areas, pa.float64()),
-                         "erased_area": pa.array(erased, pa.float64())})
+        area = _areas(t["wkb"])
+        inter = np.array([intersection_area(wkb_mod.loads(b), rect)
+                          for b in t["wkb"].to_pylist()], np.float64)
+        return pa.table({"fid": t["fid"].cast(pa.int64()), "area": area,
+                         "erased_area": area - inter})
 
     return layer.map_batches(erase_batch, batch_format="pyarrow")
-
-
-class SetOpCell:
-    """map_groups callable: pairwise set-operation AREAS within a cell
-    (ogrlayer.cpp Union :5804 / SymDifference :6341 per-pair semantics,
-    area-exact via convex decomposition, attributes carried).
-
-    Emits one row per intersecting (A, B) pair:
-      fid_a, fid_b, area_a, area_b, inter_area,
-      union_area = a + b − inter, symdiff_area = a + b − 2·inter.
-    PBSM reference-point dedup: each pair counted in exactly one cell."""
-
-    def __init__(self, zoom: int, min_area: float = 1e-9):
-        self.zoom = zoom
-        self.min_area = min_area
-
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        cell = np.uint64(group["cell"].iloc[0])
-        A = group[group["side"] == "A"]
-        B = group[group["side"] == "B"]
-        out = {"fid_a": [], "fid_b": [], "area_a": [], "area_b": [],
-               "inter_area": [], "union_area": [], "symdiff_area": []}
-        if len(A) and len(B):
-            ea = A[["minx", "miny", "maxx", "maxy"]].to_numpy()
-            eb = B[["minx", "miny", "maxx", "maxy"]].to_numpy()
-            ov = ((ea[:, None, 0] <= eb[None, :, 2])
-                  & (eb[None, :, 0] <= ea[:, None, 2])
-                  & (ea[:, None, 1] <= eb[None, :, 3])
-                  & (eb[None, :, 1] <= ea[:, None, 3]))
-            ii, jj = np.nonzero(ov)
-            if len(ii):
-                ref = reference_cell(ea[ii, 0], ea[ii, 1],
-                                     eb[jj, 0], eb[jj, 1], self.zoom)
-                own = ref == cell
-                ga: dict[int, tuple] = {}
-                gb: dict[int, tuple] = {}
-                for i, j in zip(ii[own], jj[own]):
-                    ra, rb = A.iloc[i], B.iloc[j]
-                    fa, fb = int(ra["fid"]), int(rb["fid"])
-                    if fa not in ga:
-                        g = wkb_mod.loads(ra["wkb"])
-                        ga[fa] = (g, geom.area(g))
-                    if fb not in gb:
-                        g = wkb_mod.loads(rb["wkb"])
-                        gb[fb] = (g, geom.area(g))
-                    a_geom, a_area = ga[fa]
-                    b_geom, b_area = gb[fb]
-                    inter = intersection_area(a_geom, b_geom)
-                    if inter <= self.min_area:
-                        continue
-                    out["fid_a"].append(fa)
-                    out["fid_b"].append(fb)
-                    out["area_a"].append(float(a_area))
-                    out["area_b"].append(float(b_area))
-                    out["inter_area"].append(float(inter))
-                    out["union_area"].append(float(a_area + b_area - inter))
-                    out["symdiff_area"].append(
-                        float(a_area + b_area - 2.0 * inter))
-        return pd.DataFrame({k: pd.Series(v, dtype="float64" if "area" in k
-                                          else "int64")
-                             for k, v in out.items()})
-
-
-def layer_set_op_pairs(layer_a, layer_b, zoom: int = 7,
-                       min_area: float = 1e-9):
-    """A × B → per-pair intersection/union/symmetric-difference areas
-    (the pairwise layer-algebra core shared by Union/SymDifference/
-    Identity, ogrlayer.cpp:5804/6341/6771)."""
-    cols = ["cell", "side", "fid", "wkb", "minx", "miny", "maxx", "maxy"]
-    both = _tagged(layer_a, zoom, "A").select_columns(cols) \
-        .union(_tagged(layer_b, zoom, "B").select_columns(cols))
-    sc = SetOpCell(zoom, min_area)
-
-    def setop_cell_group(g):
-        return sc(g)
-
-    return both.groupby("cell").map_groups(setop_cell_group,
-                                           batch_format="pandas")
 
 
 def layer_erase_layer(layer_a, layer_b, zoom: int = 7):
@@ -224,23 +158,23 @@ def layer_erase_layer(layer_a, layer_b, zoom: int = 7):
     other (tile grids, admin boundaries, parcel layers); self-overlapping
     B over-subtracts — the same caveat GDAL documents for
     non-noded inputs."""
+    import ray
     from ray.data.aggregate import Sum
 
-    pairs = layer_set_op_pairs(layer_a, layer_b, zoom)
-    sums = pairs.groupby("fid_a").aggregate(
-        Sum("inter_area", alias_name="inter_total"))
-    sums_df = sums.to_pandas()        # bounded: one row per A feature
+    sums = layer_set_op_pairs(layer_a, layer_b, zoom).groupby("fid_a") \
+        .aggregate(Sum("inter_area", alias_name="inter_total"))
+    # bounded: one row per A feature that meets B, none for disjoint
+    # layers (whose empty blocks may carry no columns)
+    inter = {f: s for t in ray.get(sums.to_arrow_refs()) if t.num_rows
+             for f, s in zip(t["fid_a"].to_pylist(),
+                             t["inter_total"].to_pylist())}
 
     def erase_batch(t: pa.Table) -> pa.Table:
-        fids, areas = [], []
-        for fid, buf in zip(t["fid"].to_pylist(), t["wkb"].to_pylist()):
-            fids.append(fid)
-            areas.append(float(geom.area(wkb_mod.loads(buf))))
-        df = pd.DataFrame({"fid": fids, "area": areas})
-        df = df.merge(sums_df, left_on="fid", right_on="fid_a", how="left")
-        df["erased_area"] = df["area"] - df["inter_total"].fillna(0.0)
-        return pa.Table.from_pandas(
-            df[["fid", "area", "erased_area"]], preserve_index=False)
+        area = _areas(t["wkb"])
+        cut = np.array([inter.get(f, 0.0) for f in t["fid"].to_pylist()],
+                       np.float64)
+        return pa.table({"fid": t["fid"].cast(pa.int64()), "area": area,
+                         "erased_area": area - cut})
 
     return layer_a.map_batches(erase_batch, batch_format="pyarrow")
 
@@ -257,13 +191,9 @@ def layer_update_layer(layer_a, layer_b, zoom: int = 7):
                          "out_area": t["erased_area"]})
 
     def b_rows(t: pa.Table) -> pa.Table:
-        fids, areas = [], []
-        for fid, buf in zip(t["fid"].to_pylist(), t["wkb"].to_pylist()):
-            fids.append(fid)
-            areas.append(float(geom.area(wkb_mod.loads(buf))))
-        return pa.table({"fid": pa.array(fids, pa.int64()),
-                         "side": pa.array(["B"] * len(fids), pa.string()),
-                         "out_area": pa.array(areas, pa.float64())})
+        return pa.table({"fid": t["fid"].cast(pa.int64()),
+                         "side": pa.array(["B"] * t.num_rows, pa.string()),
+                         "out_area": _areas(t["wkb"])})
 
     return era.map_batches(a_rows, batch_format="pyarrow").union(
         layer_b.map_batches(b_rows, batch_format="pyarrow"))
