@@ -9,9 +9,9 @@ variables, evaluation fully vectorized over flattened pixel planes.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 
-from .sql import _P, _eval, _parse_add, tokenize
+from .sql import _P, _eval_arrow, _parse_add, tokenize
 
 
 def parse_expr(expr: str):
@@ -30,9 +30,9 @@ def band_calc(bands: dict, expr: str) -> np.ndarray:
     if len(shapes) != 1:
         raise ValueError(f"band shapes differ: {shapes}")
     (shape,) = shapes
-    frame = pd.DataFrame({k: np.asarray(v, np.float64).ravel()
-                          for k, v in bands.items()})
-    out = _eval(parse_expr(expr), frame)
+    table = pa.table({k: np.asarray(v, np.float64).ravel()
+                      for k, v in bands.items()})
+    out = _eval_arrow(parse_expr(expr), table)
     arr = np.asarray(out, np.float64)
     if arr.ndim == 0:          # constant expression
         return np.full(shape, float(arr))

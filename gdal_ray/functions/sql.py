@@ -8,14 +8,21 @@ LIKE (swq_op_registrar.cpp), ORDER BY multi-key (:400-407), LIMIT
 (:479-483). OGR's dialect has *global-only* aggregates; we add GROUP BY
 (free on Ray) as the natural superset.
 
-Compilation is Ray-Data-first:
+Compilation is Ray-Data-first, and every stage runs on pyarrow
+batches through one expression evaluator (`_eval_arrow`):
+  * JOIN → the secondary table broadcasts once; each batch hash-joins
+    it (`pa.Table.join`);
   * WHERE / projections → vectorized pyarrow.compute inside map_batches;
-  * aggregates → per-batch PARTIALS (sum/count/min/max per group)
-    combined driver-side — grouped results are assumed small, the scan
-    is the big side and it streams;
+  * aggregates → per-batch `pa.Table.group_by` PARTIALS (sum/count/
+    min/max/distinct per group) combined by one more group_by
+    driver-side — grouped results are assumed small, the scan is the
+    big side and it streams; HAVING and the select items then evaluate
+    on the combined table;
   * DISTINCT → per-batch dedup partial + driver-side final;
   * ORDER BY + LIMIT → per-batch partial top-k; ORDER BY alone sorts
     the (already reduced) result driver-side.
+Scalar functions, built-in or registered, receive numpy arrays (or
+plain scalars for literal arguments) and return an array or a scalar.
 
 The DuckDB correctness oracle runs the *same SQL string* — the dialect
 is intersection-compatible by construction.
@@ -87,8 +94,10 @@ def _substr(v, start, n=None):
 
 
 def register_sql_function(name: str, fn) -> None:
-    """Register a scalar SQL function callable(*column_values) usable
-    in any expression of the dialect."""
+    """Register a scalar SQL function usable in any expression of the
+    dialect. It is called with one numpy array per column argument (a
+    plain Python scalar for a literal one) and returns an array of the
+    batch's length or a scalar; NaN in its result reads as NULL."""
     if not callable(fn):
         raise TypeError("sql function must be callable")
     _SQL_FUNCS[name.upper()] = fn
@@ -399,172 +408,93 @@ def _parse_select_body(p: "_P") -> dict:
 
 
 # ---------------------------------------------------------------------------
-# expression evaluation over a pandas frame (vectorized)
+# expression evaluation over a pyarrow table (vectorized)
 # ---------------------------------------------------------------------------
 
-def _eval(e, df: pd.DataFrame, funcs: dict | None = None):
-    kind = e[0]
-    if kind == "lit":
-        return e[1]
-    if kind == "col":
-        if e[1] not in df.columns:
-            raise ValueError(f"unknown column {e[1]!r}")
-        return df[e[1]]
-    if kind == "qcol":
-        if e[2] not in df.columns:
-            raise ValueError(f"unknown column {e[1]}.{e[2]}")
-        return df[e[2]]
-    if kind == "func":
-        reg = funcs if funcs is not None else _SQL_FUNCS
-        args = [_eval(x, df, funcs) for x in e[2]]
-        return reg[e[1]](*args)
-    if kind == "isnull":
-        v = _eval(e[1], df, funcs)
-        return pd.isna(v)
-    if kind == "not":
-        return ~_eval(e[1], df, funcs).astype(bool)
-    if kind == "in":
-        v = _eval(e[1], df, funcs)
-        lits = [_eval(x, df, funcs) for x in e[2]]
-        return pd.Series(v).isin(lits).to_numpy()
-    if kind == "in_set":
-        return pd.Series(_eval(e[1], df, funcs)).isin(e[2]).to_numpy()
-    if kind == "cast":
-        v = _eval(e[1], df, funcs)
-        ty = e[2]
-        if ty in ("BIGINT", "INTEGER", "INT", "SMALLINT"):
-            return pd.Series(v).astype("float64").round().astype("Int64") \
-                if not np.isscalar(v) else int(round(float(v)))
-        if ty in ("DOUBLE", "FLOAT", "REAL", "NUMERIC", "DECIMAL"):
-            return pd.Series(v).astype("float64") if not np.isscalar(v) \
-                else float(v)
-        if ty in ("VARCHAR", "TEXT", "STRING", "CHAR"):
-            return pd.Series(v).astype(str) if not np.isscalar(v) else str(v)
-        raise ValueError(f"unsupported CAST type {ty}")
-    if kind == "case":
-        operand, whens, els = e[1], e[2], e[3]
-        n = len(df)
-        conds, vals = [], []
-        for w, t in whens:
-            cn = ("bin", "=", operand, w) if operand is not None else w
-            conds.append(np.broadcast_to(
-                np.asarray(_eval(cn, df, funcs), bool), n))
-            val = _eval(t, df, funcs)
-            vals.append(np.broadcast_to(np.asarray(val), n))
-        if els is not None:
-            dv = _eval(els, df, funcs)
-            default = np.broadcast_to(np.asarray(dv), n)
-        else:
-            default = np.broadcast_to(np.asarray(np.nan), n)
-        return np.select(conds, vals, default=default)
-    if kind == "in_sub":
-        raise ValueError("IN (SELECT ...) reached the evaluator "
-                         "unresolved — execute via execute_sql()")
-    if kind == "between":
-        v = _eval(e[1], df, funcs)
-        return (v >= _eval(e[2], df, funcs)) & (v <= _eval(e[3], df, funcs))
-    if kind == "like":
-        v = pd.Series(_eval(e[1], df, funcs)).astype(str)
-        # re.escape leaves % and _ unescaped (py>=3.7), so map them
-        pat = re.escape(str(_eval(e[2], df, funcs))).replace("%", ".*").replace("_", ".")
-        return v.str.fullmatch(pat).fillna(False).to_numpy()
-    if kind == "bin":
-        op = e[1]
-        l = _eval(e[2], df, funcs)
-        r = _eval(e[3], df, funcs)
-        if op == "AND":
-            return np.asarray(l, bool) & np.asarray(r, bool)
-        if op == "OR":
-            return np.asarray(l, bool) | np.asarray(r, bool)
-        if op == "=":
-            return l == r
-        if op in ("<>", "!="):
-            return l != r
-        return {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
-                ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
-                "+": lambda a, b: a + b, "-": lambda a, b: a - b,
-                "*": lambda a, b: a * b, "/": lambda a, b: a / b}[op](l, r)
-    raise ValueError(f"bad expression node {e}")
+def _is_array(v) -> bool:
+    return isinstance(v, (pa.Array, pa.ChunkedArray))
 
 
-# ---------------------------------------------------------------------------
-# Arrow-native expression evaluation — the zero-copy fast path for the
-# no-join, no-UDF scan subset. At 100 TB the per-batch to_pandas()
-# round-trip is the scan stage's main cost; these kernels evaluate the
-# common SQL surface directly on the pyarrow batch. _eval above stays
-# the semantic definition (and the fallback for UDFs / joins / any
-# batch the Arrow path cannot type).
-# ---------------------------------------------------------------------------
-
-_ARROW_NODES = {"lit", "col", "qcol", "isnull", "not", "in", "in_set",
-                "between", "like", "bin", "cast", "case"}
-
-
-def _arrow_ok(e) -> bool:
-    """True when the expression tree uses only Arrow-evaluable nodes
-    (no Python UDFs, no unresolved subqueries, no aggregates)."""
-    if not isinstance(e, tuple):
-        return True
-    if e[0] not in _ARROW_NODES:
-        return False
-    for part in e[1:]:
-        if isinstance(part, tuple):
-            if not _arrow_ok(part):
-                return False
-        elif isinstance(part, list):
-            for x in part:
-                if isinstance(x, tuple) and len(x) == 2 \
-                        and not isinstance(x[0], str):
-                    # case WHEN pairs
-                    if not (_arrow_ok(x[0]) and _arrow_ok(x[1])):
-                        return False
-                elif not _arrow_ok(x):
-                    return False
-    return True
+def _column(v, n: int):
+    """An evaluated value as an n-row Arrow column (scalars broadcast)."""
+    if _is_array(v):
+        return v
+    return pa.repeat(v if isinstance(v, pa.Scalar) else pa.scalar(v), n)
 
 
 def _aw_bool(v):
-    if isinstance(v, (pa.Array, pa.ChunkedArray)):
+    if _is_array(v):
         return v if pa.types.is_boolean(v.type) else pc.cast(v, pa.bool_())
-    return bool(v)
+    return pa.scalar(bool(v))
 
 
-def _eval_arrow(e, t: pa.Table):
-    """Evaluate an expression on a pyarrow batch → Array / scalar."""
+def _f64(v):
+    return pc.cast(v, pa.float64()) if _is_array(v) else float(v)
+
+
+_CMP = {"=": pc.equal, "<>": pc.not_equal, "!=": pc.not_equal,
+        "<": pc.less, "<=": pc.less_equal,
+        ">": pc.greater, ">=": pc.greater_equal}
+_ARITH = {"+": pc.add, "-": pc.subtract, "*": pc.multiply}
+
+
+def _eval_arrow(e, t: pa.Table, funcs: dict | None = None):
+    """Evaluate an expression on a pyarrow table → Array, or a Python
+    scalar when it reads no column. ``funcs`` is the scalar function
+    registry (default: this process's). An Arrow type error, such as a
+    string compared with a number, raises ValueError naming the
+    expression."""
+    try:
+        v = _eval_node(e, t, _SQL_FUNCS if funcs is None else funcs)
+    except pa.ArrowException as exc:
+        raise ValueError(f"cannot evaluate {_sql_text(e)}: {exc}") \
+            from None
+    return v.as_py() if isinstance(v, pa.Scalar) else v
+
+
+def _eval_node(e, t: pa.Table, funcs: dict):
+    def ev(x):
+        return _eval_arrow(x, t, funcs)
+
     kind = e[0]
     if kind == "lit":
         return e[1]
-    if kind == "col":
-        if e[1] not in t.column_names:
-            raise ValueError(f"unknown column {e[1]!r}")
-        return t[e[1]]
-    if kind == "qcol":
-        if e[2] not in t.column_names:
-            raise ValueError(f"unknown column {e[1]}.{e[2]}")
-        return t[e[2]]
+    if kind in ("col", "qcol"):
+        if e[-1] not in t.column_names:
+            raise ValueError(f"unknown column {'.'.join(e[1:])!r}")
+        return t[e[-1]]
+    if kind == "func":
+        # built-ins and UDFs take numpy arrays (or scalars for literals);
+        # NaN in the result reads back as NULL, as pandas treats it
+        args = [a.to_numpy(zero_copy_only=False) if _is_array(a) else a
+                for a in map(ev, e[2])]
+        out = funcs[e[1]](*args)
+        if np.ndim(out) == 0:
+            return out.item() if isinstance(out, (np.generic, np.ndarray)) \
+                else out
+        return pa.array(out, from_pandas=True)
     if kind == "isnull":
-        return pc.is_null(_eval_arrow(e[1], t))
+        return pc.is_null(ev(e[1]), nan_is_null=True)
     if kind == "not":
-        return pc.invert(_aw_bool(_eval_arrow(e[1], t)))
+        return pc.invert(_aw_bool(ev(e[1])))
     if kind in ("in", "in_set"):
-        v = _eval_arrow(e[1], t)
-        vals = e[2] if kind == "in_set" \
-            else [_eval_arrow(x, t) for x in e[2]]
-        return pc.is_in(v, value_set=pa.array(list(vals)))
+        v = ev(e[1])
+        vals = pa.array(list(e[2] if kind == "in_set"
+                             else [ev(x) for x in e[2]]))
+        if _is_array(v) and pa.types.is_null(v.type):
+            v = v.cast(vals.type)        # an all-NULL (say, empty) batch
+        return pc.is_in(v, value_set=vals)
     if kind == "between":
-        v = _eval_arrow(e[1], t)
-        # null inputs yield False, matching the pandas evaluator
-        return pc.fill_null(
-            pc.and_kleene(pc.greater_equal(v, _eval_arrow(e[2], t)),
-                          pc.less_equal(v, _eval_arrow(e[3], t))), False)
+        v = ev(e[1])
+        # a NULL input is not between anything
+        return pc.fill_null(pc.and_kleene(pc.greater_equal(v, ev(e[2])),
+                                          pc.less_equal(v, ev(e[3]))), False)
     if kind == "like":
-        v = pc.cast(_eval_arrow(e[1], t), pa.string())
-        # pandas path yields False for null inputs (fillna) — match it
-        return pc.fill_null(
-            pc.match_like(v, str(_eval_arrow(e[2], t))), False)
+        v = pc.cast(ev(e[1]), pa.string())
+        return pc.fill_null(pc.match_like(v, str(ev(e[2]))), False)
     if kind == "cast":
-        v = _eval_arrow(e[1], t)
-        ty = e[2]
+        v, ty = ev(e[1]), e[2]
+        v = v if _is_array(v) else pa.scalar(v)
         if ty in ("BIGINT", "INTEGER", "INT", "SMALLINT"):
             return pc.cast(pc.round(pc.cast(v, pa.float64())), pa.int64())
         if ty in ("DOUBLE", "FLOAT", "REAL", "NUMERIC", "DECIMAL"):
@@ -574,40 +504,31 @@ def _eval_arrow(e, t: pa.Table):
         raise ValueError(f"unsupported CAST type {ty}")
     if kind == "case":
         operand, whens, els = e[1], e[2], e[3]
-        res = _eval_arrow(els, t) if els is not None else None
+        res = ev(els) if els is not None else None
         for w, v in reversed(whens):
             cn = ("bin", "=", operand, w) if operand is not None else w
-            # a null condition is "not true": the ELSE applies (both
-            # SQL semantics and the pandas evaluator's np.select)
-            cond = pc.fill_null(_aw_bool(_eval_arrow(cn, t)), False)
-            val = _eval_arrow(v, t)
+            # a NULL condition is "not true": the ELSE applies
+            cond = pc.fill_null(_aw_bool(ev(cn)), False)
+            val = ev(v)
             if res is None:
-                ty = val.type if isinstance(
-                    val, (pa.Array, pa.ChunkedArray)) else pa.scalar(val).type
-                res = pc.if_else(cond, val, pa.scalar(None, ty))
-            else:
-                res = pc.if_else(cond, val, res)
+                ty = val.type if _is_array(val) else pa.scalar(val).type
+                res = pa.scalar(None, ty)
+            res = pc.if_else(cond, val, res)
         return res
+    if kind == "in_sub":
+        raise ValueError("IN (SELECT ...) reached the evaluator "
+                         "unresolved — execute via execute_sql()")
     if kind == "bin":
-        op = e[1]
-        l = _eval_arrow(e[2], t)
-        r = _eval_arrow(e[3], t)
+        op, l, r = e[1], ev(e[2]), ev(e[3])
         if op == "AND":
             return pc.and_kleene(_aw_bool(l), _aw_bool(r))
         if op == "OR":
             return pc.or_kleene(_aw_bool(l), _aw_bool(r))
-        cmps = {"=": pc.equal, "<>": pc.not_equal, "!=": pc.not_equal,
-                "<": pc.less, "<=": pc.less_equal,
-                ">": pc.greater, ">=": pc.greater_equal}
-        if op in cmps:
-            return cmps[op](l, r)
-        if op == "/":                    # true division (pandas parity)
-            def f64(x):
-                return pc.cast(x, pa.float64()) if isinstance(
-                    x, (pa.Array, pa.ChunkedArray)) else float(x)
-            return pc.divide(f64(l), f64(r))
-        return {"+": pc.add, "-": pc.subtract,
-                "*": pc.multiply}[op](l, r)
+        if op in _CMP:
+            return _CMP[op](l, r)
+        if op == "/":                    # true division
+            return pc.divide(_f64(l), _f64(r))
+        return _ARITH[op](l, r)
     raise ValueError(f"bad expression node {e}")
 
 
@@ -628,6 +549,35 @@ def _expr_name(e) -> str:
     return "expr"
 
 
+def _sql_text(e) -> str:
+    """An expression as SQL text, for error messages."""
+    if not isinstance(e, tuple):
+        return f"'{e}'" if isinstance(e, str) else str(e)
+    k, a = e[0], [_sql_text(x) if isinstance(x, tuple) else x
+                  for x in e[1:]]
+    if k == "lit":
+        return _sql_text(e[1])
+    if k in ("col", "qcol"):
+        return ".".join(e[1:])
+    if k in ("func", "agg"):
+        args = e[2] if k == "func" else [e[2]]
+        return f"{e[1]}({', '.join(map(_sql_text, args))})"
+    if k == "case":
+        return ("CASE " + (f"{a[0]} " if e[1] is not None else "")
+                + " ".join(f"WHEN {_sql_text(w)} THEN {_sql_text(v)}"
+                           for w, v in e[2])
+                + (f" ELSE {a[2]}" if e[3] is not None else "") + " END")
+    return {"bin": lambda: f"({a[1]} {e[1]} {a[2]})",
+            "not": lambda: f"NOT {a[0]}",
+            "isnull": lambda: f"{a[0]} IS NULL",
+            "in": lambda: f"{a[0]} IN ({', '.join(map(_sql_text, e[2]))})",
+            "in_set": lambda: f"{a[0]} IN (<subquery>)",
+            "between": lambda: f"{a[0]} BETWEEN {a[1]} AND {a[2]}",
+            "like": lambda: f"{a[0]} LIKE {a[1]}",
+            "cast": lambda: f"CAST({a[0]} AS {e[2]})"}.get(
+                k, lambda: k)()
+
+
 def _collect_aggs(e, found: list):
     if not isinstance(e, tuple):
         return
@@ -642,6 +592,19 @@ def _collect_aggs(e, found: list):
                 _collect_aggs(q, found)
 
 
+def _rewrite(node, fn):
+    """Copy of an AST with each node for which ``fn`` returns a
+    replacement swapped for it (``fn`` returns None to descend)."""
+    if isinstance(node, list):
+        return [_rewrite(x, fn) for x in node]
+    if not isinstance(node, tuple):
+        return node
+    new = fn(node)
+    if new is not None:
+        return new
+    return tuple(_rewrite(x, fn) for x in node)
+
+
 # A broadcast join side must fit in every worker's heap. OGR's own JOIN
 # is a secondary-layer lookup (small side by construction); above this
 # row count we refuse rather than silently OOM the cluster — co-shuffle
@@ -649,11 +612,29 @@ def _collect_aggs(e, found: list):
 JOIN_BROADCAST_LIMIT = 5_000_000
 
 
+def _collect(ds) -> pa.Table | None:
+    """Run a bounded Dataset and return its Arrow blocks as one driver
+    table (None when it has no blocks). An error raised in a map
+    function surfaces as itself (a ValueError stays one), not wrapped
+    in Ray Data's UserCodeException."""
+    ctx = ds.context
+    wrapped, ctx.raise_original_map_exception = \
+        ctx.raise_original_map_exception, True
+    try:
+        blocks = list(ds.iter_batches(batch_format="pyarrow",
+                                      batch_size=None))
+    finally:
+        ctx.raise_original_map_exception = wrapped
+    return pa.concat_tables(blocks, promote_options="permissive") \
+        if blocks else None
+
+
 def _join_spec(q, tables):
     """Materialize secondary join tables (OGR JOIN semantics: the
     secondary layer is the lookup side, ogr_gensql.cpp:1521-1542 probes
     it per primary feature — here it broadcasts once and each batch
-    does a vectorized merge). Returns [(df, how, left_key, right_key)]."""
+    does a vectorized hash join). Returns [(table, how, left_key,
+    right_key)]."""
     specs = []
     for jt, how, on in q.get("joins") or []:
         if jt not in tables:
@@ -665,7 +646,8 @@ def _join_spec(q, tables):
                 f"broadcast (limit {JOIN_BROADCAST_LIMIT}). Co-shuffle "
                 "both sides by the join key instead (gdal_ray.stages."
                 "join), or raise gdal_ray.functions.sql.JOIN_BROADCAST_LIMIT.")
-        jdf = tables[jt].to_pandas()
+        right = _collect(tables[jt])
+        names = right.column_names if right is not None else []
         if not (isinstance(on, tuple) and on[0] == "bin" and on[1] == "="
                 and on[2][0] in ("col", "qcol") and on[3][0] in ("col", "qcol")):
             raise ValueError("JOIN ON must be column = column")
@@ -679,24 +661,54 @@ def _join_spec(q, tables):
             lk, rk = b, a
         elif qb == jt or (qa is not None and qa != jt):
             lk, rk = a, b
-        elif b in jdf.columns and a not in jdf.columns:
+        elif b in names and a not in names:
             lk, rk = a, b
-        elif a in jdf.columns and b not in jdf.columns:
+        elif a in names and b not in names:
             lk, rk = b, a
         else:
             raise ValueError(f"cannot attribute JOIN keys {a}/{b} — "
                              "qualify them (table.column)")
-        specs.append((jdf, how, lk, rk))
+        if right is None or rk not in names:
+            raise ValueError(f"JOIN table {jt!r} has no column {rk!r}")
+        specs.append((right, how, lk, rk))
     return specs
 
 
-def _apply_joins(df: pd.DataFrame, specs) -> pd.DataFrame:
-    for jdf, how, lk, rk in specs:
-        if lk == rk:
-            df = df.merge(jdf, on=lk, how=how)
-        else:
-            df = df.merge(jdf, left_on=lk, right_on=rk, how=how)
-    return df
+def _rows(t: pa.Table, joins, where, funcs) -> pa.Table:
+    """One primary batch joined with the broadcast tables and filtered
+    by WHERE. A join keeps the primary row order, and its column names
+    follow pandas ``merge``: a key both sides name alike appears once,
+    other clashing names get _x/_y."""
+    for right, how, lk, rk in joins:
+        right = right.set_column(right.schema.get_field_index(rk), rk,
+                                 right[rk].cast(t[lk].type))
+        t = t.append_column("__row", pa.array(np.arange(t.num_rows)))
+        t = t.join(right, keys=lk, right_keys=rk,
+                   join_type="left outer" if how == "left" else "inner",
+                   left_suffix="_x", right_suffix="_y",
+                   coalesce_keys=lk == rk)
+        t = t.sort_by("__row").drop_columns(["__row"])
+    if where is not None:
+        # a NULL predicate drops the row
+        t = t.filter(_column(_aw_bool(_eval_arrow(where, t, funcs)),
+                             t.num_rows))
+    return t
+
+
+def _distinct(t: pa.Table) -> pa.Table:
+    """Unique rows, in order of first appearance."""
+    return t.group_by(t.column_names, use_threads=False).aggregate([])
+
+
+def _sort(t: pa.Table, order) -> pa.Table:
+    """ORDER BY; a key that is not an output column sorts by its
+    hidden ``__ob_`` twin."""
+    keys = [c if c in t.column_names else f"__ob_{c}" for c, _ in order]
+    for k, (c, _) in zip(keys, order):
+        if k not in t.column_names:
+            raise ValueError(f"unknown ORDER BY column {c!r}")
+    return t.sort_by([(k, "descending" if d else "ascending")
+                      for k, (_, d) in zip(keys, order)])
 
 
 def execute_sql(sql: str, tables: dict, as_dataset: bool = False):
@@ -717,14 +729,10 @@ def _resolve_subqueries(node, tables):
     the subquery runs first (uncorrelated, like the SQLite dialect's
     materialized sub-selects) and its single output column broadcasts
     as a membership set, bounded by JOIN_BROADCAST_LIMIT."""
-    if isinstance(node, list):
-        # list-valued AST fields (CASE whens, IN literal lists) carry
-        # tuple children too — recurse element-wise
-        return [_resolve_subqueries(x, tables) for x in node]
-    if not isinstance(node, tuple):
-        return node
-    if node[0] == "in_sub":
-        sub = _execute_ast(node[2], tables, False)
+    def resolve(n):
+        if n[0] != "in_sub":
+            return None
+        sub = _execute_ast(n[2], tables, False)
         if len(sub.columns) != 1:
             raise ValueError("IN (SELECT ...) must select exactly one "
                              f"column, got {list(sub.columns)}")
@@ -733,112 +741,61 @@ def _resolve_subqueries(node, tables):
                 f"IN subquery returned {len(sub)} rows — too large to "
                 f"broadcast (limit {JOIN_BROADCAST_LIMIT})")
         vals = sub.iloc[:, 0].dropna().unique().tolist()
-        return ("in_set", _resolve_subqueries(node[1], tables), vals)
-    return tuple(_resolve_subqueries(x, tables) if isinstance(x, (tuple, list))
-                 else x for x in node)
+        return ("in_set", _resolve_subqueries(n[1], tables), vals)
+    return _rewrite(node, resolve)
 
 
 def _execute_ast(q: dict, tables: dict, as_dataset: bool = False):
     if q["table"] not in tables:
         raise ValueError(f"unknown table {q['table']!r}")
     ds = tables[q["table"]]
-    join_specs = _join_spec(q, tables)
+    joins = _join_spec(q, tables)
     q = dict(q)
     q["items"] = [(_resolve_subqueries(e, tables), a)
                   for e, a in q["items"]]
     for key in ("where", "having"):
         if q.get(key) is not None:
             q[key] = _resolve_subqueries(q[key], tables)
+    # custom scalar functions registered on the driver must reach the
+    # workers: ship a snapshot of the registry in the closures
+    fsnap = dict(_SQL_FUNCS)
+    names = [a or _expr_name(e) for e, a in q["items"]]
 
     aggs: list = []
     for e, _ in q["items"]:
         _collect_aggs(e, aggs)
     if q.get("having") is not None:
         _collect_aggs(q["having"], aggs)
-    has_aggs = bool(aggs)
-
-    where = q["where"]
-
-    if has_aggs or q["group"]:
-        res = _run_aggregate(q, ds, join_specs)
+    if aggs or q["group"]:
+        res = _run_aggregate(q, ds, joins, fsnap, names, aggs)
         return _wrap_ds(res) if as_dataset else res
 
-    keep = (q["limit"] + q.get("offset", 0)) if q["limit"] is not None else None
-    # custom scalar functions registered on the driver must reach the
-    # workers: ship a snapshot in the closure and merge on first use
-    fsnap = dict(_SQL_FUNCS)
+    where, order = q["where"], q["order"]
+    keep = q["limit"] + q["offset"] if q["limit"] is not None else None
 
-    # Arrow fast path eligibility, decided once: no joins, every
-    # referenced expression evaluable by _eval_arrow
-    use_arrow = (not join_specs
-                 and all(_arrow_ok(e) for e, _ in q["items"])
-                 and (where is None or _arrow_ok(where)))
-
-    def scan_arrow(t: pa.Table) -> pa.Table:
-        if where is not None:
-            mask = _aw_bool(_eval_arrow(where, t))
-            t = t.filter(mask)           # nulls drop, like the bool mask
-        cols: dict = {}
-        for e, alias in q["items"]:
-            name = alias or _expr_name(e)
-            v = _eval_arrow(e, t)
-            if not isinstance(v, (pa.Array, pa.ChunkedArray)):
-                v = pa.array([v] * t.num_rows, type=pa.scalar(v).type)
-            cols[name] = v
-        if q["order"] and not q["distinct"]:
-            for c, _ in q["order"]:
-                if c not in cols and c in t.column_names:
-                    cols[f"__ob_{c}"] = t[c]
-        out = pa.table(cols)
-        if q["distinct"]:
-            out = out.group_by(out.column_names).aggregate([])
-        if q["order"] and keep is not None:
-            out = out.sort_by([
-                (_ob_key_t(out, c), "descending" if d else "ascending")
-                for c, d in q["order"]]).slice(0, keep)
-        elif keep is not None:
-            out = out.slice(0, keep)
-        return out
-
-    # plain scan: filter + project per batch, optional partial top-k
+    # plain scan: join + filter + project per batch, optional partial
+    # top-k (every globally surviving row survives its batch partial)
     def scan(t: pa.Table) -> pa.Table:
-        if use_arrow:
-            try:
-                return scan_arrow(t)
-            except (pa.ArrowInvalid, pa.ArrowNotImplementedError,
-                    pa.ArrowTypeError):
-                pass                     # type corner: pandas decides
-        df = t.to_pandas()
-        if join_specs:
-            df = _apply_joins(df, join_specs)
-        if where is not None:
-            df = df[np.asarray(_eval(where, df, fsnap), bool)]
-        out = pd.DataFrame(index=df.index)
-        for e, alias in q["items"]:
-            name = alias or _expr_name(e)
-            out[name] = _eval(e, df, fsnap)
+        t = _rows(t, joins, where, fsnap)
+        cols = {name: _column(_eval_arrow(e, t, fsnap), t.num_rows)
+                for name, (e, _) in zip(names, q["items"])}
         # ORDER BY may reference source columns that are not selected
         # (ogr_gensql.cpp sorts on the layer's fields): carry them as
         # hidden keys, dropped after the final sort. DISTINCT forbids
         # hidden keys (they would change row identity).
-        if q["order"] and not q["distinct"]:
-            for c, _ in q["order"]:
-                if c not in out.columns and c in df.columns:
-                    out[f"__ob_{c}"] = df[c]
+        if order and not q["distinct"]:
+            for c, _ in order:
+                if c not in cols and c in t.column_names:
+                    cols[f"__ob_{c}"] = t[c]
+        out = pa.table(cols)
         if q["distinct"]:
-            out = out.drop_duplicates()
-        if q["order"] and keep is not None:
-            # partial top-(limit+offset): every globally-surviving row
-            # survives its batch partial
-            out = out.sort_values([_ob_key(out, c) for c, _ in q["order"]],
-                                  ascending=[not d for _, d in q["order"]]) \
-                .head(keep)
-        elif keep is not None:
-            out = out.head(keep)
-        return pa.Table.from_pandas(out, preserve_index=False)
+            out = _distinct(out)
+        if keep is not None:
+            out = (_sort(out, order) if order else out).slice(0, keep)
+        return out
 
     mapped = ds.map_batches(scan, batch_format="pyarrow")
-    if as_dataset and q["limit"] is None and not q.get("offset", 0):
+    if as_dataset and q["limit"] is None and not q["offset"]:
         # identity-sized outputs stay distributed: plain scans stream,
         # DISTINCT runs the exact-dedup shuffle (content-hash salted
         # buckets), un-LIMITed ORDER BY is a Ray range-partition sort.
@@ -846,12 +803,9 @@ def _execute_ast(q: dict, tables: dict, as_dataset: bool = False):
         out_ds = mapped
         if q["distinct"]:
             out_ds = _distinct_ds(out_ds)
-        if q["order"]:
-            item_names = [a or _expr_name(e) for e, a in q["items"]]
-            keys = [c if c in item_names else f"__ob_{c}"
-                    for c, _ in q["order"]]
-            out_ds = out_ds.sort(keys,
-                                 descending=[d for _, d in q["order"]])
+        if order:
+            keys = [c if c in names else f"__ob_{c}" for c, _ in order]
+            out_ds = out_ds.sort(keys, descending=[d for _, d in order])
             if any(k.startswith("__ob_") for k in keys):
                 out_ds = out_ds.map_batches(
                     lambda t: t.drop_columns(
@@ -859,24 +813,18 @@ def _execute_ast(q: dict, tables: dict, as_dataset: bool = False):
                          if c.startswith("__ob_")]),
                     batch_format="pyarrow")
         return out_ds
-    res = mapped.to_pandas()
-    if len(res) == 0:
+    res = _collect(mapped)
+    if res is None or res.num_rows == 0:
         # typed empty result (Ray may drop all-empty block schemas)
-        res = pd.DataFrame(
-            columns=[a or _expr_name(e) for e, a in q["items"]])
+        res = pd.DataFrame(columns=names)
         return _wrap_ds(res) if as_dataset else res
     if q["distinct"]:
-        res = res.drop_duplicates()
-    if q["order"]:
-        res = res.sort_values([_ob_key(res, c) for c, _ in q["order"]],
-                              ascending=[not d for _, d in q["order"]])
-    res = res[[c for c in res.columns if not c.startswith("__ob_")]]
-    off = q.get("offset", 0)
-    if q["limit"] is not None:
-        res = res.iloc[off:off + q["limit"]]
-    elif off:
-        res = res.iloc[off:]
-    res = res.reset_index(drop=True)
+        res = _distinct(res)
+    if order:
+        res = _sort(res, order)
+    res = res.drop_columns([c for c in res.column_names
+                            if c.startswith("__ob_")])
+    res = res.slice(q["offset"], q["limit"]).to_pandas()
     return _wrap_ds(res) if as_dataset else res
 
 
@@ -885,240 +833,189 @@ def _wrap_ds(df: pd.DataFrame):
     return rd.from_pandas(df)
 
 
+def distinct_group(t: pa.Table) -> pa.Table:
+    """One salted bucket of SELECT DISTINCT's exchange, deduplicated."""
+    return _distinct(t.drop_columns(["__bucket"]))
+
+
 def _distinct_ds(ds):
-    """SELECT DISTINCT as a shuffle, not a driver frame: content-hash
-    every row (all columns), salt-bucket the hash so identical rows
-    co-locate, and drop duplicates per bucket with pandas. The full
-    result never lands on one machine."""
+    """SELECT DISTINCT as a shuffle, not a driver frame: hash every row
+    (all columns, each cast to its text form, so a value hashes alike in
+    every block), salt-bucket the hash so identical rows co-locate, and
+    dedup each bucket on Arrow. The full result never lands on one
+    machine."""
     def bucketize(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_pandas_object(
-            t.to_pandas(), index=False).to_numpy().astype(np.uint64)
+        h = np.zeros(t.num_rows, np.uint64)
+        for col in t.columns:
+            text = pc.fill_null(pc.cast(col, pa.string()), "\x00")
+            h = h * np.uint64(31) + pd.util.hash_array(
+                text.to_numpy(zero_copy_only=False))
         b = ((h * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)) \
             % np.uint64(128)
         return t.append_column("__bucket",
                                pa.array(b.astype(np.int64), pa.int64()))
 
-    def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop(columns="__bucket").drop_duplicates()
-
     return ds.map_batches(bucketize, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(dedup, batch_format="pandas")
+        .groupby("__bucket").map_groups(distinct_group,
+                                        batch_format="pyarrow")
 
 
-def _ob_key(frame, col):
-    return col if col in frame.columns else f"__ob_{col}"
+# the Arrow hash aggregates each SQL aggregate needs per batch ("sq" is
+# the sum of squares), and how each partial combines across batches
+_PARTIALS = {"SUM": ("sum",), "AVG": ("sum", "count"),
+             "STDDEV_POP": ("sum", "count", "sq"),
+             "STDDEV_SAMP": ("sum", "count", "sq"),
+             "MIN": ("min",), "MAX": ("max",), "COUNT": ("count",),
+             "COUNTD": ("distinct",)}
+_COMBINE = {"sum": "sum", "count": "sum", "count_all": "sum",
+            "min": "min", "max": "max", "distinct": "count_distinct"}
 
 
-def _ob_key_t(t: pa.Table, col):
-    return col if col in t.column_names else f"__ob_{col}"
+def _partial_name(spec) -> str:
+    # the output name Arrow gives a (column, aggregate) pair
+    return spec[1] if spec[0] == [] else f"{spec[0]}_{spec[1]}"
 
 
-def _run_aggregate(q, ds, join_specs=()) -> pd.DataFrame:
-    """Partial-per-batch grouped aggregation; final combine driver-side."""
-    where = q["where"]
-    group = q["group"] or []
-    aggs: list = []
-    for e, _ in q["items"]:
-        _collect_aggs(e, aggs)
-    if q.get("having") is not None:
-        _collect_aggs(q["having"], aggs)   # HAVING may use aggregates
-        # that are not in the select list
-    # unique partial slots: (fn, input-name)
-    slots = []
-    for a in aggs:
-        key = (a[1], "*" if a[2] == "*" else _expr_name(a[2]))
-        if key not in [s[0] for s in slots]:
-            slots.append((key, a))
+def _combine(parts: pa.Table, keys: list, specs: list) -> pa.Table:
+    """Combine the per-batch partials: sums and counts add, MIN/MAX
+    reduce, and COUNT DISTINCT counts the union of the per-batch value
+    lists, exploded beside the other partials so one group_by does it
+    all (group order: first appearance)."""
+    parts = parts.combine_chunks()
+    lists = [_partial_name(s) for s in specs if s[1] == "distinct"]
+    pieces = [parts.drop_columns(lists)]
+    for c in lists:
+        rows = pc.list_parent_indices(parts[c])
+        pieces.append(parts.select(keys).take(rows)
+                      .append_column(c, pc.list_flatten(parts[c])))
+    how = [(_partial_name(s), _COMBINE[s[1]]) for s in specs]
+    out = pa.concat_tables(pieces, promote_options="default") \
+        .group_by(keys, use_threads=False).aggregate(how)
+    return pa.table({**{k: out[k] for k in keys},
+                     **{c: out[f"{c}_{fn}"] for c, fn in how}})
 
-    fsnap = dict(_SQL_FUNCS)
+
+def _run_aggregate(q, ds, joins, fsnap, names, aggs) -> pd.DataFrame:
+    """GROUP BY / aggregates: an Arrow group_by partial per batch, the
+    partials combined by one more group_by on the driver (grouped
+    results are assumed small; the scan is the big side and it
+    streams), then HAVING and the select items evaluated on the
+    combined table with each aggregate read as a column."""
+    where, group = q["where"], q["group"] or []
+    keys = group or ["__g"]          # a global aggregate: one constant group
     # GROUP BY may name a computed select alias (GROUP BY bucket where
     # bucket = CASE ... END) — resolve those through the select list
-    alias_map = {(alias or _expr_name(e)): e for e, alias in q["items"]}
+    alias_map = dict(zip(names, (e for e, _ in q["items"])))
+    args: dict = {}        # input column -> (argument, reads bool as 0/1)
+
+    def arg(fn, inner) -> str:
+        # one input column per distinct argument; MIN/MAX read it as
+        # is, the others read a boolean as 0/1 (SUM of a predicate
+        # counts its rows)
+        numeric = fn not in ("MIN", "MAX")
+        for c, a in args.items():
+            if a == (inner, numeric):
+                return c
+        c = f"__a{len(args)}"
+        args[c] = (inner, numeric)
+        return c
+
+    specs: list = []                 # unique (input column, partial)
+    for _, fn, inner in aggs:
+        if inner == "*":
+            need = [([], "count_all")]
+        else:
+            c = arg(fn, inner)
+            need = [(c + "q", "sum") if p == "sq" else (c, p)
+                    for p in _PARTIALS[fn]]
+        specs += [s for s in need if s not in specs]
 
     def partial(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        if join_specs:
-            df = _apply_joins(df, join_specs)
-        if where is not None:
-            df = df[np.asarray(_eval(where, df, fsnap), bool)]
-        work = pd.DataFrame(index=df.index)
+        t = _rows(t, joins, where, fsnap)
+        n = t.num_rows
+        work = {} if group else {"__g": pa.repeat(pa.scalar(0, pa.int8()),
+                                                  n)}
         for k in group:
-            if k in df.columns:
-                work[k] = df[k]
+            if k in t.column_names:
+                work[k] = t[k]
             elif k in alias_map:
-                work[k] = _eval(alias_map[k], df, fsnap)
+                work[k] = _column(_eval_arrow(alias_map[k], t, fsnap), n)
             else:
                 raise ValueError(f"unknown GROUP BY column {k!r}")
-        for (fn, nm), a in slots:
-            base = f"{fn}:{nm}"
-            if fn == "COUNT" and a[2] == "*":
-                work[base + ":n"] = 1
-            else:
-                work[base + ":v"] = _eval(a[2], df, fsnap)
-        if group:
-            g = work.groupby(group, sort=False, dropna=False)
-        else:
-            g = work.groupby(lambda _: 0)
-        out = pd.DataFrame()
-        for (fn, nm), a in slots:
-            base = f"{fn}:{nm}"
-            if fn == "COUNT" and a[2] == "*":
-                out[base + "|sum"] = g[base + ":n"].sum()
-            else:
-                if fn in ("SUM", "AVG"):
-                    out[base + "|sum"] = g[base + ":v"].sum()
-                    out[base + "|cnt"] = g[base + ":v"].count()
-                elif fn in ("STDDEV_POP", "STDDEV_SAMP"):
-                    out[base + "|sum"] = g[base + ":v"].sum()
-                    out[base + "|sq"] = (g[base + ":v"]
-                                         .apply(lambda sr: (sr.astype(float) ** 2).sum()))
-                    out[base + "|cnt"] = g[base + ":v"].count()
-                elif fn == "MIN":
-                    out[base + "|min"] = g[base + ":v"].min()
-                elif fn == "MAX":
-                    out[base + "|max"] = g[base + ":v"].max()
-                elif fn == "COUNT":
-                    out[base + "|cnt"] = g[base + ":v"].count()
-                elif fn == "COUNTD":
-                    # distinct values survive the partial as a list —
-                    # the exchange carries per-group uniques, not rows
-                    out[base + "|set"] = g[base + ":v"].agg(
-                        lambda sr: list(pd.unique(sr.dropna())))
-        out = out.reset_index()
-        if not group:
-            out = out.drop(columns=["index"], errors="ignore")
-        return pa.Table.from_pandas(out, preserve_index=False)
+        for c, (inner, numeric) in args.items():
+            v = _column(_eval_arrow(inner, t, fsnap), n)
+            if numeric and pa.types.is_boolean(v.type):
+                v = v.cast(pa.int64())
+            work[c] = v
+            if (c + "q", "sum") in specs:
+                f = pc.cast(v, pa.float64())
+                work[c + "q"] = pc.multiply(f, f)
+        try:
+            return pa.table(work).group_by(keys, use_threads=False) \
+                .aggregate(specs)
+        except pa.ArrowException as exc:
+            raise ValueError("cannot aggregate " + ", ".join(
+                map(_sql_text, aggs)) + f": {exc}") from None
 
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    if group and (len(parts) == 0 or group[0] not in parts.columns):
+    parts = _collect(ds.map_batches(partial, batch_format="pyarrow"))
+    if parts is not None and parts.num_rows:
+        final = _combine(parts, keys, specs)
+    elif group:
         # grouped aggregate over zero rows: zero groups, typed empty
-        return pd.DataFrame(
-            columns=[a or _expr_name(e) for e, a in q["items"]])
-    if not group and len(parts) == 0:
+        return pd.DataFrame(columns=names)
+    else:
         # SQL semantics: a global aggregate over zero rows yields ONE
         # row (COUNT()=0, SUM/MIN/MAX/AVG=NULL)
-        seed = {}
-        for (fn, nm), a in slots:
-            base = f"{fn}:{nm}"
-            if fn == "COUNT" and a[2] == "*":
-                seed[base + "|sum"] = [0]
-            elif fn in ("SUM", "AVG"):
-                seed[base + "|sum"] = [np.nan]
-                seed[base + "|cnt"] = [0]
-            elif fn in ("STDDEV_POP", "STDDEV_SAMP"):
-                seed[base + "|sum"] = [np.nan]
-                seed[base + "|sq"] = [np.nan]
-                seed[base + "|cnt"] = [0]
-            elif fn == "MIN":
-                seed[base + "|min"] = [np.nan]
-            elif fn == "MAX":
-                seed[base + "|max"] = [np.nan]
-            elif fn == "COUNT":
-                seed[base + "|cnt"] = [0]
-            elif fn == "COUNTD":
-                seed[base + "|set"] = [[]]
-        parts = pd.DataFrame(seed)
-    if group:
-        g = parts.groupby(group, sort=False, dropna=False)
-    else:
-        g = parts.groupby(lambda _: 0)
-    final = pd.DataFrame()
-    for col in parts.columns:
-        if col in group:
-            continue
-        if col.endswith("|sum"):
-            # min_count=1: an all-NaN (zero-row seed) sum stays NULL,
-            # matching SQL SUM-over-empty semantics
-            final[col] = g[col].sum(min_count=1)
-        elif col.endswith("|cnt"):
-            final[col] = g[col].sum()
-        elif col.endswith("|sq"):
-            final[col] = g[col].sum(min_count=1)
-        elif col.endswith("|min"):
-            final[col] = g[col].min()
-        elif col.endswith("|max"):
-            final[col] = g[col].max()
-        elif col.endswith("|set"):
-            final[col.replace("|set", "|nuniq")] = g[col].agg(
-                lambda sr: len(set().union(*(set(v) for v in sr))))
-    final = final.reset_index()
-    if not group and "index" in final.columns:
-        final = final.drop(columns=["index"])
+        final = pa.table({
+            _partial_name(s): pa.array([0]) if s[1] in (
+                "count", "count_all", "distinct")
+            else pa.nulls(1, pa.float64()) for s in specs})
 
-    # substitute aggregate values into the select expressions
-    def agg_value(a):
-        fn, inner = a[1], a[2]
-        nm = "*" if inner == "*" else _expr_name(inner)
-        base = f"{fn}:{nm}"
-        if fn == "COUNT" and inner == "*":
-            return final[base + "|sum"]
-        if fn == "SUM":
-            return final[base + "|sum"]
-        if fn == "AVG":
-            return final[base + "|sum"] / final[base + "|cnt"]
-        if fn == "MIN":
-            return final[base + "|min"]
-        if fn == "MAX":
-            return final[base + "|max"]
-        if fn == "COUNT":
-            return final[base + "|cnt"]
+    def agg_value(fn, inner):
+        if inner == "*":
+            return final["count_all"]
+        c = arg(fn, inner)
+        if fn in ("SUM", "MIN", "MAX", "COUNT"):
+            return final[f"{c}_{fn.lower()}"]
         if fn == "COUNTD":
-            return final[base + "|nuniq"]
-        if fn in ("STDDEV_POP", "STDDEV_SAMP"):
-            n = final[base + "|cnt"].astype(float)
-            sm = final[base + "|sum"].astype(float)
-            sq = final[base + "|sq"].astype(float)
-            # ogr_swq.h:67-75 STDDEV_POP/STDDEV_SAMP; NULL when the
-            # sample variant has < 2 rows (SQL semantics)
-            var_n = sq - sm * sm / n.where(n > 0)
-            if fn == "STDDEV_POP":
-                return np.sqrt((var_n / n.where(n > 0)).clip(lower=0.0))
-            return np.sqrt((var_n / (n - 1).where(n > 1)).clip(lower=0.0))
-        raise ValueError(fn)
+            return final[f"{c}_distinct"]
+        n, s = _f64(final[f"{c}_count"]), _f64(final[f"{c}_sum"])
+        if fn == "AVG":
+            return pc.divide(s, n)
+        # ogr_swq.h:67-75 STDDEV_POP/STDDEV_SAMP; NULL when the sample
+        # variant has < 2 rows (SQL semantics)
+        dof = n if fn == "STDDEV_POP" else pc.subtract(n, 1.0)
+        dof = pc.if_else(pc.greater(dof, 0.0), dof,
+                         pa.scalar(None, pa.float64()))
+        var = pc.divide(pc.subtract(final[f"{c}q_sum"],
+                                    pc.divide(pc.multiply(s, s), n)), dof)
+        return pc.sqrt(pc.max_element_wise(var, 0.0, skip_nulls=False))
 
-    def eval_item(e):
-        if e[0] == "agg":
-            return agg_value(e)
-        if e[0] == "col":
-            return final[e[1]]
-        if e[0] == "lit":
-            return e[1]
-        if e[0] == "bin":
-            l, r = eval_item(e[2]), eval_item(e[3])
-            ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
-                   "*": lambda a, b: a * b, "/": lambda a, b: a / b,
-                   "=": lambda a, b: a == b, "<>": lambda a, b: a != b,
-                   "!=": lambda a, b: a != b,
-                   "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
-                   ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
-                   "AND": lambda a, b: np.asarray(a, bool) & np.asarray(b, bool),
-                   "OR": lambda a, b: np.asarray(a, bool) | np.asarray(b, bool)}
-            return ops[e[1]](l, r)
-        if e[0] == "not":
-            return ~np.asarray(eval_item(e[1]), bool)
-        if e[0] == "func":
-            return _SQL_FUNCS[e[1]](*[eval_item(x) for x in e[2]])
-        raise ValueError(e)
+    cols = {}                        # repr(aggregate) -> its column
+    for a in aggs:
+        if repr(a) not in cols:
+            cols[repr(a)] = f"__agg{len(cols)}"
+            final = final.append_column(cols[repr(a)], agg_value(*a[1:]))
+
+    def as_column(node):
+        return ("col", cols[repr(node)]) if node[0] == "agg" else None
 
     if q.get("having") is not None:
-        mask = np.asarray(eval_item(q["having"]), bool)
-        final = final[mask].reset_index(drop=True)
-
-    out = pd.DataFrame()
-    for e, alias in q["items"]:
-        name = alias or _expr_name(e)
-        # a computed group key already holds its evaluated value in
-        # the combined frame — don't re-evaluate the expression
-        if name in group and name in final.columns:
+        final = final.filter(_column(_aw_bool(_eval_arrow(
+            _rewrite(q["having"], as_column), final)), final.num_rows))
+    out = {}
+    for name, (e, _) in zip(names, q["items"]):
+        # a computed group key already holds its evaluated value in the
+        # combined table — don't re-evaluate the expression
+        if name in group and name in final.column_names:
             out[name] = final[name]
         else:
-            out[name] = eval_item(e)
+            out[name] = _column(_eval_arrow(_rewrite(e, as_column), final),
+                                final.num_rows)
+    out = pa.table(out)
     if q["order"]:
-        out = out.sort_values([c for c, _ in q["order"]],
-                              ascending=[not d for _, d in q["order"]])
-    if q["limit"] is not None:
-        out = out.head(q["limit"])
-    return out.reset_index(drop=True)
+        out = _sort(out, q["order"])
+    return out.slice(q["offset"], q["limit"]).to_pandas()
 
 
 # ---------------------------------------------------------------------------

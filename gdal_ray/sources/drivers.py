@@ -6,11 +6,16 @@ gcore/gdalpythondriverloader.cpp)."""
 
 from __future__ import annotations
 
+import atexit
+import hashlib
 import os
+import shutil
+import tempfile
 
 import pyarrow as pa
 
 _READERS: dict[str, object] = {}
+_TWIN_ROOT: str | None = None
 
 
 def register_vector_driver(extension: str, reader) -> None:
@@ -27,13 +32,39 @@ def list_drivers() -> list[str]:
     return sorted(_READERS)
 
 
+def _archive_twin(archive: str, group: str, name: str, read) -> str:
+    """Path of an extracted copy ("twin") of one archive member.
+
+    Twins sit under one mkdtemp root per process, removed at exit, in a
+    directory keyed on the archive's absolute path, size and mtime (and
+    ``group``, which keeps a member's sidecars together): a rewritten
+    archive gets fresh twins. ``read()`` returns the member's bytes; they
+    are written to a temp name and renamed, so a killed writer never
+    leaves a partial twin that a later read would trust."""
+    global _TWIN_ROOT
+    if _TWIN_ROOT is None:
+        _TWIN_ROOT = tempfile.mkdtemp(prefix="gdal_ray_vsi_")
+        atexit.register(shutil.rmtree, _TWIN_ROOT, ignore_errors=True)
+    st = os.stat(archive)
+    key = repr((os.path.abspath(archive), st.st_size, st.st_mtime_ns, group))
+    out = os.path.join(_TWIN_ROOT,
+                       hashlib.sha1(key.encode()).hexdigest()[:20])
+    os.makedirs(out, exist_ok=True)
+    dst = os.path.join(out, name)
+    if not os.path.exists(dst):
+        fd, tmp = tempfile.mkstemp(dir=out, prefix=".part-")
+        with os.fdopen(fd, "wb") as f:
+            f.write(read())
+        os.replace(tmp, dst)
+    return dst
+
+
 def _resolve_zip(path: str) -> str:
     """/vsizip/ analog (port/cpl_vsil_gzip.cpp zip handler): a path
     like ``archive.zip/inner/layer.shp`` (or ``/vsizip/archive.zip/…``)
     extracts the member AND its sidecar siblings (same stem: .dbf/.shx/
-    .prj/.mid/...) into a per-archive temp dir and reads from there.
-    A bare ``archive.zip`` picks the single vector member inside."""
-    import tempfile
+    .prj/.mid/...) as archive twins and reads from there. A bare
+    ``archive.zip`` picks the single vector member inside."""
     import zipfile
 
     if path.startswith("/vsizip/"):
@@ -58,16 +89,11 @@ def _resolve_zip(path: str) -> str:
                     f"(vector candidates: {cands})")
             inner = cands[0]
         stem = os.path.splitext(inner)[0]
-        out = os.path.join(tempfile.gettempdir(), "gdal_ray_vsizip",
-                           f"{abs(hash((os.path.abspath(zpath), stem)))}")
-        os.makedirs(out, exist_ok=True)
         target = None
         for n in names:
             if os.path.splitext(n)[0] == stem:
-                dst = os.path.join(out, os.path.basename(n))
-                if not os.path.exists(dst):
-                    with zf.open(n) as src, open(dst, "wb") as f:
-                        f.write(src.read())
+                dst = _archive_twin(zpath, stem, os.path.basename(n),
+                                    lambda n=n: zf.read(n))
                 if n == inner:
                     target = dst
         if target is None:
@@ -83,18 +109,13 @@ def read_vector(path: str) -> pa.Table:
     if ".zip" in path.lower():
         path = _resolve_zip(path)
     if path.lower().endswith(".gz"):
-        # /vsigzip/ analog: decompress to a cached temp twin
+        # /vsigzip/ analog: decompress to an archive twin
         import gzip
-        import tempfile
-        inner = os.path.basename(path)[:-3]
-        out = os.path.join(tempfile.gettempdir(), "gdal_ray_vsigzip",
-                           f"{abs(hash(os.path.abspath(path)))}")
-        os.makedirs(out, exist_ok=True)
-        dst = os.path.join(out, inner)
-        if not os.path.exists(dst):
-            with gzip.open(path, "rb") as src, open(dst, "wb") as f:
-                f.write(src.read())
-        path = dst
+
+        def inflate(gz=path):
+            with gzip.open(gz, "rb") as f:
+                return f.read()
+        path = _archive_twin(path, "", os.path.basename(path)[:-3], inflate)
     ext = os.path.splitext(path)[1].lower().lstrip(".")
     reader = _READERS.get(ext)
     if reader is None:

@@ -143,17 +143,22 @@ class TestSqlDatasetDistinctOrder:
         from gdal_ray.functions.sql import execute_sql
 
         n = 20_000
+        k = np.arange(n, dtype=np.int64) % 1000
+        # a NULL-valued row duplicated into the first and last blocks:
+        # NULLs are equal for DISTINCT, and a block holding a NULL
+        # must hash its other values as every other block does
         t = rd.from_arrow(pa.table(
-            {"k": np.arange(n, dtype=np.int64) % 1000,
-             "v": (np.arange(n, dtype=np.int64) % 1000) * 2})) \
+            {"k": np.concatenate([[1000], k, [1000]]),
+             "v": pa.array([None] + list(k * 2) + [None], pa.int64())})) \
             .repartition(8)
         out = execute_sql("SELECT DISTINCT k, v FROM t", {"t": t},
                           as_dataset=True)
         assert isinstance(out, Dataset)
         df = out.to_pandas().sort_values("k").reset_index(drop=True)
-        assert len(df) == 1000
-        assert list(df["k"]) == list(range(1000))
-        assert list(df["v"]) == [2 * k for k in range(1000)]
+        assert len(df) == 1001
+        assert list(df["k"]) == list(range(1001))
+        assert list(df["v"][:1000]) == [2 * k for k in range(1000)]
+        assert pd.isna(df["v"][1000])
 
     def test_unlimited_order_by_values(self, ray_session):
         import ray.data as rd

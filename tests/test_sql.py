@@ -39,6 +39,11 @@ STATEMENTS = [
     "SELECT k, MAX(v) - MIN(v) AS spread FROM t GROUP BY k ORDER BY k",
     "SELECT name, v FROM t WHERE NOT (v >= 60 AND v <= 140) "
     "ORDER BY v LIMIT 25",
+    "SELECT k, COUNT(*) AS n FROM t GROUP BY k ORDER BY k LIMIT 2 OFFSET 1",
+    "SELECT COUNT(*) AS n, SUM(w) AS sw FROM t LIMIT 1 OFFSET 1",
+    # two aggregates whose arguments share a default name ("expr")
+    "SELECT SUM(CASE WHEN v > 100 THEN 1 ELSE 0 END) AS a, "
+    "SUM(CASE WHEN v > 120 THEN 1 ELSE 0 END) AS b FROM t",
 ]
 
 
@@ -555,9 +560,10 @@ class TestCast:
 
 
 class TestArrowFastPath:
-    """The no-join/no-UDF scan evaluates directly on pyarrow batches
-    (_eval_arrow); assert parity with the pandas evaluator including
-    null corners."""
+    """Every stage evaluates on pyarrow batches (_eval_arrow): check it
+    against hand-written expected values, null corners included, and
+    that one expression has one result type whatever else the SELECT
+    holds."""
 
     def _table(self):
         return pa.table({
@@ -566,40 +572,64 @@ class TestArrowFastPath:
             "f": pa.array([0.5, -1.5, 2.5, 3.5, None])})
 
     def test_parity_with_pandas_eval(self):
-        from gdal_ray.functions.sql import _arrow_ok, _eval_arrow, _eval
+        from gdal_ray.functions.sql import _eval_arrow
         t = self._table()
-        df = t.to_pandas()
-        exprs = [
-            ("bin", "+", ("col", "a"), ("lit", 2)),
-            ("bin", "/", ("col", "a"), ("lit", 2)),
-            ("case", None,
-             [((("bin", ">", ("col", "f"), ("lit", 0))), ("lit", "pos"))],
-             ("lit", "neg")),
-            ("like", ("col", "s"), ("lit", "%x")),
-            ("in_set", ("col", "a"), [1, 5]),
-            ("between", ("col", "f"), ("lit", 0), ("lit", 3)),
-            ("cast", ("col", "f"), "INTEGER"),
-            ("isnull", ("col", "s")),
-            ("not", ("isnull", ("col", "s"))),
+        cases = [
+            (("bin", "+", ("col", "a"), ("lit", 2)), [3, 4, 5, None, 7]),
+            (("bin", "/", ("col", "a"), ("lit", 2)),
+             [0.5, 1.0, 1.5, None, 2.5]),
+            # a NULL condition takes the ELSE branch
+            (("case", None,
+              [((("bin", ">", ("col", "f"), ("lit", 0))), ("lit", "pos"))],
+              ("lit", "neg")), ["pos", "neg", "pos", "pos", "neg"]),
+            # NULL LIKE / IN / BETWEEN read as False
+            (("like", ("col", "s"), ("lit", "%x")),
+             [True, True, False, True, False]),
+            (("in_set", ("col", "a"), [1, 5]),
+             [True, False, False, False, True]),
+            (("between", ("col", "f"), ("lit", 0), ("lit", 3)),
+             [True, False, True, False, False]),
+            # round half to even, as numpy does
+            (("cast", ("col", "f"), "INTEGER"), [0, -2, 2, 4, None]),
+            (("isnull", ("col", "s")), [False, False, True, False, False]),
+            (("not", ("isnull", ("col", "s"))),
+             [True, True, False, True, True]),
         ]
-        for e in exprs:
-            assert _arrow_ok(e), e
-            av = _eval_arrow(e, t)
-            av = av.to_pandas() if hasattr(av, "to_pandas") else av
-            pv = _eval(e, df)
-            a_list = list(np.asarray(av))
-            p_list = list(np.asarray(pv))
-            for x, y in zip(a_list, p_list):
-                same = (pd.isna(x) and pd.isna(y)) or str(x) == str(y) \
-                    or (isinstance(x, (int, float))
-                        and isinstance(y, (int, float))
-                        and abs(float(x) - float(y)) < 1e-12)
-                assert same, (e[0], a_list, p_list)
+        for e, want in cases:
+            got = _eval_arrow(e, t)
+            assert got.to_pylist() == want, (e[0], got.to_pylist())
 
-    def test_udf_and_join_fall_back(self):
-        from gdal_ray.functions.sql import _arrow_ok
-        assert not _arrow_ok(("func", "myudf", [("col", "a")]))
-        assert not _arrow_ok(("in_sub", ("col", "a"), {"table": "x"}))
+    def test_type_corner_raises_value_error(self, ray_session):
+        """Statements DuckDB rejects at bind time (a string compared
+        with a number, mixed CASE branch types, SUM of strings) raise a
+        ValueError that names the expression."""
+        import re
+        import ray.data as rd
+        ds = rd.from_arrow(self._table())
+        for sql, text in [
+                ("SELECT a FROM t WHERE s = 5", "(s = 5)"),
+                ("SELECT CASE WHEN f > 0 THEN 'p' ELSE 0 END AS c FROM t",
+                 "CASE WHEN (f > 0) THEN 'p' ELSE 0 END"),
+                ("SELECT SUM(s) AS x FROM t", "SUM(s)"),
+                ("SELECT a, s = 5 AS e FROM t GROUP BY a, s", "(s = 5)")]:
+            with pytest.raises(ValueError, match=re.escape(text)):
+                execute_sql(sql, {"t": ds})
+
+    def test_cast_dtype_independent_of_udf(self, ray_session):
+        """CAST(a AS INTEGER) has one result type: adding a UDF item
+        to the same SELECT does not change it."""
+        import ray.data as rd
+        from gdal_ray.functions.sql import register_sql_function
+        register_sql_function("PLUS_ONE", lambda v: v + 1)
+        ds = rd.from_arrow(pa.table({"a": [1.4, 2.6, 3.5],
+                                     "k": [1, 2, 3]}))
+        plain = execute_sql("SELECT CAST(a AS INTEGER) AS ai, k FROM t "
+                            "ORDER BY k", {"t": ds})
+        udf = execute_sql("SELECT CAST(a AS INTEGER) AS ai, k, "
+                          "PLUS_ONE(k) AS k1 FROM t ORDER BY k", {"t": ds})
+        assert plain["ai"].dtype == udf["ai"].dtype == np.int64
+        assert udf["ai"].tolist() == [1, 3, 4]
+        assert udf["k1"].tolist() == [2, 3, 4]
 
     def test_scan_results_unchanged(self, ray_session):
         import ray.data as rd

@@ -197,6 +197,52 @@ class TestVsiZip:
             json.dump(gj, f)
         assert read_vector(p).num_rows == 1
 
+    @staticmethod
+    def _points(n):
+        import json
+        return json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {"n": i},
+             "geometry": {"type": "Point", "coordinates": [i, 2]}}
+            for i in range(n)]})
+
+    def test_gzip_rewrite_reads_new_content(self, tmp_path):
+        """A .gz rewritten in place reads back its new content in the
+        same process (the extracted twin is keyed on size and mtime)."""
+        import gzip
+        from gdal_ray.sources.drivers import read_vector
+        p = str(tmp_path / "pts.geojson.gz")
+        with gzip.open(p, "wt") as f:
+            f.write(self._points(2))
+        assert read_vector(p).num_rows == 2
+        with gzip.open(p, "wt") as f:
+            f.write(self._points(5))
+        assert read_vector(p).num_rows == 5
+
+    def test_zip_rewrite_reads_new_content(self, tmp_path):
+        import zipfile
+        from gdal_ray.sources.drivers import read_vector
+        zp = str(tmp_path / "pts.zip")
+        for n in (2, 5):
+            with zipfile.ZipFile(zp, "w") as z:
+                z.writestr("inner/pts.geojson", self._points(n))
+            assert read_vector(zp + "/inner/pts.geojson").num_rows == n
+            assert read_vector(zp).num_rows == n
+
+    def test_twins_live_under_one_process_root(self, tmp_path):
+        """Twins are written under this process's root (removed at
+        exit), never into a shared fixed temp directory."""
+        import gzip
+        from gdal_ray.sources import drivers
+        p = str(tmp_path / "one.geojson.gz")
+        with gzip.open(p, "wt") as f:
+            f.write(self._points(1))
+        drivers.read_vector(p)
+        twins = [os.path.join(d, f) for d, _, fs in
+                 os.walk(drivers._TWIN_ROOT) for f in fs]
+        assert any(t.endswith("one.geojson") for t in twins)
+        assert not any(os.path.basename(t).startswith(".part-")
+                       for t in twins)
+
 
 def test_shapefile_multipatch():
     # MultiPatch (type 31) → collection of TIN triangles + ring
