@@ -116,6 +116,15 @@ def _level_entries(px: np.ndarray, ts: int, comp_id: int, n_blocks: int,
     return entries
 
 
+def _as_dtype(level: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    if level.dtype == dtype:
+        return level
+    if np.issubdtype(dtype, np.integer):
+        info = np.iinfo(dtype)
+        level = np.clip(np.floor(level + 0.5), info.min, info.max)
+    return level.astype(dtype)
+
+
 def encode_cog(pixels: np.ndarray, *, geotransform=None, crs=None,
                nodata=None, tile_size: int = 256,
                compress: str = "deflate",
@@ -128,10 +137,13 @@ def encode_cog(pixels: np.ndarray, *, geotransform=None, crs=None,
     comp_id = {"none": 1, "deflate": 8}[compress]
     ts = tile_size
 
-    # overview cascade: halve until the level fits one tile
+    # overview cascade: halve until the level fits one tile; every
+    # overview keeps the band type (GDAL overviews do), integers by
+    # round-half-up and a clip to the type's range
     levels = [px]
     while max(levels[-1].shape[0], levels[-1].shape[1]) > ts:
-        levels.append(downsample2x(levels[-1], resampling))
+        levels.append(_as_dtype(downsample2x(levels[-1], resampling),
+                                px.dtype))
 
     lv_blocks = [_level_blocks(lv, ts, comp_id) for lv in levels]
     lv_entries = [

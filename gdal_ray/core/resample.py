@@ -371,12 +371,24 @@ def downsample2x_average(src: np.ndarray) -> np.ndarray:
 def downsample2x(src: np.ndarray, alg: str = "average") -> np.ndarray:
     """2× overview reduction with the gcore/overview.cpp algorithm set:
     average (box), rms, mode (majority of the 4 children), min, max,
-    near (top-left child)."""
+    near (top-left child).
+
+    Results are float64, except "average" over uint8, which stays
+    uint8: (a + b + c + d + 2) >> 2 in uint16 is the float mean rounded
+    half up (to_uint8 of it), byte for byte, at a fraction of the cost."""
     h, w = src.shape[:2]
     assert h % 2 == 0 and w % 2 == 0, "tile sizes are powers of two"
     squeeze = src.ndim == 2
     s = src[:, :, None] if squeeze else src
     q = s.reshape(h // 2, 2, w // 2, 2, s.shape[2])
+    if alg == "average" and s.dtype == np.uint8:
+        acc = q[:, 0, :, 0].astype(np.uint16)
+        acc += q[:, 0, :, 1]
+        acc += q[:, 1, :, 0]
+        acc += q[:, 1, :, 1]
+        acc += 2
+        out = (acc >> 2).astype(np.uint8)
+        return out[:, :, 0] if squeeze else out
     if np.issubdtype(s.dtype, np.complexfloating):
         # complex: reduce real/imag independently (overview.cpp treats
         # complex as interleaved component planes); only mean-like and

@@ -9,14 +9,19 @@ Composition (all lazy; the streaming executor pipelines the stages):
          ─ groupby(bucket).map_groups(RenderFragments)    ← the shuffle
          ─ [per zoom, descending] add_parent_cell → _with_bucket("parent")
            → groupby(bucket).map_groups(CombineChildren)
-         ─ write_parquet(out/z=K/)             resumable, one directory per
+         ─ write_datasink(TileSink(out/z=K/))  resumable, one directory per
                                                zoom: one file per level up to
-                                               Ray's block-size target; no
-                                               blob statistics
+                                               Ray's block-size target
 
 Both exchanges hand their callables Arrow groups (batch_format=
-"pyarrow") and get TILE_SCHEMA tables back: no pandas round trip, and no
-pandas schema metadata in the tile store's Parquet footers.
+"pyarrow") and get TILE_SCHEMA tables back: no pandas round trip.
+
+Every tile-store Parquet file (each z=K/ level file, and the tiles and
+cells files of render_base_resumable) is written with one profile,
+TILE_PARQUET: zstd, no dictionary pages, min/max statistics only on the
+tile keys (cell, x, y) and no ARROW:schema footer key — Parquet's own
+schema already round-trips TILE_SCHEMA's types. Every overview level is
+one small file, so this per-file framing is paid once per level.
 
 The overview cascade keeps gdal2tiles' per-zoom barrier
 (gdal2tiles.py:4547): level z is materialized before level z-1 starts —
@@ -28,6 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
+from ray.data.datasource import BlockBasedFileDatasink
 
 from ..sources.images import images_dataset
 from ..stages.georef import with_georef
@@ -36,19 +43,27 @@ from ..stages.tiles import (CombineChildren, RenderFragments,
 
 
 N_RENDER_BUCKETS = 128
-# Arrow's default row-group cap; any tile-store file below it is one
-# row group
-_ROW_GROUP_ROWS = 1 << 20
+
+# The tile store's one Parquet writer profile. Statistics only on the
+# tile keys a reader prunes on; the PNG blobs, n_src and the checksums
+# are never filtered on, so their min/max (and a dictionary page per
+# column) would only pad every file.
+TILE_PARQUET = dict(compression="zstd", use_dictionary=False,
+                    write_statistics=["cell", "x", "y"], store_schema=False)
 
 
-def _stats_columns(schema: pa.Schema) -> list[str]:
-    """Columns that get Parquet min/max statistics: every non-binary
-    one. A binary blob (the PNG tile) is never pruned on, and its min and
-    max values would be stored twice per file, in the footer and in the
-    data-page header."""
-    return [f.name for f in schema
-            if not (pa.types.is_binary(f.type)
-                    or pa.types.is_large_binary(f.type))]
+class TileSink(BlockBasedFileDatasink):
+    """Ray Write sink for one tile-store level. Ray's write_parquet goes
+    through pyarrow.dataset, which rejects store_schema; this sink
+    writes each bundled block with pq.write_table and TILE_PARQUET (one
+    row group per file, below Arrow's 1M-row default)."""
+
+    def __init__(self, path: str, min_rows_per_file: int):
+        super().__init__(path, min_rows_per_file=min_rows_per_file,
+                         file_format="parquet")
+
+    def write_block_to_file(self, block, file) -> None:
+        pq.write_table(block.to_arrow(), file, **TILE_PARQUET)
 
 
 def _with_bucket(batch: pa.Table, key: str) -> pa.Table:
@@ -60,8 +75,7 @@ def _with_bucket(batch: pa.Table, key: str) -> pa.Table:
 
 
 def build_base_tiles(images, zoom: int | None = None, *,
-                     resampling: str = "bilinear",
-                     render_concurrency: int | None = None):
+                     resampling: str = "bilinear"):
     """images Dataset (raw schema) → base-zoom tile Dataset.
 
     Scale shape (round-2 fix for the shuffle-volume risk): the MAP side
@@ -120,17 +134,25 @@ def tile_pyramid(n_images: int, zoom: int = 8, min_z: int = 5, *,
 
 
 def write_pyramid(levels: dict, out_dir: str):
-    """Write each level to out_dir/z=K/ (one directory per zoom; one
-    Parquet file per level up to Ray's block-size target; min/max
-    statistics on every column but the PNG blobs).
+    """Write each level to out_dir/z=K/ (one directory per zoom) and
+    record it in out_dir/manifest.json.
+
+    Each level is one Ray Write through TileSink: one Parquet file per
+    level up to Ray's block-size target (DataContext.
+    target_max_block_size), one row group per file, every file in the
+    TILE_PARQUET profile. The level lands in a temporary sibling
+    directory that then replaces z=K/ whole, so a re-written level never
+    keeps files of an earlier write beside the new ones.
 
     Resumable (gdal raster tile --resume, gdalalg_raster_tile.cpp:288):
     a level whose directory is already recorded in manifest.json is
     skipped on restart; the manifest is written only AFTER the level's
-    parquet lands, so a killed run re-does at most one level. Returns
-    the manifest dict."""
+    directory is in place, so a killed run re-does at most one level.
+    Returns the manifest dict."""
     import json
     import os
+    import shutil
+    import time
 
     from ray.data import DataContext
 
@@ -140,7 +162,6 @@ def write_pyramid(levels: dict, out_dir: str):
     if os.path.exists(mpath):
         with open(mpath) as f:
             manifest = json.load(f)
-    import time
 
     for z, ds in sorted(levels.items()):
         key = f"z={z}"
@@ -158,16 +179,14 @@ def write_pyramid(levels: dict, out_dir: str):
         avg_row = max(1, size // max(n, 1))
         # One file per level, capped by Ray's own block-size target: a
         # small level (every overview) is exactly one file, a large base
-        # level still writes files of about that size in parallel. Ray
-        # keeps each group's table as its own chunk and write_dataset
-        # writes a row group per chunk unless told to buffer, so
-        # row_group_size keeps one row group per file. No statistics on
-        # the PNG blobs: a min and a max tile would pad every file.
+        # level still writes files of about that size in parallel.
         target = DataContext.get_current().target_max_block_size or size
-        out.write_parquet(path, min_rows_per_file=max(1, target // avg_row),
-                          row_group_size=_ROW_GROUP_ROWS,
-                          write_statistics=_stats_columns(
-                              out.schema().base_schema))
+        tmp = os.path.join(out_dir, f".{key}.tmp")
+        shutil.rmtree(tmp, ignore_errors=True)
+        out.write_datasink(TileSink(tmp, max(1, target // avg_row)))
+        shutil.rmtree(path, ignore_errors=True)
+        if os.path.isdir(tmp):      # Ray removes the directory of 0 rows
+            os.replace(tmp, path)
         # per-partition LINEAGE + METRICS row (north rule): counts,
         # source fan-in, a checksum digest of the level's tile
         # checksums (order-free XOR — parallel-safe), wall time.
@@ -184,7 +203,7 @@ def write_pyramid(levels: dict, out_dir: str):
                          "checksum_digest": digest,
                          "wall_sec": round(time.time() - t0, 3)}
         with open(mpath, "w") as f:
-            json.dump(manifest, f)
+            json.dump(manifest, f, separators=(",", ":"))
     return manifest
 
 
@@ -212,7 +231,6 @@ def render_base_resumable(images, zoom: int, out_dir: str, *,
     import hashlib
     import os
 
-    import pyarrow.parquet as pq
     import ray
     import ray.data as rd
 
@@ -266,10 +284,11 @@ def render_base_resumable(images, zoom: int, out_dir: str, *,
         drop = [c for c in ("parent", "bucket") if c in t.column_names]
         t = t.drop_columns(drop) if drop else t
         pq.write_table(t, os.path.join(tiles_dir, f"{name}.parquet"),
-                       write_statistics=_stats_columns(t.schema))
+                       **TILE_PARQUET)
         # manifest row lands strictly AFTER the tiles file: the commit
         pq.write_table(pa.table({"cell": pa.array(cells)}),
-                       os.path.join(cells_dir, f"{name}.parquet"))
+                       os.path.join(cells_dir, f"{name}.parquet"),
+                       **TILE_PARQUET)
         return pa.table({"n": pa.array([t.num_rows], pa.int64())})
 
     counts = rendered.map_batches(commit_block,

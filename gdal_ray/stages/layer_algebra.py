@@ -158,14 +158,15 @@ def layer_erase_layer(layer_a, layer_b, zoom: int = 7):
     other (tile grids, admin boundaries, parcel layers); self-overlapping
     B over-subtracts — the same caveat GDAL documents for
     non-noded inputs."""
-    import ray
     from ray.data.aggregate import Sum
 
     sums = layer_set_op_pairs(layer_a, layer_b, zoom).groupby("fid_a") \
         .aggregate(Sum("inter_area", alias_name="inter_total"))
     # bounded: one row per A feature that meets B, none for disjoint
     # layers (whose empty blocks may carry no columns)
-    inter = {f: s for t in ray.get(sums.to_arrow_refs()) if t.num_rows
+    inter = {f: s for t in sums.iter_batches(batch_format="pyarrow",
+                                             batch_size=None)
+             if t.num_rows
              for f, s in zip(t["fid_a"].to_pylist(),
                              t["inter_total"].to_pylist())}
 

@@ -385,8 +385,9 @@ class CombineChildren:
             dy = (int(ys[i]) & 1) * ts  # XYZ y grows downward
             mosaic[dy:dy + ts, dx:dx + ts] = child
         down = rs.downsample2x(mosaic, self.alg)
-        # de-premultiply-free alpha: average alpha independently
-        rgba = rs.to_uint8(down)
+        # de-premultiply-free alpha: average alpha independently; the
+        # uint8 "average" comes back rounded already
+        rgba = down if down.dtype == np.uint8 else rs.to_uint8(down)
         out.add(merc.cell_id(pz, px_, py_), pz, px_, py_, rgba[:, :, :3],
                 rgba, int(np.sum(t["n_src"].to_numpy())))
 

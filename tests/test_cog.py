@@ -31,6 +31,20 @@ def test_roundtrip_dtypes(dtype):
     assert v["tiled"] and v["metadata_before_data"]
 
 
+@pytest.mark.parametrize("dtype", ["u1", "u2", "i2", "i4", "f4", "f8"])
+def test_overviews_keep_band_type(dtype):
+    """GDAL overviews keep the band type: every IFD decodes to the base
+    dtype, integer levels holding the float mean rounded half up."""
+    px = _px((300, 520), dtype, seed=3)
+    gs = decode_cog(encode_cog(px))
+    assert len(gs) > 1
+    assert [g.pixels.dtype for g in gs] == [px.dtype] * len(gs)
+    mean = px.astype(np.float64).reshape(150, 2, 260, 2).mean(axis=(1, 3))
+    if px.dtype.kind in "iu":
+        mean = np.floor(mean + 0.5)
+    assert np.array_equal(gs[1].pixels, mean.astype(px.dtype))
+
+
 def test_overview_cascade_matches_kernel():
     px = _px((700, 900, 3), "u1", seed=1)
     buf = encode_cog(px, resampling="average")

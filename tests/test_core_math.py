@@ -192,6 +192,21 @@ class TestCalcAndOverviewAlgs:
         with pytest.raises(ValueError):
             downsample2x(src, "nope")
 
+    def test_downsample2x_uint8_average_is_rounded_mean(self):
+        import numpy as np
+        from gdal_ray.core.resample import downsample2x, to_uint8
+        rng = np.random.default_rng(11)
+        for shape in ((512, 512, 4), (64, 32), (2, 2, 3)):
+            src = rng.integers(0, 256, shape, dtype=np.uint8)
+            got = downsample2x(src, "average")
+            assert got.dtype == np.uint8 and got.shape[:2] == (
+                shape[0] // 2, shape[1] // 2)
+            want = to_uint8(downsample2x(src.astype(np.float64), "average"))
+            assert np.array_equal(got, want)
+        # no uint8 overflow at the top; a .5 mean rounds up
+        edge = np.array([[255, 255, 0, 1], [255, 255, 0, 1]], np.uint8)
+        assert downsample2x(edge, "average").tolist() == [[255, 1]]
+
     def test_downsample2x_mode_oracle(self):
         import numpy as np
         from collections import Counter

@@ -173,6 +173,7 @@ class TestInvariants:
 class TestWritePyramidResume:
     def test_write_and_resume(self, ray_session, tmp_path):
         import json, os
+        import pyarrow.parquet as pq
         import ray.data as rd
         from gdal_ray.pipelines.tiles import tile_pyramid, write_pyramid
 
@@ -199,6 +200,29 @@ class TestWritePyramidResume:
         assert set(m2) == {"z=6", "z=7"}
         for p, t in mtimes_z7.items():
             assert os.path.getmtime(os.path.join(out, "z=7", p)) == t
+        # the re-written level replaced its old files, it did not add
+        # its tiles beside them
+        for key in ("z=6", "z=7"):
+            assert (pq.read_table(os.path.join(out, key)).num_rows
+                    == m2[key]["n_tiles"])
+        assert sorted(os.listdir(out)) == ["manifest.json", "z=6", "z=7"]
+
+    def test_rewrite_drops_stale_files(self, ray_session, tmp_path):
+        import os
+        import pyarrow.parquet as pq
+        from gdal_ray.pipelines.tiles import tile_pyramid, write_pyramid
+
+        levels = {7: tile_pyramid(8, zoom=7, min_z=7)[7]}
+        out = str(tmp_path / "pyr")
+        # a level directory that no manifest records: files left by a
+        # write that was killed before its manifest entry landed
+        zdir = os.path.join(out, "z=7")
+        os.makedirs(zdir)
+        stale = levels[7].take_batch(3, batch_format="pyarrow")
+        pq.write_table(stale, os.path.join(zdir, "stale.parquet"))
+        m = write_pyramid(levels, out)
+        assert "stale.parquet" not in os.listdir(zdir)
+        assert pq.read_table(zdir).num_rows == m["z=7"]["n_tiles"]
 
 
 class TestWriteTileTree:
@@ -251,9 +275,10 @@ class TestWriteTileTree:
 
 
 class TestTileStoreLayout:
-    """The tile store is Arrow end to end: no pandas schema key in any
-    footer, one row group per file, and the callables give the same
-    table for an Arrow group and for the same group as a DataFrame."""
+    """The tile store is Arrow end to end: every file in the
+    TILE_PARQUET profile, one row group per file, and the callables give
+    the same table for an Arrow group and for the same group as a
+    DataFrame."""
 
     @staticmethod
     def _fragments():
@@ -265,24 +290,6 @@ class TestTileStoreLayout:
             with_georef(make_image_batch(list(range(40)))), 6)
         assert frags.num_rows > len(set(frags["cell"].to_pylist()))
         return frags
-
-    def test_parquet_files_arrow_only(self, ray_session, tmp_path):
-        import os
-        import pyarrow.parquet as pq
-        from gdal_ray.pipelines.tiles import tile_pyramid, write_pyramid
-        from gdal_ray.stages.tiles import TILE_SCHEMA
-
-        out = str(tmp_path / "pyr")
-        write_pyramid(tile_pyramid(24, zoom=7, min_z=6), out)
-        files = [os.path.join(out, d, f) for d in ("z=6", "z=7")
-                 for f in os.listdir(os.path.join(out, d))]
-        assert files
-        for f in files:
-            pf = pq.ParquetFile(f)
-            assert b"pandas" not in (pf.metadata.metadata or {})
-            assert b"pandas" not in (pf.schema_arrow.metadata or {})
-            assert pf.metadata.num_row_groups == 1
-            assert pf.schema_arrow.equals(TILE_SCHEMA)
 
     def test_render_fragments_arrow_equals_pandas(self):
         from gdal_ray.stages.join import salted_bucket
@@ -344,13 +351,6 @@ class TestTileStoreLayout:
         cols = ["cell", "png", "n_src", "cs_r", "cs_g", "cs_b"]
         return sorted(zip(*(t[c].to_pylist() for c in cols)))
 
-    @staticmethod
-    def _stats(f):
-        import pyarrow.parquet as pq
-        rg = pq.ParquetFile(f).metadata.row_group(0)
-        return {rg.column(i).path_in_schema: rg.column(i).is_stats_set
-                for i in range(rg.num_columns)}
-
     def test_one_file_per_level(self, pyramid):
         import os
         levels, out, manifest = pyramid
@@ -365,34 +365,59 @@ class TestTileStoreLayout:
                 digest ^= r ^ (g << 16) ^ (b << 32)
             assert manifest[f"z={z}"]["checksum_digest"] == digest
 
-    def test_no_statistics_on_png(self, pyramid):
+    @staticmethod
+    def _assert_profile(f, schema):
+        """The TILE_PARQUET profile, as read back from one file's footer:
+        one row group, no key-value metadata (no ARROW:schema, no pandas
+        key), zstd and no dictionary page on every column chunk, and
+        statistics on exactly the tile keys."""
+        import pyarrow.parquet as pq
+
+        pf = pq.ParquetFile(f)
+        md = pf.metadata
+        assert md.num_row_groups == 1
+        assert md.metadata is None
+        assert pf.schema_arrow.equals(schema)
+        rg = md.row_group(0)
+        for i in range(rg.num_columns):
+            col = rg.column(i)
+            assert col.compression == "ZSTD", (f, col.path_in_schema)
+            assert not col.has_dictionary_page, (f, col.path_in_schema)
+            assert col.is_stats_set == (
+                col.path_in_schema in ("cell", "x", "y")), (
+                f, col.path_in_schema)
+
+    def test_write_pyramid_profile(self, pyramid):
         import os
+        from gdal_ray.stages.tiles import TILE_SCHEMA
+
         levels, out, _ = pyramid
         for z in levels:
             for f in self._files(os.path.join(out, f"z={z}")):
-                stats = self._stats(f)
-                assert not stats["png"]
-                assert stats["cell"] and stats["x"] and stats["y"]
+                self._assert_profile(f, TILE_SCHEMA)
 
-    def test_resumable_tiles_have_no_png_statistics(self, ray_session,
-                                                   tmp_path):
+    def test_render_base_resumable_profile(self, ray_session, tmp_path):
         import os
         from gdal_ray.pipelines.tiles import render_base_resumable
         from gdal_ray.sources.images import images_dataset
+        from gdal_ray.stages.tiles import TILE_SCHEMA
 
         out = str(tmp_path / "lvl")
         assert render_base_resumable(images_dataset(8), 7, out)[
             "n_rendered"] > 0
-        files = self._files(os.path.join(out, "tiles"))
-        assert files
-        for f in files:
-            stats = self._stats(f)
-            assert not stats["png"] and stats["cell"]
+        tiles = self._files(os.path.join(out, "tiles"))
+        cells = self._files(os.path.join(out, "cells"))
+        assert tiles and len(tiles) == len(cells)
+        for f in tiles:
+            self._assert_profile(f, TILE_SCHEMA)
+        for f in cells:
+            self._assert_profile(f, pa.schema([("cell", pa.uint64())]))
 
     def test_level_splits_below_block_target(self, pyramid, tmp_path):
         import os
         from ray.data import DataContext
         from gdal_ray.pipelines.tiles import write_pyramid
+        from gdal_ray.stages.tiles import TILE_SCHEMA
 
         levels, out, _ = pyramid
         z = max(levels)
@@ -410,6 +435,8 @@ class TestTileStoreLayout:
         assert len(files) > 1
         assert self._tile_rows(files) == self._tile_rows(
             self._files(os.path.join(out, f"z={z}")))
+        for f in files:
+            self._assert_profile(f, TILE_SCHEMA)
 
 
 class TestFragmentParity:
