@@ -291,6 +291,24 @@ class TestTileStoreLayout:
         assert frags.num_rows > len(set(frags["cell"].to_pylist()))
         return frags
 
+    def test_parquet_files_arrow_only(self, ray_session, tmp_path):
+        import os
+        import pyarrow.parquet as pq
+        from gdal_ray.pipelines.tiles import tile_pyramid, write_pyramid
+        from gdal_ray.stages.tiles import TILE_SCHEMA
+
+        out = str(tmp_path / "pyr")
+        write_pyramid(tile_pyramid(24, zoom=7, min_z=6), out)
+        files = [os.path.join(out, d, f) for d in ("z=6", "z=7")
+                 for f in os.listdir(os.path.join(out, d))]
+        assert files
+        for f in files:
+            pf = pq.ParquetFile(f)
+            assert b"pandas" not in (pf.metadata.metadata or {})
+            assert b"pandas" not in (pf.schema_arrow.metadata or {})
+            assert pf.metadata.num_row_groups == 1
+            assert pf.schema_arrow.equals(TILE_SCHEMA)
+
     def test_render_fragments_arrow_equals_pandas(self):
         from gdal_ray.stages.join import salted_bucket
         from gdal_ray.stages.tiles import RenderFragments, TILE_SCHEMA
@@ -351,6 +369,13 @@ class TestTileStoreLayout:
         cols = ["cell", "png", "n_src", "cs_r", "cs_g", "cs_b"]
         return sorted(zip(*(t[c].to_pylist() for c in cols)))
 
+    @staticmethod
+    def _stats(f):
+        import pyarrow.parquet as pq
+        rg = pq.ParquetFile(f).metadata.row_group(0)
+        return {rg.column(i).path_in_schema: rg.column(i).is_stats_set
+                for i in range(rg.num_columns)}
+
     def test_one_file_per_level(self, pyramid):
         import os
         levels, out, manifest = pyramid
@@ -386,6 +411,15 @@ class TestTileStoreLayout:
             assert col.is_stats_set == (
                 col.path_in_schema in ("cell", "x", "y")), (
                 f, col.path_in_schema)
+
+    def test_no_statistics_on_png(self, pyramid):
+        import os
+        levels, out, _ = pyramid
+        for z in levels:
+            for f in self._files(os.path.join(out, f"z={z}")):
+                stats = self._stats(f)
+                assert not stats["png"]
+                assert stats["cell"] and stats["x"] and stats["y"]
 
     def test_write_pyramid_profile(self, pyramid):
         import os
