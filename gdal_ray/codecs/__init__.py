@@ -1,174 +1,200 @@
-"""Image codec dispatch: fmt string → encode/decode.
+"""Image codec table: one ``fmt → Codec(name, sniff, decode, encode)``
+registry (GDAL driver-manager analog, gcore/gdaldrivermanager.cpp)
+behind ``encode``, ``decode``, ``functions.info.raster_info`` and the
+last entry of ``sources.raster.read_raster``.
 
-``png`` is a real standard PNG (zlib). ``gtiff``/``tif`` is a real
-GeoTIFF (gtiff.py, golden-checksum-verified against the reference's
-autotest fixtures). ``jpeg`` is the DCT stand-in codec (see dct.py
-docstring — no libjpeg in this container).
+Aliases (``jpg``, ``tif``, ``pgm``, ...) share one entry. A tagged
+``decode(buf, fmt)`` is a dict lookup; with ``fmt=None`` the entries'
+magic sniffers run in table order and the first match wins. An entry's
+``decode`` returns ``(pixels, geotransform, nodata, meta)``, the shape
+every raster driver returns; ``decode()`` keeps the pixels. Codec
+modules are imported on first use.
+
+``png`` is a real zlib PNG and ``gtiff`` a real GeoTIFF (gtiff.py).
+``jpeg`` encodes the GRJ1 DCT stand-in (dct.py) and decodes both GRJ1
+and real FFD8 JFIF streams, which go to the T.81 baseline decoder
+(jpeg.py). ``register_codec`` puts user entries at the front.
 """
 
 from __future__ import annotations
+
+import importlib
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import dct, png
 
-_MAGIC_EXR = b"\x76\x2f\x31\x01"
-_MAGIC_KTX2 = b"\xabKTX 20\xbb\r\n\x1a\n"
 
-# user-extension surface (GDAL driver-manager analog,
-# gcore/gdaldrivermanager.cpp): registered codecs are consulted before
-# the built-ins; a magic-sniffer may claim un-tagged buffers
-_CUSTOM: dict[str, tuple] = {}      # fmt -> (encode_fn, decode_fn)
-_SNIFFERS: list = []                # [(predicate(bytes)->bool, fmt)]
+class Codec(NamedTuple):
+    name: str                              # driver name (gdalinfo)
+    sniff: Callable[[bytes], bool] | None  # magic test on the head bytes
+    decode: Callable                       # bytes → (px, gt, nodata, meta)
+    encode: Callable | None                # (img, **kw) → bytes
+
+
+def _lazy(ref: str):
+    """``"module:function"`` → a callable that imports on first call."""
+    mod, name = ref.split(":")
+
+    def call(*a, **kw):
+        return getattr(importlib.import_module(mod, __name__), name)(*a, **kw)
+    return call
+
+
+def _bands(px):
+    return px if px.ndim == 3 else px[:, :, None]
+
+
+def _pixels(fn):
+    return lambda buf: (fn(buf), None, None, {})
+
+
+def _jpeg(buf):
+    if buf[:2] == b"\xFF\xD8":
+        from . import jpeg
+        return jpeg.decode(buf), None, None, {}
+    return dct.decode(buf), None, None, {}
+
+
+def _gtiff(buf):
+    from .gtiff import decode_gtiff
+    g = decode_gtiff(buf)
+    return _bands(g.pixels), g.geotransform, g.nodata, \
+        {"crs": g.crs} if g.crs else {}
+
+
+def _bmp(buf):
+    from .bmp import decode_bmp
+    return decode_bmp(buf)[0], None, None, {}
+
+
+def _gif(buf):
+    from .gif import decode_gif
+    return decode_gif(buf)[0], None, None, {}   # palette-index band
+
+
+def _banded(ref):
+    def read(buf):
+        px, gt, nodata, meta = _lazy(ref)(buf)
+        return _bands(px), gt, nodata, meta
+    return read
+
+
+def _grib(buf):
+    from .grib2 import decode_grib2
+    px, gt, nodata, meta = decode_grib2(buf)
+    return (px if px.ndim >= 2 else px[:, :, None]), gt, nodata, meta
+
+
+def _ktx2(buf):
+    from .ktx2 import read_ktx2
+    px, gt, nodata, meta = read_ktx2(buf)
+    if px.size == 0:
+        raise ValueError(
+            f"KTX2 payload needs the {meta.get('codec')} transcoder")
+    return _bands(px), gt, nodata, meta
+
+
+def _heif(buf):
+    import os
+    import tempfile
+
+    from .heif import read_heif
+    # the heif reader is path-based; spill to a temp twin
+    with tempfile.NamedTemporaryFile(suffix=".heif", delete=False) as tf:
+        tf.write(buf)
+        name = tf.name
+    try:
+        px, gt, nodata, meta = read_heif(name)
+    finally:
+        os.unlink(name)
+    if px.size == 0:
+        raise ValueError(f"HEIF payload needs the {meta.get('codec')} decoder")
+    return _bands(px), gt, nodata, meta
+
+
+def _table(*rows):
+    return {fmt: entry for fmts, entry in rows for fmt in fmts}
+
+
+# built-ins in magic-sniff order
+_CODECS: dict[str, Codec] = _table(
+    (("png",), Codec("PNG", lambda b: b[:8] == b"\x89PNG\r\n\x1a\n",
+                     _pixels(png.decode), png.encode)),
+    (("jpeg", "jpg"), Codec(
+        "JPEG", lambda b: b[:4] == b"GRJ1" or b[:2] == b"\xFF\xD8",
+        _jpeg, dct.encode)),
+    (("gtiff", "tif", "tiff"), Codec(
+        "GTiff", lambda b: b[:2] in (b"II", b"MM"),
+        _gtiff, _lazy(".gtiff:encode_gtiff"))),
+    (("bmp",), Codec("BMP", lambda b: b[:2] == b"BM",
+                     _bmp, _lazy(".bmp:encode_bmp"))),
+    (("pnm", "pgm", "ppm"), Codec(
+        "PNM", lambda b: b[:1] == b"P" and b[1:2] in b"23456",
+        _pixels(_lazy(".pnm:decode_pnm")), _lazy(".pnm:encode_pnm"))),
+    (("webp",), Codec("WEBP", lambda b: b[:4] == b"RIFF" and
+                      b[8:12] == b"WEBP",
+                      _pixels(_lazy(".webp:decode_webp")),
+                      _lazy(".webp:encode_webp"))),
+    (("netcdf", "nc"), Codec(
+        "netCDF", lambda b: b[:3] == b"CDF" and
+        b[3:4] in (b"\x01", b"\x02", b"\x05"),
+        _lazy(".netcdf:decode_netcdf"), _lazy(".netcdf:encode_netcdf"))),
+    (("gif",), Codec("GIF", lambda b: b[:4] == b"GIF8", _gif, None)),
+    (("jp2", "j2k", "jpeg2000"), Codec(
+        "JP2", lambda b: b[:12] == b"\x00\x00\x00\x0cjP  \r\n\x87\n"
+        or b[:4] == b"\xff\x4f\xff\x51", _banded(".jp2:decode_jp2"), None)),
+    (("exr",), Codec("EXR", lambda b: b[:4] == b"\x76\x2f\x31\x01",
+                     _banded(".exr:read_exr"), None)),
+    (("ktx2",), Codec("KTX2",
+                      lambda b: b[:12] == b"\xabKTX 20\xbb\r\n\x1a\n",
+                      _ktx2, None)),
+    (("heif", "heic", "avif"), Codec(
+        "HEIF", lambda b: len(b) >= 16 and b[4:8] == b"ftyp", _heif, None)),
+    # degrib/NDFD .bin wrappers put text before the first message; the
+    # GRIB reader scans for the magic itself
+    (("grib", "grb", "grb2", "grib2"), Codec(
+        "GRIB", lambda b: b"GRIB" in b[:8192], _grib, None)),
+)
 
 
 def register_codec(fmt: str, encode_fn, decode_fn, sniffer=None) -> None:
-    """Register a user image codec: encode_fn(img, **kw) -> bytes,
-    decode_fn(bytes) -> ndarray; optional sniffer(buf) -> bool for
-    magic-based dispatch when fmt is unknown."""
+    """Register a user image codec at the front of the table:
+    encode_fn(img, **kw) -> bytes, decode_fn(bytes) -> ndarray; optional
+    sniffer(buf) -> bool for magic-based dispatch when fmt is unknown
+    (``read_raster`` passes it the file's first 8 KiB)."""
     if not callable(encode_fn) or not callable(decode_fn):
         raise TypeError("codec hooks must be callable")
-    _CUSTOM[fmt] = (encode_fn, decode_fn)
-    if sniffer is not None:
-        _SNIFFERS.append((sniffer, fmt))
+    rest = {k: v for k, v in _CODECS.items() if k != fmt}
+    _CODECS.clear()
+    _CODECS[fmt] = Codec(fmt, sniffer, _pixels(decode_fn), encode_fn)
+    _CODECS.update(rest)
+
+
+def find(buf: bytes, fmt: str | None = None) -> Codec:
+    """The table entry for ``fmt``, or the first whose sniffer claims
+    ``buf`` when fmt is None."""
+    if fmt is None:
+        for c in dict.fromkeys(_CODECS.values()):
+            if c.sniff is not None and c.sniff(buf):
+                return c
+        raise ValueError("unrecognized image magic")
+    if fmt not in _CODECS:
+        raise ValueError(f"unknown image format {fmt!r}")
+    return _CODECS[fmt]
 
 
 def encode(img: np.ndarray, fmt: str, **kw) -> bytes:
-    if fmt in _CUSTOM:
-        return _CUSTOM[fmt][0](img, **kw)
-    if fmt == "png":
-        return png.encode(img, **kw)
-    if fmt in ("jpeg", "jpg"):
-        return dct.encode(img, **kw)
-    if fmt in ("gtiff", "tif", "tiff"):
-        from . import gtiff
-        return gtiff.encode_gtiff(img, **kw)
-    if fmt in ("pnm", "pgm", "ppm"):
-        from . import pnm
-        return pnm.encode_pnm(img, **kw)
-    if fmt == "bmp":
-        from . import bmp
-        return bmp.encode_bmp(img, **kw)
-    if fmt == "webp":
-        from . import webp
-        return webp.encode_webp(img, **kw)
-    if fmt in ("netcdf", "nc"):
-        from . import netcdf
-        return netcdf.encode_netcdf(img, **kw)
-    raise ValueError(f"unknown image format {fmt!r}")
+    c = _CODECS.get(fmt)
+    if c is None or c.encode is None:
+        raise ValueError(f"unknown image format {fmt!r}")
+    return c.encode(img, **kw)
 
 
 def decode(buf: bytes, fmt: str | None = None) -> np.ndarray:
     """Decode by fmt, or sniff from magic bytes when fmt is None."""
-    if fmt is None:
-        for sniff, f in _SNIFFERS:
-            if sniff(buf):
-                fmt = f
-                break
-    if fmt in _CUSTOM:
-        return _CUSTOM[fmt][1](buf)
-    if fmt is None:
-        if buf[:8] == b"\x89PNG\r\n\x1a\n":
-            fmt = "png"
-        elif buf[:4] == b"GRJ1" or buf[:2] == b"\xFF\xD8":
-            fmt = "jpeg"
-        elif buf[:2] in (b"II", b"MM"):
-            fmt = "gtiff"
-        elif buf[:2] == b"BM":
-            fmt = "bmp"
-        elif buf[:1] == b"P" and buf[1:2] in b"23456":
-            fmt = "pnm"
-        elif buf[:4] == b"RIFF" and buf[8:12] == b"WEBP":
-            fmt = "webp"
-        elif buf[:3] == b"CDF" and buf[3:4] in (b"\x01", b"\x02", b"\x05"):
-            fmt = "netcdf"
-        elif buf[:4] == b"GIF8":
-            fmt = "gif"
-        elif buf[:12] == b"\x00\x00\x00\x0cjP  \r\n\x87\n" or \
-                buf[:4] == b"\xff\x4f\xff\x51":
-            fmt = "jp2"
-        elif buf[:4] == _MAGIC_EXR:
-            fmt = "exr"
-        elif buf[:12] == _MAGIC_KTX2:
-            fmt = "ktx2"
-        elif len(buf) >= 16 and buf[4:8] == b"ftyp":
-            fmt = "heif"
-        elif b"GRIB" in buf[:8192]:
-            # degrib/NDFD .bin wrappers put text before the first
-            # message; the GRIB reader scans for the magic itself
-            fmt = "grib"
-        else:
-            raise ValueError("unrecognized image magic")
-    if fmt == "png":
-        return png.decode(buf)
-    if fmt in ("jpeg", "jpg"):
-        # magic dispatch: real JFIF streams (FFD8) go to the T.81
-        # baseline decoder; the synthetic corpus's GRJ1 stand-in keeps
-        # its vectorized path
-        if buf[:2] == b"\xFF\xD8":
-            from . import jpeg as real_jpeg
-            return real_jpeg.decode(buf)
-        return dct.decode(buf)
-    if fmt in ("gtiff", "tif", "tiff"):
-        from . import gtiff
-        g = gtiff.decode_gtiff(buf)
-        px = g.pixels
-        return px if px.ndim == 3 else px[:, :, None]
-    if fmt in ("pnm", "pgm", "ppm"):
-        from . import pnm
-        return pnm.decode_pnm(buf)
-    if fmt == "bmp":
-        from . import bmp
-        px, _pal = bmp.decode_bmp(buf)
-        return px
-    if fmt == "webp":
-        from . import webp
-        return webp.decode_webp(buf)
-    if fmt in ("jp2", "j2k", "jpeg2000"):
-        from . import jp2
-        px, _gt, _nd, _meta = jp2.decode_jp2(buf)
-        return px if px.ndim == 3 else px[:, :, None]
-    if fmt in ("netcdf", "nc"):
-        from . import netcdf
-        px, _gt, _nd, _meta = netcdf.decode_netcdf(buf)
-        return px
-    if fmt in ("grib", "grb", "grb2", "grib2"):
-        from . import grib2
-        px, _gt, _nd, _meta = grib2.decode_grib2(buf)
-        return px if px.ndim >= 2 else px[:, :, None]
-    if fmt == "gif":
-        from . import gif
-        idx, _pal, _tr = gif.decode_gif(buf)
-        return idx                      # palette-index band, like BMP
-    if fmt == "exr":
-        from . import exr
-        px, _gt, _nd, _meta = exr.read_exr(buf)
-        return px if px.ndim == 3 else px[:, :, None]
-    if fmt == "ktx2":
-        from . import ktx2
-        px, _gt, _nd, _meta = ktx2.read_ktx2(buf)
-        if px.size == 0:
-            raise ValueError(
-                f"KTX2 payload needs the {_meta.get('codec')} transcoder")
-        return px if px.ndim == 3 else px[:, :, None]
-    if fmt in ("heif", "heic", "avif"):
-        import os
-        import tempfile
-        from . import heif as _heif
-        # the heif reader is path-based; spill to a temp twin
-        with tempfile.NamedTemporaryFile(suffix=".heif",
-                                         delete=False) as tf:
-            tf.write(buf)
-            name = tf.name
-        try:
-            px, _gt, _nd, _meta = _heif.read_heif(name)
-        finally:
-            os.unlink(name)
-        if px.size == 0:
-            raise ValueError(
-                f"HEIF payload needs the {_meta.get('codec')} decoder")
-        return px if px.ndim == 3 else px[:, :, None]
-    raise ValueError(f"unknown image format {fmt!r}")
+    return find(buf, fmt).decode(buf)[0]
 
 
 psnr = dct.psnr

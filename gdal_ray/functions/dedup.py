@@ -10,6 +10,7 @@ and only confirmed-candidate pairs ever touch full text again.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -529,6 +530,12 @@ def verify_pairs(ds_pairs, ds_docs, *, text_col: str = "text",
 # embedding-cosine near-dup
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _hyperplanes(dim: int, total_bits: int) -> np.ndarray:
+    """The random-hyperplane matrix, drawn once per worker process."""
+    return np.random.default_rng(7).standard_normal((dim, total_bits))
+
+
 def embedding_near_dups(ds, *, vec_col="embedding", id_col="vec_id",
                         threshold=0.95, n_tables=8, bits_per_table=8):
     """Near-dup pairs by cosine ≥ threshold via MULTI-TABLE
@@ -542,20 +549,10 @@ def embedding_near_dups(ds, *, vec_col="embedding", id_col="vec_id",
     signatures) — no re-shuffle."""
     total_bits = n_tables * bits_per_table
 
-    class Sig:
-        """Actor-pool signature stage: the hyperplane matrix is drawn
-        ONCE per actor in __init__ (not per batch)."""
-
-        def __init__(self):
-            self._planes: np.ndarray | None = None
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            from .ann import list_to_matrix
-            mat = list_to_matrix(t[vec_col])
-            if self._planes is None:
-                rng = np.random.default_rng(7)
-                self._planes = rng.standard_normal((mat.shape[1], total_bits))
-            return _sig_table(t, mat, self._planes)
+    def signatures(t: pa.Table) -> pa.Table:
+        from .ann import list_to_matrix
+        mat = list_to_matrix(t[vec_col])
+        return _sig_table(t, mat, _hyperplanes(mat.shape[1], total_bits))
 
     def _sig_table(t: pa.Table, mat: np.ndarray, planes: np.ndarray) -> pa.Table:
         bits = (mat @ planes) > 0
@@ -602,5 +599,5 @@ def embedding_near_dups(ds, *, vec_col="embedding", id_col="vec_id",
             "id_b": pd.Series(np.maximum(ids[ii], ids[jj]), dtype="int64"),
             "cos_sim": pd.Series(cos[ii, jj], dtype="float64")})
 
-    rows = ds.map_batches(Sig, batch_format="pyarrow", concurrency=4)
+    rows = ds.map_batches(signatures, batch_format="pyarrow")
     return _collided_pairs(rows, "plane_key", pairs, empty)

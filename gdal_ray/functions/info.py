@@ -20,31 +20,17 @@ __all__ = ["raster_info", "vector_info"]
 def raster_info(buf: bytes, fmt: str | None = None, *,
                 compute_stats: bool = True) -> dict:
     """Decode + summarize one raster blob (gdalinfo -stats analog)."""
-    from ..codecs import decode as codec_decode
+    from ..codecs import find
     from ..core.checksum import checksum
 
-    geotransform = crs = nodata = None
-    _CANON = {"png": "PNG", "jpeg": "JPEG", "jpg": "JPEG", "bmp": "BMP",
-              "pnm": "PNM", "pgm": "PNM", "ppm": "PNM", "gtiff": "GTiff",
-              "tif": "GTiff", "tiff": "GTiff"}
-    driver = _CANON.get(fmt, fmt) if fmt else None
-    if (fmt in ("gtiff", "tif", "tiff")
-            or (fmt is None and buf[:2] in (b"II", b"MM"))):
-        from ..codecs.gtiff import decode_gtiff
-        g = decode_gtiff(buf)
-        px = g.pixels
-        geotransform, crs, nodata = g.geotransform, g.crs, g.nodata
-        driver = "GTiff"
-    else:
-        px = codec_decode(buf, fmt)
-        if driver is None:
-            driver = {b"\x89": "PNG", b"BM": "BMP", b"P": "PNM",
-                      b"\xff": "JPEG", b"G": "GRJ1"}.get(buf[:1], "?")
+    codec = find(buf, fmt)
+    px, geotransform, nodata, meta = codec.decode(buf)
+    crs = meta.get("crs")
     if px.ndim == 2:
         px = px[:, :, None]
     h, w, nb = px.shape
     info = {
-        "driver": driver,
+        "driver": codec.name,
         "size": (w, h),
         "bands": nb,
         "dtype": str(px.dtype),

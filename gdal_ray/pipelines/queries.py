@@ -18,6 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import atexit
+import functools
 import os
 import re
 import shutil
@@ -1179,8 +1180,10 @@ def q_linear_grid(sf_dir: str):
 def q_reproject(sf_dir: str):
     """gdalwarp analog: reproject each georeferenced image from
     EPSG:3857 to EPSG:4326 through the mesh-approximated transformer
-    actor pool; per-image output dims + checksum."""
+    (built once per worker process); per-image output dims +
+    checksum."""
     from ..sources.images import images_dataset
+    from ..stages import per_process
     from ..stages.georef import with_georef
     from ..stages.warp import ReprojectImages
 
@@ -1189,11 +1192,9 @@ def q_reproject(sf_dir: str):
     # the exact transform (mesh values are not SQL-expressible)
     return images_dataset(96) \
         .map_batches(with_georef, batch_format="pyarrow") \
-        .map_batches(ReprojectImages,
-                     fn_constructor_kwargs={"src_crs": "EPSG:3857",
-                                            "dst_crs": "EPSG:4326",
-                                            "resampling": "bilinear"},
-                     concurrency=4, batch_size=32, batch_format="pyarrow") \
+        .map_batches(per_process(ReprojectImages, src_crs="EPSG:3857",
+                                 dst_crs="EPSG:4326", resampling="bilinear"),
+                     batch_size=32, batch_format="pyarrow") \
         .select_columns(["image_id", "dst_w", "dst_h"])
 
 
@@ -1503,6 +1504,13 @@ def q_omerc_warp(sf_dir: str):
         .map_batches(fwd, batch_format="pyarrow")
 
 
+@functools.lru_cache(maxsize=2)
+def _ntv2_grid(gsb: bytes):
+    """The decoded shift grid, built once per worker process."""
+    from ..codecs.ntv2 import NTv2Grid
+    return NTv2Grid(gsb)
+
+
 def q_ntv2_shift(sf_dir: str):
     """NTv2 datum-grid shift end-to-end (codecs/ntv2.py, new in r5):
     encode a deterministic 11x21 shift grid to a .gsb, decode it back
@@ -1511,7 +1519,7 @@ def q_ntv2_shift(sf_dir: str):
     pipeline shape. Node values are multiples of 1/16 (exact in
     float32), so the oracle replays the bilinear interpolation
     bit-identically in SQL (oracles.sql_ntv2_shift)."""
-    from ..codecs.ntv2 import NTv2Grid, encode_ntv2
+    from ..codecs.ntv2 import encode_ntv2
 
     h, w = 11, 21
     yy, xx = np.mgrid[0:h, 0:w]
@@ -1521,26 +1529,19 @@ def q_ntv2_shift(sf_dir: str):
     gsb = encode_ntv2(px, lat_min=40.0, lat_max=50.0,
                       lon_min=-10.0, lon_max=10.0)
 
-    class Shift:
-        def __init__(self):
-            self.grid = NTv2Grid(gsb)       # decode once per actor
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            key = t["c_custkey"].to_numpy()
-            lon = -9.5 + (key % 190) / 10.0
-            lat = 40.5 + (key % 90) / 10.0
-            slon, slat = self.grid.shift(lon, lat)
-            return pa.table({
-                "c_custkey": pa.array(key, pa.int64()),
-                "lon_shifted": pa.array(_half_away(slon, 9),
-                                        pa.float64()),
-                "lat_shifted": pa.array(_half_away(slat, 9),
-                                        pa.float64()),
-            })
+    def shift(t: pa.Table) -> pa.Table:
+        key = t["c_custkey"].to_numpy()
+        lon = -9.5 + (key % 190) / 10.0
+        lat = 40.5 + (key % 90) / 10.0
+        slon, slat = _ntv2_grid(gsb).shift(lon, lat)
+        return pa.table({
+            "c_custkey": pa.array(key, pa.int64()),
+            "lon_shifted": pa.array(_half_away(slon, 9), pa.float64()),
+            "lat_shifted": pa.array(_half_away(slat, 9), pa.float64()),
+        })
 
     return _rp(sf_dir, "customer", ["c_custkey"]) \
-        .map_batches(Shift, batch_format="pyarrow",
-                     concurrency=(1, 4))
+        .map_batches(shift, batch_format="pyarrow")
 
 
 def q_mvt_roundtrip(sf_dir: str):
@@ -2092,8 +2093,10 @@ def q_footprint(sf_dir: str):
 
 
 def q_audio_features(sf_dir: str):
-    """Multimodal audio: binary column → actor-pool feature extraction
-    (rms/zcr/spectral centroid); decode stubbed deterministically."""
+    """Multimodal audio: binary column → feature extraction (rms/zcr/
+    spectral centroid, state built once per worker process); decode
+    stubbed deterministically."""
+    from ..stages import per_process
     from ..stages.multimodal import AudioFeatures, audio_dataset
 
     def rnd(t: pa.Table) -> pa.Table:
@@ -2103,32 +2106,34 @@ def q_audio_features(sf_dir: str):
         return t
 
     return audio_dataset(128).map_batches(
-        AudioFeatures, fn_constructor_kwargs={"backend": "fake"},
-        concurrency=4, batch_size=32, batch_format="pyarrow") \
+        per_process(AudioFeatures, backend="fake"),
+        batch_size=32, batch_format="pyarrow") \
         .map_batches(rnd, batch_format="pyarrow")
 
 
 def q_audio_features_wav(sf_dir: str):
     """REAL audio decode end-to-end: a corpus of genuine RIFF/WAVE
     payloads (closed-form integer PCM, stages/multimodal.py::
-    make_wav_audio_batch) → actor-pool WAV decode (codecs/wav.py) →
+    make_wav_audio_batch) → WAV decode (codecs/wav.py) →
     integer-exact PCM stats. The oracle regenerates the PCM in SQL, so
     one mis-decoded sample anywhere breaks the hash. Float rms/zcr
     over the same real decode path: tests/test_multimodal.py."""
+    from ..stages import per_process
     from ..stages.multimodal import WavStats, wav_audio_dataset
     return wav_audio_dataset(48).map_batches(
-        WavStats, concurrency=4, batch_size=16, batch_format="pyarrow")
+        per_process(WavStats), batch_size=16, batch_format="pyarrow")
 
 
 def q_video_frames(sf_dir: str):
     """Multimodal video: flat-map frame sampling (1 fps, stubbed
     decode) → per-video frame count + first-frame checksum."""
     from ray.data.aggregate import Count, Min
+    from ..stages import per_process
     from ..stages.multimodal import VideoFrameSample, video_dataset
 
     return video_dataset(64).map_batches(
-        VideoFrameSample, fn_constructor_kwargs={"backend": "fake"},
-        concurrency=4, batch_size=16, batch_format="pyarrow") \
+        per_process(VideoFrameSample, backend="fake"),
+        batch_size=16, batch_format="pyarrow") \
         .groupby("video_id").aggregate(
             Count(alias_name="n_frames_sampled"),
             Min("frame_index", alias_name="first_frame"))

@@ -110,11 +110,13 @@ def _georef(ds, **kw):
 @register_step("reproject")
 def _reproject(ds, src: str = "EPSG:3857", dst: str = "EPSG:4326",
                resampling: str = "bilinear", concurrency: int = 4, **kw):
+    from ..stages import per_process
     from ..stages.warp import ReprojectImages
+    # tasks (at most ``concurrency`` at once), not an actor pool, which
+    # would hold every CPU the upstream read needs
     return ds.map_batches(
-        ReprojectImages,
-        fn_constructor_kwargs={"src_crs": src, "dst_crs": dst,
-                               "resampling": resampling},
+        per_process(ReprojectImages, src_crs=src, dst_crs=dst,
+                    resampling=resampling),
         concurrency=int(concurrency), batch_format="pyarrow")
 
 

@@ -1,26 +1,26 @@
 """Raster driver dispatch — GDALOpen's path-based routing for rasters.
 
 One ``read_raster(path)`` entry point returning ``(pixels, geotransform,
-nodata, meta)`` for every raster format this engine reads: extension /
-magic routing to the codec registry plus the path-based formats (VRT
-composition, EHdr/ENVI sidecar headers, AAIGrid text, SRTM HGT
-filename georeferencing, DTED). World-file and PAM sidecars fill in
+nodata, meta)`` for every raster format this engine reads. Routing is
+one ordered driver table, ``_DRIVERS``, of ``(name, identify, open)``
+entries (GDALDriver ``pfnIdentify``/``pfnOpen``,
+gcore/gdaldrivermanager.cpp): the first entry whose ``identify(probe)``
+holds opens the file, and the image codec table
+(``codecs._CODECS``) is the last entry. ``raster_driver(path)`` names
+the entry that would open ``path``. World-file and PAM sidecars fill in
 georeferencing the payload cannot carry (gcore/gdaldataset.cpp open
 logic + gdalpamdataset.cpp override order: PAM wins over internal,
 world file fills absent geotransforms)."""
 
 from __future__ import annotations
 
+import functools
+import importlib
 import os
 
 import numpy as np
 
-__all__ = ["read_raster", "overview_count"]
-
-
-def _is_hfa(path: str) -> bool:
-    with open(path, "rb") as fh:
-        return fh.read(15) == b"EHFA_HEADER_TAG"
+__all__ = ["read_raster", "raster_driver", "overview_count"]
 
 
 def overview_count(path: str) -> int:
@@ -43,6 +43,393 @@ def _is_cpg(path: str) -> bool:
     pol = "" if sirc else "hh"
     return bool(_cpg_adjust(path, pol, "hdr")
                 and _cpg_adjust(path, pol, "img"))
+
+
+def _head_of(fname: str, n: int) -> bytes:
+    """First ``n`` bytes of a sidecar, b"" when it does not exist."""
+    if not os.path.isfile(fname):
+        return b""
+    with open(fname, "rb") as fh:
+        return fh.read(n)
+
+
+class _Probe:
+    """What identify/open see of one path: its name parts, its head
+    (at least 1536 bytes, cached) and, only when an entry asks, its
+    whole bytes, read once. Every read closes its file."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.name = os.path.basename(path)
+        self.stem, ext = os.path.splitext(path)
+        self.ext = ext.lower().lstrip(".")
+        self.isdir = os.path.isdir(path)
+        self._head, self._n = b"", 0
+        self._data: bytes | None = None
+
+    def head(self, n: int = 64) -> bytes:
+        if self.isdir:
+            return b""
+        if self._data is None and n > self._n:
+            self._n = max(n, 1536)
+            with open(self.path, "rb") as fh:
+                self._head = fh.read(self._n)
+        return (self._data if self._data is not None else self._head)[:n]
+
+    def data(self) -> bytes:
+        if self._data is None:
+            with open(self.path, "rb") as fh:
+                self._data = fh.read()
+        return self._data
+
+    def text(self) -> str:
+        with open(self.path, errors="replace") as fh:
+            return fh.read()
+
+    def has(self, suffix: str) -> bool:
+        return os.path.exists(self.path + suffix)
+
+    def has_in_dir(self, *names: str) -> bool:
+        return self.isdir and any(
+            os.path.exists(os.path.join(self.path, n)) for n in names)
+
+    @functools.cached_property
+    def hdr(self) -> str | None:
+        """The EHdr/ENVI ``.hdr`` sidecar text (``stem.hdr`` first)."""
+        for cand in (self.stem + ".hdr", self.path + ".hdr"):
+            if os.path.exists(cand):
+                with open(cand, errors="replace") as fh:
+                    return fh.read()
+        return None
+
+
+def _fn(ref: str):
+    """``"module:function"``, imported on call: a bare module name is a
+    codec module, ``.name`` a module beside this one."""
+    mod, name = ref.split(":")
+    mod = mod if mod.startswith(".") else "..codecs." + mod
+    return getattr(importlib.import_module(mod, __package__), name)
+
+
+def _ext(*exts: str):
+    return lambda p: p.ext in exts
+
+
+def _bytes(ref: str):
+    return lambda p: _fn(ref)(p.data())
+
+
+def _path(ref: str):
+    return lambda p: _fn(ref)(p.path)
+
+
+def _text(ref: str):
+    return lambda p: _fn(ref)(p.text())
+
+
+# -- open adapters: decoders that take other arguments or return another
+# shape than (px[, gt[, nodata[, meta]]])
+
+def _vrt(p):
+    v = _fn(".vrt:read_vrt")(p.path)
+    meta = dict(v.metadata)
+    if v.crs:
+        meta["crs"] = v.crs
+    return v.pixels, v.geotransform, v.nodata, meta
+
+
+def _cphd(p):
+    cf = _fn("cphd:read_cphd")(p.path)
+    ch = next(iter(cf.channels.values()))
+    return ch.signal, None, None, {**cf.attributes, "pvp": ch.pvp}
+
+
+def _hgt(p):
+    return _fn("srtmhgt:decode_hgt")(p.data(), p.path)
+
+
+def _sar_ceos(p):
+    sar = _fn("sarceos:read_sar_ceos")(p.path)
+    px = sar.pixels[0] if sar.pixels.shape[0] == 1 else \
+        np.moveaxis(sar.pixels, 0, -1)
+    meta = dict(sar.metadata)
+    if sar.gcps:
+        meta["gcps"] = sar.gcps
+    return px, None, None, meta
+
+
+def _lerc(p):
+    return _fn("lerc:decode_lerc")(p.data()), None, None, \
+        {"driver": "LERC"}
+
+
+def _adrg(p):
+    from ..codecs.adrg import decode_adrg, decode_srp
+    if p.ext == "img":          # ADRG opened via the .IMG; sidecars
+        p.path = p.stem + ".GEN"    # are then looked up beside the .GEN
+    try:
+        return decode_adrg(p.path)
+    except (ValueError, KeyError):
+        return decode_srp(p.path)
+
+
+def _envi(p):
+    return _fn("ehdr:decode_envi")(p.hdr, p.data())
+
+
+def _ehdr(p):
+    if p.hdr is None:
+        raise ValueError(f"no .hdr sidecar for {p.path}")
+    return _fn("ehdr:decode_ehdr")(p.hdr, p.data())
+
+
+def _gtiff(p):
+    g = _fn("gtiff:decode_gtiff")(p.data())
+    return g.pixels, g.geotransform, g.nodata, \
+        {"crs": g.crs} if g.crs else {}
+
+
+def _hdf5(p):
+    from ..codecs.hdf5 import decode_hdf5, load_hdf5_bytes
+    from ..codecs.s100 import decode_s100
+    buf = load_hdf5_bytes(p.path)
+    try:
+        return decode_s100(buf)
+    except ValueError:
+        return decode_hdf5(buf)
+
+
+def _loslas(p):
+    return _fn("rawgrids:decode_loslas")(p.data(), p.ext)
+
+
+_RAW = ("bil", "bsq", "bip", "img", "dat", "raw")
+_CEOS = b"\x3f\xc0\x12\x12"
+
+# (name, identify(probe), open(probe)) in routing order: the first
+# entry whose identify holds opens the file
+_DRIVERS = (
+    ("DIMAP", lambda p: p.name.upper() == "METADATA.DIM" or (
+        p.ext == "xml" and p.name.upper().startswith(("DIM_", "VOL_"))),
+     _path("dimap:decode_dimap")),
+    ("VRT", _ext("vrt"), _vrt),
+    ("Surfer", lambda p: p.ext == "grd" and
+     p.head(4) in (b"DSAA", b"DSBB", b"DSRB"),
+     _bytes("rawgrids:decode_surfer")),
+    ("NWT_GRD", lambda p: p.ext in ("grd", "grc") and
+     p.head(5) == b"HGPC1", _bytes("northwood:decode_nwt_grd")),
+    ("NWT_GRC", lambda p: p.ext in ("grd", "grc") and p.head(4) == b"HGPC",
+     _bytes("northwood:decode_nwt_grc")),
+    # GMT classic grids are plain netCDF under a .grd name
+    ("netCDF", lambda p: p.ext == "grd" and p.head(3) == b"CDF",
+     _bytes("netcdf:decode_netcdf")),
+    # R raster package INI header ([general]/[georeference] sections in
+    # any order) + .gri payload
+    ("RRASTER", lambda p: p.ext == "grd" and p.head(1) == b"[",
+     _path("rawgrids:decode_rraster")),
+    ("AAIGrid", _ext("asc", "grd", "agr"), _text("aaigrid:decode_aaigrid")),
+    ("TERRAGEN", lambda p: p.ext == "ter" and p.head(8) == b"TERRAGEN",
+     _bytes("rawgrids:decode_terragen")),
+    ("LEVELLER", _ext("ter"), _bytes("rawgrids:decode_leveller")),
+    ("BT", _ext("bt"), _bytes("rawgrids:decode_bt")),
+    ("PCRaster", lambda p: p.ext == "map" and p.head(3) == b"RUU",
+     _bytes("rawgrids:decode_pcraster")),
+    ("MAP", lambda p: p.ext == "map" and
+     b"OziExplorer Map Data File" in p.head(256),
+     _path(".ozimap:read_ozi_map")),
+    ("KTX2", lambda p: p.ext == "ktx2" or
+     p.head(12) == b"\xabKTX 20\xbb\r\n\x1a\n",
+     _bytes("ktx2:read_ktx2")),
+    ("RIK", lambda p: p.ext == "rik" or p.head(6)[2:6] == b"RIK3",
+     _bytes("rik:decode_rik")),
+    ("MSGN", lambda p: p.head(36) == b"FormatName                  : NATIVE",
+     _path("msgn:read_msgn")),
+    ("ENVISAT", lambda p: p.head(8) == b"PRODUCT=",
+     _path("envisat:read_envisat")),
+    ("AirSAR", lambda p: p.head(22).upper().startswith(
+        b"RECORD LENGTH IN BYTES"), _bytes("airsar:decode_airsar")),
+    ("COASP", lambda p: p.ext == "hdr" and
+     p.head(18).lower() == b"time_first_datarec",
+     _path("coasp:read_coasp")),
+    ("TSX", lambda p: p.name.upper().startswith(("TSX1_SAR", "TDX1_SAR")),
+     _path(".tsx:read_tsx")),
+    ("JAXAPALSAR", lambda p: p.name.upper().startswith("VOL-ALPSR"),
+     _path("palsar:read_palsar")),
+    ("COSAR", lambda p: p.ext == "cos" or p.head(32)[28:32] == b"CSAR",
+     _bytes("cosar:decode_cosar")),
+    ("GFF", lambda p: p.ext == "gff" or
+     p.head(7).upper().startswith(b"GSATIMG"),
+     _bytes("gff:decode_gff")),
+    ("ROI_PAC", lambda p: p.ext in ("slc", "int", "unw", "cor", "msk", "flg",
+                                    "amp", "dem", "hgt", "raw")
+     and p.has(".rsc"), _path("rawgrids:decode_roipac")),
+    ("SNODAS", lambda p: p.ext == "hdr" and b"NOHRSC" in p.head(64),
+     _path("rawgrids:decode_snodas")),
+    ("BSB", _ext("kap", "no1"), _bytes("bsb:decode_bsb")),
+    ("PDF", _ext("pdf"), _path("pdf:read_pdf")),
+    ("EXR", _ext("exr"), _path("exr:read_exr")),
+    ("HEIF", _ext("heic", "heif", "avif"), _path("heif:read_heif")),
+    ("E57", _ext("e57"), _path("e57:read_e57")),
+    ("CPHD", _ext("cphd"), _cphd),
+    ("SRTMHGT", _ext("hgt"), _hgt),   # .hgt + .rsc is ROI_PAC
+    ("FAST", lambda p: b"ACQUISITION DATE" in p.head(1536) and
+     b"SATELLITE" in p.head(1536), _path("fast:decode_fast")),
+    ("DOQ2", lambda p: p.head(24).startswith(b"BEGIN_USGS_DOQ_HEADER"),
+     _path("rawexotic:decode_doq2")),
+    ("DOQ1", _ext("doq"), _path("rawexotic:decode_doq1")),
+    ("ILWIS", _ext("mpr"), _path("ilwis:decode_ilwis")),
+    ("CPG", lambda p: p.ext in ("hdr", "img") and _is_cpg(p.path),
+     _path("rawexotic:decode_cpg")),
+    ("EIR", lambda p: p.ext == "hdr" and b"IMAGINE_RAW_FILE" in p.head(64),
+     _path("rawexotic:decode_eir")),
+    ("MFF", lambda p: p.ext == "hdr" and b"IMAGE_FILE_FORMAT" in p.head(256),
+     _path("rawexotic:decode_mff")),
+    ("NOAA_B", _ext("b"), _bytes("rawexotic:decode_noaab")),
+    ("LCP", _ext("lcp"), _bytes("rawexotic:decode_lcp")),
+    ("SIGDEM", _ext("sigdem"), _bytes("rawexotic:decode_sigdem")),
+    ("ZMap", lambda p: p.ext == "zmap" or (
+        p.ext == "dat" and p.head(1) in (b"!", b"@")
+        and b"GRID" in p.head(512)), _text("rawexotic:decode_zmap")),
+    ("PCIDSK", lambda p: p.ext == "pix" and p.head(6) == b"PCIDSK",
+     _path("rawexotic:decode_pcidsk")),
+    ("HF2", lambda p: p.ext in ("hf2", "hfz") or p.head(4) == b"HF2\x00",
+     _bytes("rawexotic:decode_hf2")),
+    ("PMTiles", _ext("pmtiles"), _path(".pmtiles:read_pmtiles_raster")),
+    ("ESRIC", _ext("tpkx"), _path("esric:decode_tpkx")),
+    ("TIL", _ext("til"), _path("rawexotic:decode_til")),
+    ("CALS", lambda p: p.ext in ("cal", "ct1") or (
+        b"rtype: 1" in p.head(1536) and b"rpelcnt:" in p.head(1536)),
+     _bytes("cals:decode_cals")),
+    ("RPFTOC", lambda p: p.ext == "toc" or p.name.upper() == "A.TOC",
+     _path("rpf:decode_rpftoc")),
+    ("RPF", lambda p: len(p.ext) == 3 and p.ext[:2] == "on" and
+     p.head(4) == b"NITF", _path("rpf:read_rpf_frame")),
+    ("BAG", _ext("bag"), _bytes("bag:decode_bag")),
+    ("SAR_CEOS", lambda p: p.head(8)[4:8] == _CEOS and
+     p.head(28)[16:28] == b"CEOS-SAR-CCT", _sar_ceos),
+    ("CEOS", lambda p: p.head(8)[4:8] == _CEOS, _path("ceos:decode_ceos")),
+    ("L1B", _ext("l1b"), _path("l1b:decode_l1b")),
+    ("ESRIC", lambda p: p.ext == "xml" and
+     b"esriMapCacheStorageModeCompactV2" in p.data(),
+     _path("esric:decode_esric")),
+    ("RS2", lambda p: p.ext == "xml" and
+     b"fullResolutionImageData" in p.head(8192),
+     _path("rs2:decode_rs2")),
+    ("STACTA", lambda p: p.ext == "json" and b"tile_matrix_sets" in p.data(),
+     _path(".stacta:decode_stacta")),
+    ("STACIT", lambda p: p.ext == "json" and b"proj:transform" in p.data(),
+     _path(".stacta:decode_stacit")),
+    ("MRF", lambda p: p.ext == "mrf" or p.head(10) == b"<MRF_META>",
+     _path("mrf:decode_mrf")),
+    ("LERC", lambda p: p.ext == "lrc" or p.head(10) == b"CntZImage "
+     or p.head(6) == b"Lerc2 ", _lerc),
+    ("ADRG", lambda p: p.ext in ("gen", "thf") or (
+        p.ext == "img" and os.path.exists(p.stem + ".GEN")), _adrg),
+    ("PRF", lambda p: p.ext == "prf" or p.path.lower().endswith(".x-dem"),
+     _path("prf:decode_prf")),
+    ("KRO", _ext("kro"), _bytes("rawexotic:decode_kro")),
+    ("ACE2", _ext("ace2"), _path("rawexotic:decode_ace2")),
+    ("NSIDCbin", lambda p: p.ext == "bin" and
+     p.name.lower().startswith("nt_"),
+     _path("rawexotic:decode_nsidcbin")),
+    ("NDF", lambda p: len(p.ext) == 2 and p.ext[0] == "h" and
+     p.ext[1].isdigit() and p.head(16).startswith(b"NDF_REVISION"),
+     _path("rawexotic:decode_ndf")),
+    ("ISCE", lambda p: b"<imageFile" in _head_of(p.path + ".xml", 256),
+     _path("rawexotic:decode_isce")),
+    ("CTG", lambda p: "grid_cell" in p.name.lower(),
+     _path("rawexotic:decode_ctg")),
+    ("IRIS", lambda p: p.head(2) == b"\x1b\x00" and
+     p.head(14)[12:14] == b"\x1a\x00", _bytes("iris:decode_iris")),
+    ("RMF", lambda p: p.ext in ("rsw", "mtw") or p.head(4) in (
+        b"RSW\x00", b"MTW\x00", b"\x00WSR", b"\x00WTM"),
+     _bytes("rmf:decode_rmf")),
+    ("MFF2", lambda p: p.has_in_dir("attrib") and p.has_in_dir("image_data"),
+     _path("rawexotic:decode_mff2")),
+    ("AIG", lambda p: p.has_in_dir("hdr.adf", "HDR.ADF") or p.ext == "adf",
+     _path("aig:decode_aig")),
+    ("TGA", _ext("tga"), _bytes("tga:decode_tga")),
+    ("DDS", _ext("dds"), _bytes("dds:decode_dds")),
+    ("DTED", _ext("dt0", "dt1", "dt2"), _bytes("dted:decode_dted")),
+    ("HFA", lambda p: p.ext in ("img", "rrd", "aux") and
+     p.head(15) == b"EHFA_HEADER_TAG", _path("hfa:decode_hfa")),
+    ("PDS", lambda p: p.ext in ("lbl", "img", "dat") and
+     b"PDS_VERSION_ID" in p.head(32768), _path("pds:decode_pds")),
+    ("ISIS3", lambda p: p.ext in ("cub", "lbl") and
+     b"IsisCube" in p.head(32768), _path("isis3:decode_isis3")),
+    ("ISIS2", lambda p: p.ext in ("cub", "lbl") and
+     b"^QUBE" in p.head(32768), _path("isis2:decode_isis2")),
+    ("PDS4", lambda p: p.ext == "xml" and
+     b"Product_Observational" in p.head(32768),
+     _path("pds4:decode_pds4")),
+    ("VICAR", lambda p: p.ext in ("vic", "vicar", "img", "bin") and
+     p.head(8).startswith(b"LBLSIZE"), _bytes("vicar:decode_vicar")),
+    ("NITF", _ext("ntf", "nitf", "nsf", "r0"), _bytes("nitf:decode_nitf")),
+    ("PAux", lambda p: p.ext in _RAW and
+     b"AuxilaryTarget" in _head_of(p.stem + ".aux", 128),
+     _path("rawexotic:decode_paux")),
+    ("GenBin", lambda p: p.ext in _RAW and p.hdr is not None and
+     "INTERLEAVING" in p.hdr and "BANDS" in p.hdr,
+     _path("rawexotic:decode_genbin")),
+    ("ENVI", lambda p: p.ext in _RAW and p.hdr is not None and
+     "samples" in p.hdr.lower() and "interleave" in p.hdr.lower(), _envi),
+    ("EHdr", lambda p: p.ext in _RAW, _ehdr),
+    ("GTiff", _ext("tif", "tiff"), _gtiff),
+    ("netCDF", _ext("nc", "cdf", "nc4"), _bytes("netcdf:decode_netcdf")),
+    # .hdf is ambiguous: HDF4 magic 0e 03 13 01 vs HDF5 \x89HDF
+    ("HDF4", lambda p: p.ext == "hdf" and p.head(4) == b"\x0e\x03\x13\x01",
+     _path("hdf4:decode_hdf4")),
+    ("HDF5", _ext("h5", "hdf5", "he5", "hdf"), _hdf5),
+    ("JP2", _ext("jp2", "j2k", "jpc", "jpx"), _bytes("jp2:decode_jp2")),
+    ("GRIB", _ext("grb2", "grib2", "grb", "grib"),
+     _bytes("grib2:decode_grib2")),
+    ("NTv2", _ext("gsb", "gvb"), _bytes("ntv2:decode_ntv2")),
+    ("GTX", _ext("gtx"), _bytes("rawgrids:decode_gtx")),
+    ("LAN", _ext("lan", "gis"), _bytes("rawgrids:decode_lan")),
+    ("ERS", _ext("ers"), _path("rawgrids:decode_ers")),
+    ("SAGA", _ext("sdat", "sgrd"), _path("rawgrids:decode_saga")),
+    ("RST", _ext("rst"), _path("rawgrids:decode_rst")),
+    ("GXF", _ext("gxf"), _bytes("rawgrids:decode_gxf")),
+    ("LOSLAS", _ext("los", "las", "geo"), _loslas),
+    ("BYN", _ext("byn"), _bytes("rawgrids:decode_byn")),
+    ("ISG", _ext("isg"), _bytes("rawgrids:decode_isg")),
+    ("JDEM", _ext("mem"), _bytes("rawgrids:decode_jdem")),
+    ("USGSDEM", _ext("dem"), _bytes("usgsdem:decode_usgsdem")),
+    ("GSC", _ext("gsc"), _bytes("rawgrids:decode_gsc")),
+    ("RRASTER", _ext("gri"), _path("rawgrids:decode_rraster")),
+    ("FITS", _ext("fits"), _bytes("rawgrids:decode_fits")),
+    ("RasterLite2", _ext("rl2"), _path(".rasterlite2:read_rl2")),
+    ("GTI", lambda p: p.path.lower().endswith(".gti.gpkg"),
+     _path(".gti:decode_gti")),
+    ("GPKG", _ext("gpkg"), _path(".gpkg:read_gpkg_raster")),
+    ("Zarr", lambda p: p.ext == "zarr" or p.has_in_dir(".zarray", ".zgroup"),
+     _path(".zarr:read_zarr")),
+)
+
+_PREFIXES = (("DERIVED_SUBDATASET:", "DERIVED"), ("HEIF:", "HEIF"),
+             ("E57:", "E57"))
+
+
+def _route(p: _Probe):
+    """(name, open) of the first entry that identifies ``p``; the codec
+    table is the last entry (the extension tags a codec when it names
+    one, else the magic sniffers decide)."""
+    for name, identify, open_ in _DRIVERS:
+        if identify(p):
+            return name, open_
+    from .. import codecs
+    c = codecs.find(p.head(8192),
+                    p.ext if p.ext in codecs._CODECS else None)
+    return c.name, lambda p: c.decode(p.data())
+
+
+def raster_driver(path: str) -> str:
+    """Name of the driver ``read_raster(path)`` opens ``path`` with
+    (GDALIdentifyDriver analog)."""
+    for prefix, name in _PREFIXES:
+        if path.startswith(prefix):
+            return name
+    return _route(_Probe(path))[0]
 
 
 def read_raster(path: str, overview: int | None = None):
@@ -115,443 +502,13 @@ def read_raster(path: str, overview: int | None = None):
             raise ValueError(f"malformed E57 subdataset path {path!r}")
         return read_e57(m.group(1), subdataset=m.group(2))
 
-    ext = os.path.splitext(path)[1].lower().lstrip(".")
-    gt = nodata = None
-    meta: dict = {}
-
-    _head_cache: dict = {}
-
-    def _head(n=64):
-        if os.path.isdir(path):
-            return b""
-        have = _head_cache.get("n", 0)
-        if n > have:
-            with open(path, "rb") as fh:
-                _head_cache["buf"] = fh.read(max(n, 1536))
-                _head_cache["n"] = max(n, 1536)
-        return _head_cache["buf"][:n]
-
-    if os.path.basename(path).upper() == "METADATA.DIM" or (
-            ext == "xml" and os.path.basename(path).upper().startswith(
-                ("DIM_", "VOL_"))):
-        from ..codecs.dimap import decode_dimap
-        px, gt, nodata, meta = decode_dimap(path)
-    elif ext == "vrt":
-        from .vrt import read_vrt
-        v = read_vrt(path)
-        px, gt, nodata = v.pixels, v.geotransform, v.nodata
-        meta = dict(v.metadata)
-        if v.crs:
-            meta["crs"] = v.crs
-    elif ext == "grd" and \
-            open(path, "rb").read(4) in (b"DSAA", b"DSBB", b"DSRB"):
-        from ..codecs.rawgrids import decode_surfer
-        px, gt, nodata, meta = decode_surfer(open(path, "rb").read())
-    elif ext in ("grd", "grc") and _head(4) == b"HGPC":
-        from ..codecs.northwood import decode_nwt_grc, decode_nwt_grd
-        nwbuf = open(path, "rb").read()
-        dec = decode_nwt_grd if nwbuf[4:5] == b"1" else decode_nwt_grc
-        px, gt, nodata, meta = dec(nwbuf)
-    elif ext == "grd" and _head(3) == b"CDF":
-        # GMT classic grids are plain netCDF under a .grd name
-        from ..codecs.netcdf import decode_netcdf
-        px, gt, nodata, meta = decode_netcdf(open(path, "rb").read())
-    elif ext == "grd" and _head(1) == b"[":
-        # R raster package INI header ([general]/[georeference]
-        # sections in any order) + .gri payload
-        from ..codecs.rawgrids import decode_rraster
-        px, gt, nodata, meta = decode_rraster(path)
-    elif ext in ("asc", "grd", "agr"):
-        from ..codecs.aaigrid import decode_aaigrid
-        px, gt, nodata = decode_aaigrid(open(path).read())
-    elif ext == "ter":
-        from ..codecs.rawgrids import decode_leveller, decode_terragen
-        head = open(path, "rb").read(16)
-        dec = decode_terragen if head.startswith(b"TERRAGEN") \
-            else decode_leveller
-        px, gt, nodata, meta = dec(open(path, "rb").read())
-    elif ext == "bt":
-        from ..codecs.rawgrids import decode_bt
-        px, gt, nodata, meta = decode_bt(open(path, "rb").read())
-    elif ext == "map" and open(path, "rb").read(3) == b"RUU":
-        from ..codecs.rawgrids import decode_pcraster
-        px, gt, nodata, meta = decode_pcraster(open(path, "rb").read())
-    elif ext == "map" and b"OziExplorer Map Data File" in _head(256):
-        from .ozimap import read_ozi_map
-        px, gt, nodata, meta = read_ozi_map(path)
-    elif ext == "ktx2" or _head(12) == b"\xabKTX 20\xbb\r\n\x1a\n":
-        from ..codecs.ktx2 import read_ktx2
-        px, gt, nodata, meta = read_ktx2(open(path, "rb").read())
-    elif ext == "rik" or _head(6)[2:6] == b"RIK3":
-        from ..codecs.rik import decode_rik
-        px, gt, nodata, meta = decode_rik(open(path, "rb").read())
-    elif _head(36) == b"FormatName                  : NATIVE":
-        from ..codecs.msgn import read_msgn
-        px, gt, nodata, meta = read_msgn(path)
-    elif _head(8) == b"PRODUCT=":
-        from ..codecs.envisat import read_envisat
-        px, gt, nodata, meta = read_envisat(path)
-    elif _head(22).upper().startswith(b"RECORD LENGTH IN BYTES"):
-        from ..codecs.airsar import decode_airsar
-        px, gt, nodata, meta = decode_airsar(open(path, "rb").read())
-    elif ext == "hdr" and _head(18).lower() == b"time_first_datarec":
-        from ..codecs.coasp import read_coasp
-        px, gt, nodata, meta = read_coasp(path)
-    elif os.path.basename(path).upper().startswith(("TSX1_SAR",
-                                                    "TDX1_SAR")):
-        from .tsx import read_tsx
-        px, gt, nodata, meta = read_tsx(path)
-    elif os.path.basename(path).upper().startswith("VOL-ALPSR"):
-        from ..codecs.palsar import read_palsar
-        px, gt, nodata, meta = read_palsar(path)
-    elif ext == "cos" or _head(32)[28:32] == b"CSAR":
-        from ..codecs.cosar import decode_cosar
-        px, gt, nodata, meta = decode_cosar(open(path, "rb").read())
-    elif ext == "gff" or _head(7).upper().startswith(b"GSATIMG"):
-        from ..codecs.gff import decode_gff
-        px, gt, nodata, meta = decode_gff(open(path, "rb").read())
-    elif ext in ("slc", "int", "unw", "cor", "msk", "flg", "amp") \
-            and os.path.exists(path + ".rsc") or \
-            ext in ("dem", "hgt", "raw") and \
-            os.path.exists(path + ".rsc"):
-        from ..codecs.rawgrids import decode_roipac
-        px, gt, nodata, meta = decode_roipac(path)
-    elif ext == "hdr" and \
-            b"NOHRSC" in open(path, "rb").read(64):
-        from ..codecs.rawgrids import decode_snodas
-        px, gt, nodata, meta = decode_snodas(path)
-    elif ext in ("kap", "no1"):
-        from ..codecs.bsb import decode_bsb
-        px, gt, nodata, meta = decode_bsb(open(path, "rb").read())
-    elif ext == "pdf":
-        from ..codecs.pdf import read_pdf
-        px, gt, nodata, meta = read_pdf(path)
-    elif ext == "exr":
-        from ..codecs.exr import read_exr
-        px, gt, nodata, meta = read_exr(path)
-    elif ext in ("heic", "heif", "avif"):
-        from ..codecs.heif import read_heif
-        px, gt, nodata, meta = read_heif(path)
-    elif ext == "e57":
-        from ..codecs.e57 import read_e57
-        px, gt, nodata, meta = read_e57(path)
-    elif ext == "cphd":
-        from ..codecs.cphd import read_cphd
-        cf = read_cphd(path)
-        ch = next(iter(cf.channels.values()))
-        px = ch.signal
-        meta = dict(cf.attributes)
-        meta["pvp"] = ch.pvp
-    elif ext == "hgt" and not os.path.exists(path + ".rsc"):
-        from ..codecs.srtmhgt import decode_hgt
-        px, gt, nodata = decode_hgt(open(path, "rb").read(), path)
-    elif b"ACQUISITION DATE" in _head(1536) and \
-            b"SATELLITE" in _head(1536):
-        from ..codecs.fast import decode_fast
-        px, gt, nodata, meta = decode_fast(path)
-    elif _head(24).startswith(b"BEGIN_USGS_DOQ_HEADER"):
-        from ..codecs.rawexotic import decode_doq2
-        px, gt, nodata, meta = decode_doq2(path)
-    elif ext == "doq":
-        from ..codecs.rawexotic import decode_doq1
-        px, gt, nodata, meta = decode_doq1(path)
-    elif ext == "mpr":
-        from ..codecs.ilwis import decode_ilwis
-        px, gt, nodata, meta = decode_ilwis(path)
-    elif ext in ("hdr", "img") and _is_cpg(path):
-        from ..codecs.rawexotic import decode_cpg
-        px, gt, nodata, meta = decode_cpg(path)
-    elif ext == "hdr" and b"IMAGINE_RAW_FILE" in _head(64):
-        from ..codecs.rawexotic import decode_eir
-        px, gt, nodata, meta = decode_eir(path)
-    elif ext == "hdr" and b"IMAGE_FILE_FORMAT" in _head(256):
-        from ..codecs.rawexotic import decode_mff
-        px, gt, nodata, meta = decode_mff(path)
-    elif ext == "b":
-        from ..codecs.rawexotic import decode_noaab
-        px, gt, nodata, meta = decode_noaab(open(path, "rb").read())
-    elif ext == "lcp":
-        from ..codecs.rawexotic import decode_lcp
-        px, gt, nodata, meta = decode_lcp(open(path, "rb").read())
-    elif ext == "sigdem":
-        from ..codecs.rawexotic import decode_sigdem
-        px, gt, nodata, meta = decode_sigdem(open(path, "rb").read())
-    elif ext == "zmap" or (ext == "dat" and _head(1) in (b"!", b"@")
-                           and b"GRID" in _head(512)):
-        from ..codecs.rawexotic import decode_zmap
-        px, gt, nodata, meta = decode_zmap(open(path,
-                                                errors="replace").read())
-    elif ext == "pix" and _head(6) == b"PCIDSK":
-        from ..codecs.rawexotic import decode_pcidsk
-        px, gt, nodata, meta = decode_pcidsk(path)
-    elif ext in ("hf2", "hfz") or _head(4) == b"HF2\x00":
-        from ..codecs.rawexotic import decode_hf2
-        px, gt, nodata, meta = decode_hf2(open(path, "rb").read())
-    elif ext == "pmtiles":
-        from .pmtiles import read_pmtiles_raster
-        px, gt, nodata, meta = read_pmtiles_raster(path)
-    elif ext == "tpkx":
-        from ..codecs.esric import decode_tpkx
-        px, gt, nodata, meta = decode_tpkx(path)
-    elif ext == "til":
-        from ..codecs.rawexotic import decode_til
-        px, gt, nodata, meta = decode_til(path)
-    elif ext in ("cal", "ct1") or (b"rtype: 1" in _head(1536)
-                                   and b"rpelcnt:" in _head(1536)):
-        from ..codecs.cals import decode_cals
-        px, gt, nodata, meta = decode_cals(open(path, "rb").read())
-    elif ext == "toc" or os.path.basename(path).upper() == "A.TOC":
-        from ..codecs.rpf import decode_rpftoc
-        px, gt, nodata, meta = decode_rpftoc(path)
-    elif len(ext) == 3 and ext[0] == "o" and ext[1] == "n" and \
-            _head(4) == b"NITF":
-        from ..codecs.rpf import read_rpf_frame
-        px, gt, nodata, meta = read_rpf_frame(path)
-    elif ext == "bag":
-        from ..codecs.bag import decode_bag
-        px, gt, nodata, meta = decode_bag(open(path, "rb").read())
-    elif _head(8)[4:8] == b"\x3f\xc0\x12\x12" and \
-            _head(28)[16:28] == b"CEOS-SAR-CCT":
-        from ..codecs.sarceos import read_sar_ceos
-        sar = read_sar_ceos(path)
-        px = sar.pixels[0] if sar.pixels.shape[0] == 1 else \
-            np.moveaxis(sar.pixels, 0, -1)
-        meta = dict(sar.metadata)
-        if sar.gcps:
-            meta["gcps"] = sar.gcps
-    elif _head(8)[4:8] == b"\x3f\xc0\x12\x12":
-        from ..codecs.ceos import decode_ceos
-        px, gt, nodata, meta = decode_ceos(path)
-    elif ext == "l1b":
-        from ..codecs.l1b import decode_l1b
-        px, gt, nodata, meta = decode_l1b(path)
-    elif ext == "xml" and b"esriMapCacheStorageModeCompactV2" in \
-            open(path, "rb").read():
-        from ..codecs.esric import decode_esric
-        px, gt, nodata, meta = decode_esric(path)
-    elif ext == "xml" and b"fullResolutionImageData" in _head(8192):
-        from ..codecs.rs2 import decode_rs2
-        px, gt, nodata, meta = decode_rs2(path)
-    elif ext == "json" and b"tile_matrix_sets" in open(path, "rb").read():
-        from .stacta import decode_stacta
-        px, gt, nodata, meta = decode_stacta(path)
-    elif ext == "json" and b"proj:transform" in open(path, "rb").read():
-        from .stacta import decode_stacit
-        px, gt, nodata, meta = decode_stacit(path)
-    elif ext == "mrf" or _head(10) == b"<MRF_META>":
-        from ..codecs.mrf import decode_mrf
-        px, gt, nodata, meta = decode_mrf(path, overview=overview)
-    elif ext == "lrc" or _head(10) == b"CntZImage " or _head(6) == b"Lerc2 ":
-        from ..codecs.lerc import decode_lerc
-        px = decode_lerc(open(path, "rb").read())
-        gt, nodata, meta = None, None, {"driver": "LERC"}
-    elif ext in ("gen", "thf") or (
-            ext == "img" and os.path.exists(
-                os.path.splitext(path)[0] + ".GEN")):
-        from ..codecs.adrg import decode_adrg, decode_srp
-        if ext == "img":                 # ADRG opened via the .IMG
-            path = os.path.splitext(path)[0] + ".GEN"
-        try:
-            px, gt, nodata, meta = decode_adrg(path)
-        except (ValueError, KeyError):
-            px, gt, nodata, meta = decode_srp(path)
-    elif ext in ("prf",) or path.lower().endswith(".x-dem"):
-        from ..codecs.prf import decode_prf
-        px, gt, nodata, meta = decode_prf(path)
-    elif ext == "kro":
-        from ..codecs.rawexotic import decode_kro
-        px, gt, nodata, meta = decode_kro(open(path, "rb").read())
-    elif ext == "ace2":
-        from ..codecs.rawexotic import decode_ace2
-        px, gt, nodata, meta = decode_ace2(path)
-    elif ext == "bin" and os.path.basename(path).lower().startswith("nt_"):
-        from ..codecs.rawexotic import decode_nsidcbin
-        px, gt, nodata, meta = decode_nsidcbin(path)
-    elif len(ext) == 2 and ext[0] == "h" and ext[1].isdigit() and \
-            _head(16).startswith(b"NDF_REVISION"):
-        from ..codecs.rawexotic import decode_ndf
-        px, gt, nodata, meta = decode_ndf(path)
-    elif os.path.exists(path + ".xml") and \
-            b"<imageFile" in open(path + ".xml", "rb").read(256):
-        from ..codecs.rawexotic import decode_isce
-        px, gt, nodata, meta = decode_isce(path)
-    elif "grid_cell" in os.path.basename(path).lower():
-        from ..codecs.rawexotic import decode_ctg
-        px, gt, nodata, meta = decode_ctg(path)
-    elif _head(2) == b"\x1b\x00" and _head(14)[12:14] == b"\x1a\x00":
-        from ..codecs.iris import decode_iris
-        px, gt, nodata, meta = decode_iris(open(path, "rb").read())
-    elif ext == "rsw" or ext == "mtw" or _head(4) in (
-            b"RSW\x00", b"MTW\x00", b"\x00WSR", b"\x00WTM"):
-        from ..codecs.rmf import decode_rmf
-        px, gt, nodata, meta = decode_rmf(open(path, "rb").read())
-    elif os.path.isdir(path) and \
-            os.path.exists(os.path.join(path, "attrib")) and \
-            os.path.exists(os.path.join(path, "image_data")):
-        from ..codecs.rawexotic import decode_mff2
-        px, gt, nodata, meta = decode_mff2(path)
-    elif (os.path.isdir(path)
-          and os.path.exists(os.path.join(path, "hdr.adf"))
-          or os.path.isdir(path)
-          and os.path.exists(os.path.join(path, "HDR.ADF"))
-          or ext == "adf"):
-        from ..codecs.aig import decode_aig
-        px, gt, nodata, meta = decode_aig(path)
-    elif ext == "tga":
-        from ..codecs.tga import decode_tga
-        px, gt, nodata, meta = decode_tga(open(path, "rb").read())
-    elif ext == "dds":
-        from ..codecs.dds import decode_dds
-        px, gt, nodata, meta = decode_dds(open(path, "rb").read())
-    elif ext in ("dt0", "dt1", "dt2"):
-        from ..codecs.dted import decode_dted
-        px, gt, nodata = decode_dted(open(path, "rb").read())
-    elif ext in ("img", "rrd", "aux") and _is_hfa(path):
-        from ..codecs.hfa import decode_hfa
-        px, gt, nodata, meta = decode_hfa(path)
-    elif ext in ("lbl", "img", "dat") and \
-            b"PDS_VERSION_ID" in open(path, "rb").read(32768):
-        from ..codecs.pds import decode_pds
-        px, gt, nodata, meta = decode_pds(path)
-    elif ext in ("cub", "lbl") and \
-            b"IsisCube" in open(path, "rb").read(32768):
-        from ..codecs.isis3 import decode_isis3
-        px, gt, nodata, meta = decode_isis3(path)
-    elif ext in ("cub", "lbl") and \
-            b"^QUBE" in open(path, "rb").read(32768):
-        from ..codecs.isis2 import decode_isis2
-        px, gt, nodata, meta = decode_isis2(path)
-    elif ext == "xml" and \
-            b"Product_Observational" in open(path, "rb").read(32768):
-        from ..codecs.pds4 import decode_pds4
-        px, gt, nodata, meta = decode_pds4(path)
-    elif ext in ("vic", "vicar", "img", "bin") and \
-            open(path, "rb").read(8).startswith(b"LBLSIZE"):
-        from ..codecs.vicar import decode_vicar
-        px, gt, nodata, meta = decode_vicar(open(path, "rb").read())
-    elif ext in ("ntf", "nitf", "nsf", "r0"):
-        from ..codecs.nitf import decode_nitf
-        px, gt, nodata, meta = decode_nitf(open(path, "rb").read())
-    elif ext in ("bil", "bsq", "bip", "img", "dat", "raw"):
-        from ..codecs.ehdr import decode_ehdr, decode_envi
-        stem = os.path.splitext(path)[0]
-        if os.path.exists(stem + ".aux") and \
-                b"AuxilaryTarget" in open(stem + ".aux", "rb").read(128):
-            from ..codecs.rawexotic import decode_paux
-            px, gt, nodata, meta = decode_paux(path)
-        else:
-            hdr = None
-            for cand in (stem + ".hdr", path + ".hdr"):
-                if os.path.exists(cand):
-                    hdr = open(cand).read()
-                    break
-            if hdr is None:
-                raise ValueError(f"no .hdr sidecar for {path}")
-            if "INTERLEAVING" in hdr and "BANDS" in hdr:
-                from ..codecs.rawexotic import decode_genbin
-                px, gt, nodata, meta = decode_genbin(path)
-            elif "samples" in hdr.lower() and "interleave" in hdr.lower():
-                px, gt = decode_envi(hdr, open(path, "rb").read())
-            else:
-                px, gt, nodata = decode_ehdr(hdr,
-                                             open(path, "rb").read())
-    elif ext in ("tif", "tiff"):
-        from ..codecs.gtiff import decode_gtiff
-        g = decode_gtiff(open(path, "rb").read())
-        px, gt, nodata = g.pixels, g.geotransform, g.nodata
-        if g.crs:
-            meta["crs"] = g.crs
-    elif ext in ("nc", "cdf", "nc4"):
-        from ..codecs.netcdf import decode_netcdf
-        px, gt, nodata, meta = decode_netcdf(open(path, "rb").read())
-    elif ext in ("h5", "hdf5", "he5", "hdf"):
-        # .hdf is ambiguous: HDF4 magic 0e 03 13 01 vs HDF5 \x89HDF
-        if ext == "hdf" and open(path, "rb").read(4) == b"\x0e\x03\x13\x01":
-            from ..codecs.hdf4 import decode_hdf4
-            px, gt, nodata, meta = decode_hdf4(path)
-        else:
-            from ..codecs.hdf5 import decode_hdf5, load_hdf5_bytes
-            h5buf = load_hdf5_bytes(path)
-            try:
-                from ..codecs.s100 import decode_s100
-                px, gt, nodata, meta = decode_s100(h5buf)
-            except ValueError:
-                px, gt, nodata, meta = decode_hdf5(h5buf)
-    elif ext in ("jp2", "j2k", "jpc", "jpx"):
-        from ..codecs.jp2 import decode_jp2
-        px, gt, nodata, meta = decode_jp2(open(path, "rb").read())
-    elif ext in ("grb2", "grib2", "grb", "grib"):
-        from ..codecs.grib2 import decode_grib2
-        px, gt, nodata, meta = decode_grib2(open(path, "rb").read())
-    elif ext in ("gsb", "gvb"):
-        from ..codecs.ntv2 import decode_ntv2
-        px, gt, nodata, meta = decode_ntv2(open(path, "rb").read())
-    elif ext == "gtx":
-        from ..codecs.rawgrids import decode_gtx
-        px, gt, nodata, meta = decode_gtx(open(path, "rb").read())
-    elif ext in ("lan", "gis"):
-        from ..codecs.rawgrids import decode_lan
-        px, gt, nodata, meta = decode_lan(open(path, "rb").read())
-    elif ext == "ers":
-        from ..codecs.rawgrids import decode_ers
-        px, gt, nodata, meta = decode_ers(path)
-    elif ext in ("sdat", "sgrd"):
-        from ..codecs.rawgrids import decode_saga
-        px, gt, nodata, meta = decode_saga(path)
-    elif ext == "rst":
-        from ..codecs.rawgrids import decode_rst
-        px, gt, nodata, meta = decode_rst(path)
-    elif ext == "gxf":
-        from ..codecs.rawgrids import decode_gxf
-        px, gt, nodata, meta = decode_gxf(open(path, "rb").read())
-    elif ext in ("los", "las", "geo"):
-        from ..codecs.rawgrids import decode_loslas
-        px, gt, nodata, meta = decode_loslas(open(path, "rb").read(),
-                                             ext)
-    elif ext == "byn":
-        from ..codecs.rawgrids import decode_byn
-        px, gt, nodata, meta = decode_byn(open(path, "rb").read())
-    elif ext == "isg":
-        from ..codecs.rawgrids import decode_isg
-        px, gt, nodata, meta = decode_isg(open(path, "rb").read())
-    elif ext == "mem":
-        from ..codecs.rawgrids import decode_jdem
-        px, gt, nodata, meta = decode_jdem(open(path, "rb").read())
-    elif ext == "dem":
-        from ..codecs.usgsdem import decode_usgsdem
-        px, gt, nodata, meta = decode_usgsdem(open(path, "rb").read())
-    elif ext == "gsc":
-        from ..codecs.rawgrids import decode_gsc
-        px, gt, nodata, meta = decode_gsc(open(path, "rb").read())
-    elif ext in ("grd", "gri"):
-        from ..codecs.rawgrids import decode_rraster
-        px, gt, nodata, meta = decode_rraster(path)
-    elif ext == "fits":
-        from ..codecs.rawgrids import decode_fits
-        px, gt, nodata, meta = decode_fits(open(path, "rb").read())
-    elif ext == "rl2":
-        from .rasterlite2 import read_rl2
-        px, gt, nodata, meta = read_rl2(path)
-    elif ext == "gpkg":
-        if path.lower().endswith(".gti.gpkg"):
-            from .gti import decode_gti
-            px, gt, nodata, meta = decode_gti(path)
-        else:
-            from .gpkg import read_gpkg_raster
-            px, gt, nodata, meta = read_gpkg_raster(path)
-    elif ext == "zarr" or os.path.isdir(path) and (
-            os.path.exists(os.path.join(path, ".zarray"))
-            or os.path.exists(os.path.join(path, ".zgroup"))):
-        from .zarr import read_zarr
-        px, gt, nodata, meta = read_zarr(path)
-    else:
-        # codec registry (magic sniff covers png/jpg/gif/bmp/pnm/webp/…)
-        from .. import codecs as C
-        px = C.decode(open(path, "rb").read(),
-                      None if ext in ("", "bin") else
-                      {"jpg": "jpeg"}.get(ext, ext)
-                      if ext in ("png", "jpg", "jpeg", "gif", "bmp",
-                                 "pnm", "pgm", "ppm", "webp") else None)
+    p = _Probe(path)
+    r = _route(p)[1](p)
+    # decoders return px, (px, gt), (px, gt, nodata) or all four
+    if not isinstance(r, tuple):
+        r = (r,)
+    px, gt, nodata, meta = r + (None, None, {})[len(r) - 1:]
+    path = p.path
 
     # sidecar override order (gdalpamdataset.cpp): PAM geotransform/
     # nodata win; a world file fills a still-absent geotransform

@@ -1,6 +1,7 @@
 """gdalinfo / ogrinfo analogs."""
 
 import numpy as np
+import pytest
 
 from gdal_ray.functions.info import raster_info, vector_info
 
@@ -38,3 +39,29 @@ def test_vector_info():
     assert info["extent"] == (0.0, 0.0, 5.0, 6.0)
     assert info["geometry_types"] == {"Polygon": 1, "Point": 1}
     assert ("fid", "int64") in info["fields"]
+
+
+_DRIVER_NAMES = [("png", "PNG"), ("jpeg", "JPEG"), ("jpg", "JPEG"),
+                 ("gtiff", "GTiff"), ("tif", "GTiff"), ("tiff", "GTiff"),
+                 ("pnm", "PNM"), ("pgm", "PNM"), ("ppm", "PNM"),
+                 ("bmp", "BMP"), ("webp", "WEBP"), ("netcdf", "netCDF"),
+                 ("nc", "netCDF"), ("gif", "GIF")]
+
+
+@pytest.mark.parametrize("tagged", [False, True], ids=["sniffed", "tagged"])
+@pytest.mark.parametrize("fmt,name", _DRIVER_NAMES,
+                         ids=[f for f, _ in _DRIVER_NAMES])
+def test_raster_info_driver_name(fmt, name, tagged):
+    """Every encodable format (and GIF) reports its driver name, the
+    same whether the format is tagged or sniffed from the magic."""
+    from gdal_ray.codecs import encode
+    from gdal_ray.codecs.gif import encode_gif
+    px = (np.arange(48, dtype=np.uint8) * 5).reshape(4, 4, 3)
+    if fmt == "gif":
+        buf = encode_gif(px[:, :, 0] % 4,
+                         np.arange(12, dtype=np.uint8).reshape(4, 3))
+    else:
+        buf = encode(px, fmt)
+    info = raster_info(buf, fmt if tagged else None)
+    assert info["driver"] == name
+    assert info["size"] == (4, 4)
