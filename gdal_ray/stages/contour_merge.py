@@ -14,20 +14,19 @@ Tiles must be cut with a ONE-PIXEL OVERLAP column/row (tile covers
 `split_with_overlap` below produces that layout from a global grid and
 the stitcher accounts for it.
 
-Pipeline shape (identical skeleton to poly_merge):
-  per-tile map_batches → polyline pieces (length, level) + open-end
-  rows keyed by shared edge → groupby(edge) matches endpoint pairs →
-  driver union-find → broadcast component map → per-component stats.
+The merge is `seams.stitch`: TileContour emits polyline pieces (level,
+length, closed) and one boundary row per open end on a shared edge;
+`contour_pairs` matches the ends; the component stats are summed per
+(component, level).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..core.contour import contour_lines
-from .poly_merge import map_int64
+from .seams import pairs_table, piece_ids, stitch
 
 _QUANT = 1e-6
 
@@ -150,96 +149,42 @@ class TileContour:
         return None, 0.0
 
 
-def _pid(tx, ty, piece):
-    return (((int(tx) << 20) | int(ty)) << 20) | int(piece)
+def contour_pairs(t: pa.Table) -> pa.Table:
+    """One exchange bucket of open ends → (a, b) piece-id pairs. Ends
+    at the same (edge_key, level, quantized position) are one crossing;
+    a crossing seen from two or more tiles joins all its ends (the
+    pieces from different tiles pair up into one connected graph), so
+    each end is paired with the first end of its run."""
+    key = t["edge_key"].to_numpy()
+    level = t["level"].to_numpy()
+    q = np.round(t["pos"].to_numpy() / _QUANT).astype(np.int64)
+    o = np.lexsort((q, level, key))
+    key, level, q = key[o], level[o], q[o]
+    pid = piece_ids(t, "piece")[o]
+    tile = pid >> 20
+    new = np.ones(len(o), bool)
+    new[1:] = ((key[1:] != key[:-1]) | (level[1:] != level[:-1])
+               | (q[1:] != q[:-1]))
+    run = np.cumsum(new) - 1
+    first = np.flatnonzero(new)[run]
+    multi = np.bincount(run, weights=tile != tile[first]) > 0
+    keep = multi[run] & ~new
+    return pairs_table(pid[first][keep], pid[keep])
 
 
 def distributed_contour(tiles_ds, levels, as_dataset: bool = False):
     """Tile dataset (from split_with_overlap) → per-contour-component
-    stats (level, total_length, n_pieces, closed); a ray Dataset when
-    ``as_dataset=True``."""
-    import ray
-    from .join import salted_bucket
-
-    tc = TileContour(levels)
-    parts = tiles_ds.map_batches(tc, batch_format="pyarrow").materialize()
-    pieces = parts.filter(expr="kind == 'P'")
-    bounds = parts.filter(expr="kind == 'B'")
-
-    def match(g: pd.DataFrame) -> pd.DataFrame:
-        out = {"a": [], "b": []}
-        for (_, _lv), sub in g.groupby(["edge_key", "level"], sort=False):
-            if len(sub) < 2:
-                continue
-            pos = np.round(sub["pos"].to_numpy() / 1e-6).astype(np.int64)
-            ids = [_pid(r.tile_x, r.tile_y, r.piece)
-                   for r in sub.itertuples()]
-            tiles = list(zip(sub["tile_x"], sub["tile_y"]))
-            byq: dict[int, list] = {}
-            for k, q in enumerate(pos):
-                byq.setdefault(int(q), []).append(k)
-            for q, ks in byq.items():
-                # endpoints at the same quantized position from
-                # DIFFERENT tiles are the same contour crossing
-                for x in range(len(ks)):
-                    for y in range(x + 1, len(ks)):
-                        if tiles[ks[x]] != tiles[ks[y]]:
-                            out["a"].append(ids[ks[x]])
-                            out["b"].append(ids[ks[y]])
-        return pd.DataFrame({"a": pd.Series(out["a"], dtype="int64"),
-                             "b": pd.Series(out["b"], dtype="int64")})
-
-    pairs = bounds.map_batches(lambda b: salted_bucket(b, "edge_key"),
-                               batch_format="pyarrow") \
-        .groupby("bucket").map_groups(
-            lambda g: match(g), batch_format="pandas").to_pandas()
-    if "a" not in pairs.columns:
-        pairs = pd.DataFrame({"a": [], "b": []})
-
-    parent: dict[int, int] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in zip(pairs["a"], pairs["b"]):
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[rb] = ra
-    roots = {k: find(k) for k in list(parent)}
-    ref = ray.put(roots)
-
-    # piece table ∝ contours × tiles — never driver-materialized.
-    # Broadcast root map → per-batch partial combine by (component,
-    # level) → salted groupby(component) final (same shape as
-    # poly_merge's final aggregation).
-    def assign_partial(t: pa.Table) -> pa.Table:
-        cm = ray.get(ref)
-        pid = ((((t["tile_x"].to_numpy().astype(np.int64) << 20)
-                 | t["tile_y"].to_numpy()) << 20) | t["piece"].to_numpy())
-        comp = map_int64(pid, cm)
-        df = pd.DataFrame({"component": comp,
-                           "level": t["level"].to_numpy(),
-                           "length": t["length"].to_numpy(),
-                           "closed": t["closed"].to_numpy()})
-        part = df.groupby(["component", "level"], sort=False).agg(
-            total_length=("length", "sum"), n_pieces=("length", "size"),
-            closed=("closed", "all")).reset_index()
-        return pa.Table.from_pandas(part, preserve_index=False)
-
-    def final_agg(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(["component", "level"], sort=False).agg(
-            total_length=("total_length", "sum"),
-            n_pieces=("n_pieces", "sum"),
-            closed=("closed", "all")).reset_index()
-
-    agg_ds = pieces.map_batches(assign_partial, batch_format="pyarrow") \
-        .map_batches(lambda b: salted_bucket(b, "component"),
-                     batch_format="pyarrow") \
-        .groupby("bucket").map_groups(final_agg, batch_format="pandas")
+    stats (component, level, total_length, n_pieces, closed) as a
+    pandas frame, or a ray Dataset when ``as_dataset=True``."""
+    keys = ["component", "level"]
+    agg_ds = stitch(
+        tiles_ds, TileContour(levels), contour_pairs, "piece",
+        partial=(keys, [("total_length", "length", "sum"),
+                        ("n_pieces", "length", "count"),
+                        ("closed", "closed", "all")]),
+        final=(keys, [("total_length", "total_length", "sum"),
+                      ("n_pieces", "n_pieces", "sum"),
+                      ("closed", "closed", "all")]))
     if as_dataset:
         return agg_ds
     return agg_ds.to_pandas()

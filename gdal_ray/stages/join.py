@@ -212,12 +212,13 @@ def _is_rect(g) -> bool:
     return len(xs) == 2 and len(ys) == 2
 
 
-def bucket_groups(both, group_fn, n_buckets: int = N_JOIN_BUCKETS):
-    """Co-partition (cell, side, ...) rows by their salted cell bucket and
-    run the bucket kernel `group_fn` once per bucket, on Arrow tables.
-    Name `group_fn` `*_group`: the benchmark's op.group.* metrics count
-    Ray operators by that name."""
-    return both.map_batches(lambda b: salted_bucket(b, "cell", n_buckets),
+def bucket_groups(both, group_fn, n_buckets: int = N_JOIN_BUCKETS,
+                  key: str = "cell"):
+    """Co-partition rows by the salted bucket of their `key` column (a
+    join cell by default) and run the bucket kernel `group_fn` once per
+    bucket, on Arrow tables. Name `group_fn` `*_group`: the benchmark's
+    op.group.* metrics count Ray operators by that name."""
+    return both.map_batches(lambda b: salted_bucket(b, key, n_buckets),
                             batch_format="pyarrow") \
         .groupby("bucket").map_groups(group_fn, batch_format="pyarrow")
 

@@ -2,20 +2,17 @@
 
 Reference: alg/polygonize.cpp runs single-image; SURVEY §2.10 marks the
 distributed version's hard part as "groupby(value) boundary-merge of
-polygons touching tile edges". This module implements that merge:
+polygons touching tile edges". The merge is `seams.stitch`:
 
-  1. per tile (map_batches, vectorized): label components of the tile's
-     grid, compute per-component pixel areas, and extract the runs each
-     component exposes on the tile's four edges;
-  2. shuffle the edge runs by SHARED-EDGE key (the edge between tiles
-     (x,y) and (x+1,y) is one key, owned by the left tile): a
-     `groupby(edge_key)` brings both sides of every boundary together;
-     matching runs (same value, overlapping pixel intervals) become
-     merge pairs ((tile,label) ↔ (tile,label));
-  3. the pair list is tiny (∝ boundary components, not pixels): a
-     driver-side union-find assigns global component ids, broadcast
-     back as a lookup to label the per-tile pieces;
-  4. final small `groupby(component)`: total area, piece/tile counts.
+  1. per tile (TilePolygonize, vectorized): label the components of the
+     tile's grid, count their pixels, and emit the runs each component
+     exposes on the tile's four edges, keyed by SHARED edge (the edge
+     between tiles (x,y) and (x+1,y) is one key, owned by the left
+     tile), plus, for 8-connectivity, the four corner pixels keyed by
+     corner point;
+  2. `polygonize_pairs` matches the runs that meet on one edge (same
+     value, overlapping pixel intervals) into (tile,label) pairs;
+  3. the stitched component stats are summed per (component, value).
 
 Geometry stays as per-tile pieces (exact as a region, like
 intersection_pieces); the stitched statistics (area, extent, piece
@@ -26,31 +23,11 @@ shuffle; edge runs are (value, interval) integers.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..core.rastervec import label_components
-
-
-def map_int64(pid: np.ndarray, table: dict) -> np.ndarray:
-    """Map int64 ids through ``table`` (missing → identity) WITHOUT a
-    float64 round-trip: packed piece ids use bits 40-59 for tile
-    coords, so ids exceed 2^53 at tile_x/y >= 2^13 and pandas'
-    map().fillna() (which promotes to float64 on any miss) would
-    silently round them. Vectorized via searchsorted on the (small,
-    boundary-only) mapping table."""
-    out = pid.astype(np.int64, copy=True)
-    if not table:
-        return out
-    keys = np.fromiter(table.keys(), np.int64, len(table))
-    vals = np.fromiter(table.values(), np.int64, len(table))
-    order = np.argsort(keys)
-    keys, vals = keys[order], vals[order]
-    idx = np.searchsorted(keys, out)
-    idx_c = np.minimum(idx, len(keys) - 1)
-    hit = keys[idx_c] == out
-    out[hit] = vals[idx_c[hit]]
-    return out
+from .join import same_cell_pairs, split_sides
+from .seams import pairs_table, piece_ids, stitch
 
 
 def tile_pieces_and_edges(tile_id: int, grid: np.ndarray,
@@ -225,49 +202,36 @@ class TilePolygonize:
         })
 
 
-def _match_edge_group(g: pd.DataFrame, conn: int = 4) -> pd.DataFrame:
-    """All runs on one shared edge → merge pairs (same value, interval
-    overlap, opposite sides). With ``conn=8`` the overlap test widens
-    by one pixel (diagonal adjacency along the edge), and corner-point
-    groups pair the two tile diagonals (SE<->NW, SW<->NE)."""
-    out = {"a": [], "b": []}
+def polygonize_pairs(t: pa.Table, conn: int) -> pa.Table:
+    """One exchange bucket of edge runs → (a, b) piece-id pairs (same
+    edge, same value, interval overlap, opposite sides). With ``conn=8``
+    the overlap test widens by one pixel (diagonal adjacency along the
+    edge), and corner-point records pair the two tile diagonals
+    (SE<->NW, SW<->NE)."""
     # the two sides of a vertical edge are E (left tile) and W (right
     # tile); of a horizontal edge S (upper) and N (lower); corner
     # points (conn=8) pair the diagonally-opposite tiles
     sides = [("E", "W"), ("S", "N")]
     if conn == 8:
         sides += [("SE", "NW"), ("SW", "NE")]
+    out_a, out_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for sa, sb in sides:
-        A = g[g["side"] == sa]
-        B = g[g["side"] == sb]
-        if not len(A) or not len(B):
-            continue
-        av = A["value"].to_numpy(); bv = B["value"].to_numpy()
-        as_ = A["start"].to_numpy(); ae = A["end"].to_numpy()
-        bs = B["start"].to_numpy(); be = B["end"].to_numpy()
-        # piece id: (tx, ty, label) packed 20 bits each (fits z<=20
-        # tile grids and 256^2-pixel tiles in 60 bits)
-        aid = ((((A["tile_x"].to_numpy().astype(np.int64) << 20)
-                 | A["tile_y"].to_numpy()) << 20) | A["label"].to_numpy())
-        bid = ((((B["tile_x"].to_numpy().astype(np.int64) << 20)
-                 | B["tile_y"].to_numpy()) << 20) | B["label"].to_numpy())
-        if sa in ("SE", "SW"):
-            # corner-point groups: single pixels, value match suffices
-            ov = av[:, None] == bv[None, :]
-        elif conn == 8:
-            # |i-j| <= 1 between run members: intervals widened by one
-            ov = ((as_[:, None] <= be[None, :])
-                  & (bs[None, :] <= ae[:, None])
-                  & (av[:, None] == bv[None, :]))
-        else:
-            ov = ((as_[:, None] < be[None, :])
-                  & (bs[None, :] < ae[:, None])
-                  & (av[:, None] == bv[None, :]))
-        ii, jj = np.nonzero(ov)
-        out["a"].extend(aid[ii].tolist())
-        out["b"].extend(bid[jj].tolist())
-    return pd.DataFrame({"a": pd.Series(out["a"], dtype="int64"),
-                         "b": pd.Series(out["b"], dtype="int64")})
+        A, B = split_sides(t, sa, sb)
+        i, j = same_cell_pairs(A["edge_key"].to_numpy(),
+                               B["edge_key"].to_numpy())
+        ov = A["value"].to_numpy()[i] == B["value"].to_numpy()[j]
+        # corner points are single pixels: a value match suffices; runs
+        # must also overlap on [start, end), or touch at conn=8
+        if sa not in ("SE", "SW"):
+            as_, ae = A["start"].to_numpy()[i], A["end"].to_numpy()[i]
+            bs, be = B["start"].to_numpy()[j], B["end"].to_numpy()[j]
+            if conn == 8:
+                ov &= (as_ <= be) & (bs <= ae)
+            else:
+                ov &= (as_ < be) & (bs < ae)
+        out_a.append(piece_ids(A, "label")[i[ov]])
+        out_b.append(piece_ids(B, "label")[j[ov]])
+    return pairs_table(np.concatenate(out_a), np.concatenate(out_b))
 
 
 def distributed_polygonize(tiles_ds, connectedness: int = 4,
@@ -281,82 +245,17 @@ def distributed_polygonize(tiles_ds, connectedness: int = 4,
     (GDAL's -8 polygonize option) widens the edge-run overlap test by
     one pixel and adds corner-point records for the diagonal
     adjacency at points shared by four tiles."""
-    import ray
-    from .join import salted_bucket
-
     if connectedness not in (4, 8):
         raise ValueError("connectedness must be 4 or 8")
-
-    tp = TilePolygonize(connectedness)
-    parts = tiles_ds.map_batches(tp, batch_format="pyarrow").materialize()
-
-    pieces = parts.filter(expr="kind == 'P'")
-    bounds = parts.filter(expr="kind == 'B'")
-
-    def edge_groups(g: pd.DataFrame) -> pd.DataFrame:
-        frames = [r for _, sub in g.groupby("edge_key", sort=False)
-                  for r in (_match_edge_group(sub, connectedness),)
-                  if len(r)]
-        if not frames:
-            return pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                                 "b": pd.Series([], dtype="int64")})
-        return pd.concat(frames, ignore_index=True)
-
-    pairs = bounds.map_batches(lambda b: salted_bucket(b, "edge_key"),
-                               batch_format="pyarrow") \
-        .groupby("bucket").map_groups(edge_groups, batch_format="pandas") \
-        .to_pandas()
-
-    # driver-side union-find over the (small) boundary pair list
-    parent: dict[int, int] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    if "a" not in pairs.columns:   # Ray drops all-empty block schemas
-        pairs = pd.DataFrame({"a": [], "b": []})
-    for a, b in zip(pairs["a"], pairs["b"]):
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[rb] = ra
-
-    roots = {k: find(k) for k in list(parent)}
-    ref = ray.put(roots)
-
-    # the piece table is ∝ components × tiles — it must NEVER be pulled
-    # to the driver. Final aggregation is a Ray shuffle: broadcast root
-    # map → per-batch partial combine by (component, value, tile) →
-    # salted-bucket groupby(component) final. Only the per-component
-    # result (the operator's answer) leaves the cluster.
-    def assign_partial(t: pa.Table) -> pa.Table:
-        comp_map = ray.get(ref)
-        pid = ((((t["tile_x"].to_numpy().astype(np.int64) << 20)
-                 | t["tile_y"].to_numpy()) << 20) | t["label"].to_numpy())
-        comp = map_int64(pid, comp_map)
-        tile = (t["tile_x"].to_numpy().astype(np.int64) << 32) \
-            | t["tile_y"].to_numpy().astype(np.int64)
-        df = pd.DataFrame({"component": comp,
-                           "value": t["value"].to_numpy(),
-                           "tile": tile,
-                           "n_px": t["n_px"].to_numpy()})
-        part = df.groupby(["component", "value", "tile"], sort=False).agg(
-            total_px=("n_px", "sum"),
-            n_pieces=("n_px", "size")).reset_index()
-        return pa.Table.from_pandas(part, preserve_index=False)
-
-    def final_agg(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(["component", "value"], sort=False).agg(
-            total_px=("total_px", "sum"), n_pieces=("n_pieces", "sum"),
-            n_tiles=("tile", "nunique")).reset_index()
-
-    agg_ds = pieces.map_batches(assign_partial, batch_format="pyarrow") \
-        .map_batches(lambda b: salted_bucket(b, "component"),
-                     batch_format="pyarrow") \
-        .groupby("bucket").map_groups(final_agg, batch_format="pandas")
+    agg_ds = stitch(
+        tiles_ds, TilePolygonize(connectedness),
+        lambda t: polygonize_pairs(t, connectedness), "label",
+        partial=(["component", "value", "tile"],
+                 [("total_px", "n_px", "sum"), ("n_pieces", "n_px", "count")]),
+        final=(["component", "value"],
+               [("total_px", "total_px", "sum"),
+                ("n_pieces", "n_pieces", "sum"),
+                ("n_tiles", "tile", "count_distinct")]))
     if as_dataset:
         return agg_ds
     # per-component stats ARE the result: bounded by component count

@@ -58,7 +58,7 @@ class TestMapInt64:
     def test_ids_beyond_float53_survive(self):
         """Packed piece ids with tile coords >= 2^13 exceed 2^53; the
         old map().fillna() float64 round-trip corrupted them."""
-        from gdal_ray.stages.poly_merge import map_int64
+        from gdal_ray.stages.seams import map_int64
 
         big = (1 << 62) + 1          # not representable in float64
         other = (1 << 62) + 3
@@ -68,7 +68,7 @@ class TestMapInt64:
         assert out.dtype == np.int64
 
     def test_empty_map_identity(self):
-        from gdal_ray.stages.poly_merge import map_int64
+        from gdal_ray.stages.seams import map_int64
         pid = np.array([1, 2, 3], np.int64)
         assert map_int64(pid, {}).tolist() == [1, 2, 3]
 

@@ -418,6 +418,16 @@ class TestBufferConstructive:
 
 
 class TestCodecRegistry:
+    @pytest.fixture(autouse=True)
+    def codec_table(self):
+        """register_codec edits the process-wide table: put it back, in
+        its sniff order, so later tests see only the built-ins."""
+        from gdal_ray import codecs
+        saved = dict(codecs._CODECS)
+        yield
+        codecs._CODECS.clear()
+        codecs._CODECS.update(saved)
+
     def test_register_custom_codec(self):
         import numpy as np
         from gdal_ray import codecs
