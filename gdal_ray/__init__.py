@@ -2,8 +2,9 @@
 
 Re-creates the query/data-processing capabilities of GDAL (reference:
 rouault/gdal) as idiomatic Ray Data pipelines: ``ray.data.Dataset`` →
-``map_batches`` over zero-copy Arrow batches, actor pools for stateful
-stages, explicit groupby-cell shuffles for the wide steps.
+``map_batches`` over zero-copy Arrow batches, tasks with per-process
+state for stateful stages (``stages.per_process``), explicit
+groupby-cell shuffles for the wide steps.
 
 Layout:
   core/       pure numpy math: geotransform, mercator/tile math, quadkey
@@ -19,7 +20,9 @@ Layout:
   stages/     Ray Data stage builders (decode, warp, tile, join, ...).
   functions/  text analysis, dedup, similarity search, SQL engine.
   pipelines/  end-to-end composed pipelines (flagship tile+join);
-              resume manifests carry per-partition lineage + metrics.
+              ``write_pyramid``'s resume manifest carries per-level
+              lineage + metrics (tile counts, source fan-in, checksum
+              digest, wall time).
 
 Nothing in this package calls ray.init()/ray.shutdown(); sessions are
 owned by bench.py / tests / the driver.

@@ -30,6 +30,8 @@ is intersection-compatible by construction.
 
 from __future__ import annotations
 
+import copy
+import functools
 import re
 
 import numpy as np
@@ -93,14 +95,31 @@ def _substr(v, start, n=None):
     return out.to_numpy()
 
 
+_BUILTIN_FUNCS = dict(_SQL_FUNCS)
+
+
 def register_sql_function(name: str, fn) -> None:
     """Register a scalar SQL function usable in any expression of the
     dialect. It is called with one numpy array per column argument (a
     plain Python scalar for a literal one) and returns an array of the
-    batch's length or a scalar; NaN in its result reads as NULL."""
+    batch's length or a scalar; NaN in its result reads as NULL.
+    ``unregister_sql_function`` undoes it."""
     if not callable(fn):
         raise TypeError("sql function must be callable")
     _SQL_FUNCS[name.upper()] = fn
+
+
+def unregister_sql_function(name: str) -> None:
+    """Undo ``register_sql_function``: the name is unknown again, or a
+    built-in it replaced is back. KeyError when nothing is registered
+    under the name."""
+    key = name.upper()
+    if key not in _SQL_FUNCS or _SQL_FUNCS[key] is _BUILTIN_FUNCS.get(key):
+        raise KeyError(f"no registered sql function {name!r}")
+    if key in _BUILTIN_FUNCS:
+        _SQL_FUNCS[key] = _BUILTIN_FUNCS[key]
+    else:
+        del _SQL_FUNCS[key]
 
 
 def tokenize(sql: str):
@@ -711,6 +730,209 @@ def _sort(t: pa.Table, order) -> pa.Table:
                       for k, (_, d) in zip(keys, order)])
 
 
+# ---------------------------------------------------------------------------
+# read pushdown: a Parquet table is read with only the columns a statement
+# names and, for the primary table, only the rows its filters can keep
+# (the layer attribute filter pushed to the source, OGRLayer::
+# SetAttributeFilter, ogr/ogrsf_frmts/generic/ogrlayer.cpp:752)
+# ---------------------------------------------------------------------------
+
+def _names(node, out: set) -> set:
+    """Add every column name an AST reads to ``out`` (a qualified name
+    by its bare column)."""
+    if isinstance(node, tuple) and node[:1] in (("col",), ("qcol",)):
+        out.add(node[-1])
+    elif isinstance(node, (tuple, list)):
+        # every part: CASE's (condition, value) pairs start with a node,
+        # not a tag, and an in_set's values or a literal add no name
+        for part in node:
+            _names(part, out)
+    return out
+
+
+def _referenced(q: dict) -> set:
+    """The column names a resolved statement reads, from any table."""
+    out = _names([[e for e, _ in q["items"]], q["where"], q["having"],
+                  [on for _, _, on in q["joins"]]], set())
+    out.update(q["group"] or [])
+    out.update(c for c, _ in q["order"])
+    # a join suffix (v_x, v_y) reads v on every side that has it, so a
+    # clash stays a clash and the suffixes stay what they were
+    for n in list(out):
+        while n.endswith(("_x", "_y")):
+            n = n[:-2]
+            out.add(n)
+    return out
+
+
+def _conjuncts(e) -> list:
+    if e is None:
+        return []
+    if e[0] == "bin" and e[1] == "AND":
+        return _conjuncts(e[2]) + _conjuncts(e[3])
+    return [e]
+
+
+def _literal(e):
+    """A literal operand's value (-n parses as -1 * n), else None."""
+    if e[0] == "lit":
+        return e[1]
+    if (e[0] == "bin" and e[1] == "*" and e[2] == ("lit", -1)
+            and e[3][0] == "lit" and isinstance(e[3][1], (int, float))):
+        return -e[3][1]
+    return None
+
+
+def _conjunct_filter(c, cols: set):
+    """A WHERE conjunct over one of ``cols`` as an Arrow dataset filter
+    built from the evaluator's own kernels and literal types, or None
+    when it is not a comparison, BETWEEN or IN of that column against
+    literals (or a resolved IN-subquery's value set)."""
+    def field(x):
+        return pc.field(x[-1]) if x[0] in ("col", "qcol") \
+            and x[-1] in cols else None
+
+    def lit(x):
+        v = _literal(x)
+        return None if v is None else pc.scalar(pa.scalar(v))
+
+    kind = c[0]
+    if kind == "bin" and c[1] in _CMP:
+        # one side the column, the other a literal, in either order
+        fl, fr = field(c[2]), field(c[3])
+        args = [fl, lit(c[3])] if fr is None else [lit(c[2]), fr]
+        if (fl is None) == (fr is None) or any(a is None for a in args):
+            return None
+        return _CMP[c[1]](*args)
+    f = field(c[1])
+    if f is None:
+        return None
+    if kind == "between":
+        lo, hi = lit(c[2]), lit(c[3])
+        if lo is None or hi is None:
+            return None
+        return pc.and_kleene(pc.greater_equal(f, lo), pc.less_equal(f, hi))
+    if kind == "in":
+        vals = [_literal(x) for x in c[2]]
+        return None if None in vals else pc.is_in(f, value_set=pa.array(vals))
+    if kind == "in_set":
+        return pc.is_in(f, value_set=pa.array(list(c[2])))
+    return None
+
+
+def _key_filter(keys, column: str, ty: pa.DataType):
+    """A build side's join keys as a value-set filter on ``column``."""
+    return pc.is_in(pc.field(column),
+                    value_set=pc.unique(keys.cast(ty)).drop_null())
+
+
+def _pushdown(where, joins, schema: pa.Schema, file_cols: set):
+    """The row filter a primary read can apply ahead of the statement:
+    the top-level AND conjuncts of WHERE that ``_conjunct_filter``
+    accepts, over a primary column no join table also names, and each
+    broadcast INNER JOIN's build keys on the probe column. It only
+    pre-filters (the full WHERE still runs, so NULLs behave as before);
+    a filter the evaluator or Arrow rejects for its types is left out,
+    and the WHERE reports the error. None when nothing qualifies."""
+    joined = [set(right.column_names) for right, *_ in joins]
+    cols = file_cols - set().union(*joined)
+    candidates = [(c, functools.partial(_conjunct_filter, c, cols))
+                  for c in _conjuncts(where)]
+    for i, (right, how, lk, rk) in enumerate(joins):
+        # a LEFT JOIN keeps unmatched rows; float keys stay out, as
+        # nothing pins hash-join and value-set equality on NaN and
+        # signed zeros to agree
+        if (how == "inner" and lk in file_cols
+                and not any(lk in n for j, n in enumerate(joined) if j != i)
+                and not pa.types.is_floating(schema.field(lk).type)):
+            candidates.append((None, functools.partial(
+                _key_filter, right[rk], lk, schema.field(lk).type)))
+    empty = schema.empty_table()
+    keep = []
+    for c, make in candidates:
+        try:
+            expr = make()
+            if expr is None:
+                continue
+            if c is not None:
+                _eval_arrow(c, empty)
+            empty.filter(expr)
+        except (ValueError, pa.ArrowException):
+            continue
+        keep.append(expr)
+    return functools.reduce(pc.and_kleene, keep) if keep else None
+
+
+def _parquet_source(ds) -> dict | None:
+    """A bare Parquet read (``ray.data.read_parquet`` with nothing
+    applied after it) as ``{"schema", "file_cols", "read"}``: the schema
+    it yields, the names of that schema stored in the files (not parsed
+    from partition paths), and ``read(columns, pred)``, which issues it
+    again reading only ``columns`` (names of that schema) and the rows
+    the Arrow expression ``pred`` keeps (ANDed with any filter it had).
+    The new read reuses the file list, footers and sampled sizes the
+    old one fetched, so it costs no I/O before it runs. None for every
+    other Dataset. This is the one place that touches Ray Data's private
+    plan (``ray.data._internal``); tests/test_sql.py::TestPushdown pins
+    it."""
+    try:
+        from ray.data._internal.datasource.parquet_datasource import \
+            ParquetDatasource
+        from ray.data._internal.logical.operators.read_operator import Read
+        from ray.data.datasource.partitioning import PathPartitionParser
+    except ImportError:
+        return None
+    op = getattr(getattr(ds, "_logical_plan", None), "dag", None)
+    if not (isinstance(op, Read)
+            and isinstance(op._datasource, ParquetDatasource)):
+        return None
+    src = op._datasource
+    if (src._block_udf is not None or src._include_paths
+            or src._read_schema is not None or not src._pq_paths):
+        return None
+    schema = src._inferred_schema
+    parts = PathPartitionParser(src._partitioning)(src._pq_paths[0]) \
+        if src._partitioning is not None else {}
+    file_cols = set(schema.names) - set(parts)
+
+    def read(columns: list, pred=None):
+        import ray.data as rd
+        new = copy.copy(src)
+        new._data_columns = [c for c in columns if c in file_cols]
+        new._partition_columns = [c for c in columns if c not in file_cols]
+        new._inferred_schema = pa.schema([schema.field(c) for c in columns],
+                                         schema.metadata)
+        old = src._to_batches_kwargs.get("filter")
+        if pred is not None and old is not None:
+            pred = old & pred
+        new._to_batches_kwargs = dict(src._to_batches_kwargs,
+                                      filter=old if pred is None else pred)
+        return rd.read_datasource(
+            new, ray_remote_args=dict(op._ray_remote_args),
+            concurrency=op._concurrency,
+            override_num_blocks=op._parallelism
+            if op._parallelism > 0 else None)
+
+    return {"schema": schema, "file_cols": file_cols, "read": read}
+
+
+def _narrow(ds, need: set, where=None, joins=()):
+    """``ds`` read again with only the columns in ``need`` (never more
+    than it read) and, given the statement's WHERE and broadcast joins,
+    only the rows ``_pushdown`` lets through. Any Dataset other than a
+    bare Parquet read comes back as it is."""
+    src = _parquet_source(ds)
+    if src is None:
+        return ds
+    schema = src["schema"]
+    # a statement that names no column (COUNT(*)) still reads one
+    cols = [n for n in schema.names if n in need] or schema.names[:1]
+    pred = _pushdown(where, joins, schema, src["file_cols"])
+    if cols == schema.names and pred is None:
+        return ds
+    return src["read"](cols, pred)
+
+
 def execute_sql(sql: str, tables: dict, as_dataset: bool = False):
     """Run a SELECT against {'name': ray Dataset}; returns a pandas
     DataFrame (results are the reduced side).
@@ -720,7 +942,20 @@ def execute_sql(sql: str, tables: dict, as_dataset: bool = False):
     mapped Dataset itself — NOTHING is materialized on the driver, the
     scan streams block-by-block no matter how large the layer is (the
     100 TB `SELECT *` path). Reduced results (aggregates, top-k, offset
-    slices) are bounded by construction and come back wrapped."""
+    slices) are bounded by construction and come back wrapped.
+
+    A table given as a bare ``ray.data.read_parquet`` Dataset is read
+    again with only the columns the statement names (SELECT, WHERE,
+    GROUP BY, HAVING, ORDER BY, JOIN ON) and, for the FROM table, a row
+    filter made of what the read can decide alone: the top-level AND
+    conjuncts of WHERE that compare a column with literals (=, <>, <,
+    <=, >, >=, BETWEEN, IN (...)), the value set of a resolved IN
+    (SELECT ...), and the keys of a broadcast INNER JOIN. Never pushed:
+    OR, NOT, LIKE, IS NULL, functions, CASE, a column a join table also
+    names, LEFT JOIN keys, HAVING; a read's own ``columns=`` is never
+    widened, and every other source is read as it is. The filter only
+    pre-filters: the full WHERE still runs on what is read, so the
+    result is the same with or without it."""
     return _execute_ast(parse_select(sql), tables, as_dataset)
 
 
@@ -748,14 +983,17 @@ def _resolve_subqueries(node, tables):
 def _execute_ast(q: dict, tables: dict, as_dataset: bool = False):
     if q["table"] not in tables:
         raise ValueError(f"unknown table {q['table']!r}")
-    ds = tables[q["table"]]
-    joins = _join_spec(q, tables)
     q = dict(q)
+    # subqueries resolve first: their value sets may narrow the reads
     q["items"] = [(_resolve_subqueries(e, tables), a)
                   for e, a in q["items"]]
     for key in ("where", "having"):
         if q.get(key) is not None:
             q[key] = _resolve_subqueries(q[key], tables)
+    need = _referenced(q)
+    joins = _join_spec(q, {jt: _narrow(tables[jt], need)
+                           for jt, _, _ in q["joins"] if jt in tables})
+    ds = _narrow(tables[q["table"]], need, q["where"], joins)
     # custom scalar functions registered on the driver must reach the
     # workers: ship a snapshot of the registry in the closures
     fsnap = dict(_SQL_FUNCS)

@@ -7,7 +7,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from gdal_ray.functions.sql import execute_sql, parse_select
+from gdal_ray.functions.sql import (_parquet_source, execute_sql,
+                                    parse_select)
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +24,23 @@ def data(ray_session):
         "name": [f"item{i:05d}" for i in range(n)],
     })
     return rd.from_pandas(df).repartition(8), df
+
+
+@pytest.fixture(scope="module")
+def data_pq(data, tmp_path_factory):
+    """The same table as ``data``, written as four Parquet files and
+    read back with read_parquet, so statements run with the reads
+    narrowed to the columns and rows they need."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    _, df = data
+    root = tmp_path_factory.mktemp("sql_pq")
+    t = pa.Table.from_pandas(df, preserve_index=False)
+    for i in range(4):
+        pq.write_table(t.slice(i * 1250, 1250), root / f"part{i}.parquet")
+    ds = rd.read_parquet(str(root))
+    assert _parquet_source(ds) is not None      # the reads get narrowed
+    return ds, df
 
 
 STATEMENTS = [
@@ -57,16 +75,24 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
+def assert_matches_duckdb(ds, df, sql, **tol):
+    got = canon(execute_sql(sql, {"t": ds}))
+    con = duckdb.connect()
+    con.register("t", df)
+    want = canon(con.execute(sql).df())
+    pd.testing.assert_frame_equal(got, want, check_dtype=False, **tol)
+
+
 class TestVsDuckdb:
     @pytest.mark.parametrize("sql", STATEMENTS,
                              ids=[s[:40] for s in STATEMENTS])
     def test_matches(self, data, sql):
-        ds, df = data
-        got = canon(execute_sql(sql, {"t": ds}))
-        con = duckdb.connect()
-        con.register("t", df)
-        want = canon(con.execute(sql).df())
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+        assert_matches_duckdb(*data, sql)
+
+    @pytest.mark.parametrize("sql", STATEMENTS,
+                             ids=[s[:40] for s in STATEMENTS])
+    def test_matches_parquet(self, data_pq, sql):
+        assert_matches_duckdb(*data_pq, sql)
 
 
 class TestErrors:
@@ -127,41 +153,51 @@ def _where(draw):
     return joiner.join(clauses)
 
 
+_scalar_items = st.lists(st.sampled_from(
+    ["k", "cat", "v", "w", "name", "v * w", "v + k", "w - k"]),
+    min_size=1, max_size=4, unique=True)
+_group = st.lists(st.sampled_from(["k", "cat"]), min_size=0, max_size=2,
+                  unique=True)
+_aggs = st.lists(st.sampled_from(
+    ["COUNT(*)", "SUM(w)", "MIN(v)", "MAX(v)", "AVG(v)", "SUM(v * w)",
+     "COUNT(w)"]), min_size=1, max_size=4, unique=True)
+
+
+def _scalar_sql(where, items):
+    sel = ", ".join(f"{it} AS c{i}" for i, it in enumerate(items))
+    return f"SELECT {sel} FROM t WHERE {where}"
+
+
+def _aggregate_sql(where, group, aggs):
+    sel_items = group + [f"{a} AS a{i}" for i, a in enumerate(aggs)]
+    sql = f"SELECT {', '.join(sel_items)} FROM t WHERE {where}"
+    if group:
+        sql += f" GROUP BY {', '.join(group)}"
+    return sql
+
+
 class TestFuzzVsDuckdb:
     @settings(max_examples=40, deadline=None)
-    @given(_where(), st.lists(st.sampled_from(
-        ["k", "cat", "v", "w", "name", "v * w", "v + k", "w - k"]),
-        min_size=1, max_size=4, unique=True))
+    @given(_where(), _scalar_items)
     def test_scalar_queries(self, data, where, items):
-        ds, df = data
-        sel = ", ".join(f"{it} AS c{i}" for i, it in enumerate(items))
-        sql = f"SELECT {sel} FROM t WHERE {where}"
-        got = canon(execute_sql(sql, {"t": ds}))
-        con = duckdb.connect()
-        con.register("t", df)
-        want = canon(con.execute(sql).df())
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+        assert_matches_duckdb(*data, _scalar_sql(where, items))
 
     @settings(max_examples=40, deadline=None)
-    @given(_where(),
-           st.lists(st.sampled_from(["k", "cat"]), min_size=0, max_size=2,
-                    unique=True),
-           st.lists(st.sampled_from(
-               ["COUNT(*)", "SUM(w)", "MIN(v)", "MAX(v)", "AVG(v)",
-                "SUM(v * w)", "COUNT(w)"]),
-               min_size=1, max_size=4, unique=True))
+    @given(_where(), _group, _aggs)
     def test_aggregate_queries(self, data, where, group, aggs):
-        ds, df = data
-        sel_items = group + [f"{a} AS a{i}" for i, a in enumerate(aggs)]
-        sql = f"SELECT {', '.join(sel_items)} FROM t WHERE {where}"
-        if group:
-            sql += f" GROUP BY {', '.join(group)}"
-        got = canon(execute_sql(sql, {"t": ds}))
-        con = duckdb.connect()
-        con.register("t", df)
-        want = canon(con.execute(sql).df())
-        pd.testing.assert_frame_equal(got, want, check_dtype=False,
-                                      atol=1e-6)
+        assert_matches_duckdb(*data, _aggregate_sql(where, group, aggs),
+                              atol=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_where(), _scalar_items)
+    def test_scalar_queries_parquet(self, data_pq, where, items):
+        assert_matches_duckdb(*data_pq, _scalar_sql(where, items))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_where(), _group, _aggs)
+    def test_aggregate_queries_parquet(self, data_pq, where, group, aggs):
+        assert_matches_duckdb(*data_pq, _aggregate_sql(where, group, aggs),
+                              atol=1e-6)
 
 
 class TestCountDistinctHaving:
@@ -177,12 +213,7 @@ class TestCountDistinctHaving:
 
     @pytest.mark.parametrize("sql", CASES, ids=[c[:45] for c in CASES])
     def test_matches_duckdb(self, data, sql):
-        ds, df = data
-        got = canon(execute_sql(sql, {"t": ds}))
-        con = duckdb.connect()
-        con.register("t", df)
-        want = canon(con.execute(sql).df())
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+        assert_matches_duckdb(*data, sql)
 
 
 class TestJoinStddevOffset:
@@ -276,11 +307,33 @@ class TestExtensionHooks:
         import ray.data as rd
         import pandas as pd
         from gdal_ray.functions.sql import execute_sql, register_sql_function
+        from gdal_ray.functions.sql import unregister_sql_function
         register_sql_function("TRIPLE_IT", lambda v: v * 3)
-        t = {"t": rd.from_pandas(pd.DataFrame({"a": [2.0, 4.0]}))}
-        out = execute_sql("SELECT TRIPLE_IT(a) AS d FROM t "
-                          "WHERE TRIPLE_IT(a) > 7", t)
-        assert out["d"].tolist() == [12.0]
+        try:
+            t = {"t": rd.from_pandas(pd.DataFrame({"a": [2.0, 4.0]}))}
+            out = execute_sql("SELECT TRIPLE_IT(a) AS d FROM t "
+                              "WHERE TRIPLE_IT(a) > 7", t)
+            assert out["d"].tolist() == [12.0]
+        finally:
+            unregister_sql_function("TRIPLE_IT")
+
+    def test_unregister_restores_registry(self):
+        import pytest
+        from gdal_ray.functions.sql import (_SQL_FUNCS,
+                                            register_sql_function,
+                                            unregister_sql_function)
+        builtin = _SQL_FUNCS["ROUND"]
+        register_sql_function("halve_it", lambda v: v / 2)
+        register_sql_function("ROUND", lambda v, nd=0: v)
+        unregister_sql_function("HALVE_IT")
+        unregister_sql_function("round")
+        assert "HALVE_IT" not in _SQL_FUNCS
+        assert _SQL_FUNCS["ROUND"] is builtin
+        with pytest.raises(ValueError):      # a column, then "(": no call
+            parse_select("SELECT HALVE_IT(a) AS h FROM t")
+        for name in ("HALVE_IT", "ROUND"):
+            with pytest.raises(KeyError):
+                unregister_sql_function(name)
 
     def test_pixel_function_registration(self):
         import numpy as np
@@ -619,14 +672,19 @@ class TestArrowFastPath:
         """CAST(a AS INTEGER) has one result type: adding a UDF item
         to the same SELECT does not change it."""
         import ray.data as rd
-        from gdal_ray.functions.sql import register_sql_function
+        from gdal_ray.functions.sql import (register_sql_function,
+                                            unregister_sql_function)
         register_sql_function("PLUS_ONE", lambda v: v + 1)
-        ds = rd.from_arrow(pa.table({"a": [1.4, 2.6, 3.5],
-                                     "k": [1, 2, 3]}))
-        plain = execute_sql("SELECT CAST(a AS INTEGER) AS ai, k FROM t "
-                            "ORDER BY k", {"t": ds})
-        udf = execute_sql("SELECT CAST(a AS INTEGER) AS ai, k, "
-                          "PLUS_ONE(k) AS k1 FROM t ORDER BY k", {"t": ds})
+        try:
+            ds = rd.from_arrow(pa.table({"a": [1.4, 2.6, 3.5],
+                                         "k": [1, 2, 3]}))
+            plain = execute_sql("SELECT CAST(a AS INTEGER) AS ai, k FROM t "
+                                "ORDER BY k", {"t": ds})
+            udf = execute_sql("SELECT CAST(a AS INTEGER) AS ai, k, "
+                              "PLUS_ONE(k) AS k1 FROM t ORDER BY k",
+                              {"t": ds})
+        finally:
+            unregister_sql_function("PLUS_ONE")
         assert plain["ai"].dtype == udf["ai"].dtype == np.int64
         assert udf["ai"].tolist() == [1, 3, 4]
         assert udf["k1"].tolist() == [2, 3, 4]
@@ -647,3 +705,217 @@ class TestArrowFastPath:
         assert (res["a"] % 2 == 0).all()
         assert ((res["f2"].abs() <= 1.0 + 1e-9)).all()
         assert set(res["sgn"]) <= {"p", "n"}
+
+
+class TestPushdown:
+    """A bare Parquet read is issued again with only the columns a
+    statement names and the rows its pushable filters keep; every other
+    source is left alone, and results never change."""
+
+    @staticmethod
+    def _write(tmp_path, name, table):
+        import pyarrow.parquet as pq
+        import ray.data as rd
+        path = str(tmp_path / f"{name}.parquet")
+        pq.write_table(table, path)
+        return rd.read_parquet(path), rd.from_arrow(table)
+
+    @staticmethod
+    def _read_of(ds):
+        """The columns and filter the narrowed Dataset's Read carries
+        (Ray Data's private plan, as _parquet_source reads it)."""
+        src = ds._logical_plan.dag._datasource
+        return src._data_columns, src._to_batches_kwargs.get("filter")
+
+    def _same(self, sql, pq_tables, mem_tables):
+        got = canon(execute_sql(sql, pq_tables))
+        want = canon(execute_sql(sql, mem_tables))
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+    def test_column_walk_covers_every_node_kind(self):
+        from gdal_ray.functions.sql import _names, _referenced
+        col = ("col", "a")
+        nodes = {
+            "case": (("case", ("col", "op"),
+                      [(("bin", ">", ("col", "cond"), ("lit", 1)),
+                        ("col", "then"))], ("col", "else")),
+                     {"op", "cond", "then", "else"}),
+            "func": (("func", "ROUND", [col, ("lit", 2)]), {"a"}),
+            "cast": (("cast", col, "INTEGER"), {"a"}),
+            "in_sub": (("in_sub", col, {"items": [(("col", "z"), None)]}),
+                       {"a"}),
+            "in_set": (("in_set", col, ["col", "b"]), {"a"}),
+            "qcol": (("qcol", "t", "b"), {"b"}),
+            "agg": (("agg", "SUM", ("bin", "*", col, ("col", "w"))),
+                    {"a", "w"}),
+            "count_star": (("agg", "COUNT", "*"), set()),
+            "between": (("between", col, ("col", "lo"), ("lit", 3)),
+                        {"a", "lo"}),
+            "like": (("like", ("col", "s"), ("lit", "%x")), {"s"}),
+            "isnull": (("not", ("isnull", col)), {"a"}),
+            "in": (("in", col, [("lit", "col"), ("col", "c")]), {"a", "c"}),
+        }
+        for kind, (node, want) in nodes.items():
+            assert _names(node, set()) == want, kind
+        q = parse_select(
+            "SELECT CASE WHEN p > 1 THEN 'x' ELSE 'y' END AS bucket, "
+            "COUNT(*) AS n, SUM(v_x) AS s FROM t JOIN j ON t.k = j.jk "
+            "WHERE w BETWEEN 1 AND 2 GROUP BY bucket HAVING MAX(h) > 1 "
+            "ORDER BY n")
+        assert _referenced(q) == {"p", "bucket", "n", "v_x", "v", "k",
+                                  "jk", "w", "h"}
+
+    def test_plan_carries_pruned_columns_and_filter(self, ray_session,
+                                                    tmp_path):
+        from gdal_ray.functions.sql import _narrow, _parquet_source
+        t = pa.table({"a": [1, 2, 3], "b": ["x", "y", "z"],
+                      "c": [0.5, 1.5, 2.5]})
+        ds, _ = self._write(tmp_path, "t", t)
+        src = _parquet_source(ds)
+        assert src["schema"] == t.schema
+        assert src["file_cols"] == {"a", "b", "c"}
+        q = parse_select("SELECT b FROM t WHERE a > 1 AND c < 2.0")
+        narrowed = _narrow(ds, {"b", "zz"}, q["where"])
+        cols, filt = self._read_of(narrowed)
+        assert cols == ["b"]
+        assert str(filt) == "((a > 1) and (c < 2))"
+        assert narrowed.take_all() == [{"b": "y"}]
+        # a statement that names no column still reads one
+        assert self._read_of(_narrow(ds, set()))[0] == ["a"]
+        # every column named and nothing pushable: the read is kept
+        assert _narrow(ds, {"a", "b", "c"}) is ds
+
+    def test_caller_columns_never_widened(self, ray_session, tmp_path):
+        import ray.data as rd
+        from gdal_ray.functions.sql import _narrow
+        t = pa.table({"a": [1, 2, 3], "b": ["x", "y", "z"],
+                      "c": [0.5, 1.5, 2.5]})
+        self._write(tmp_path, "t", t)
+        ds = rd.read_parquet(str(tmp_path / "t.parquet"), columns=["c", "a"])
+        assert self._read_of(_narrow(ds, {"a", "b"}))[0] == ["a"]
+        assert _narrow(ds, {"a", "b", "c"}) is ds
+        with pytest.raises(ValueError, match="unknown column 'b'"):
+            execute_sql("SELECT b FROM t WHERE a > 1", {"t": ds})
+        out = execute_sql("SELECT a FROM t WHERE c > 1.0 ORDER BY a",
+                          {"t": ds})
+        assert out["a"].tolist() == [2, 3]
+
+    def test_other_sources_untouched(self, ray_session, tmp_path):
+        from gdal_ray.functions.sql import _narrow, _parquet_source
+        t = pa.table({"a": [1, 2, 3], "b": ["x", "y", "z"]})
+        pq_ds, mem = self._write(tmp_path, "t", t)
+        where = parse_select("SELECT a FROM t WHERE a > 1")["where"]
+        mapped = pq_ds.map_batches(lambda b: b, batch_format="pyarrow")
+        for ds in (mem, mapped, pq_ds.materialize()):
+            assert _parquet_source(ds) is None
+            assert _narrow(ds, {"a"}, where) is ds
+
+    def test_suffix_clash_keeps_both_sides(self, ray_session, tmp_path):
+        t = pa.table({"k": [1, 2, 3, 4], "v": [10.0, 20.0, 30.0, 40.0],
+                      "u": ["p", "q", "r", "s"]})
+        j = pa.table({"jk": [1, 2, 3], "v": [0.5, 0.25, 0.125],
+                      "u": ["a", "b", "c"]})
+        (tp, tm), (jp, jm) = (self._write(tmp_path, "t", t),
+                              self._write(tmp_path, "j", j))
+        pq_tabs, mem_tabs = {"t": tp, "j": jp}, {"t": tm, "j": jm}
+        for sql in ["SELECT k, v_x, v_y FROM t JOIN j ON t.k = j.jk "
+                    "ORDER BY k",
+                    "SELECT k, v_y FROM t LEFT JOIN j ON t.k = j.jk "
+                    "WHERE v_x > 15 ORDER BY k",
+                    "SELECT SUM(v_x * v_y) AS s FROM t JOIN j "
+                    "ON t.k = j.jk WHERE k < 4"]:
+            self._same(sql, pq_tabs, mem_tabs)
+        # an unsuffixed name both sides hold stays unknown, as before:
+        # it is not pushed, so no filtered-out read hides the error
+        for tabs in (pq_tabs, mem_tabs):
+            with pytest.raises(ValueError, match="unknown column 'v'"):
+                execute_sql("SELECT k FROM t JOIN j ON t.k = j.jk "
+                            "WHERE v > 1000", tabs)
+
+    def test_inner_join_keys_filter_the_probe_read(self, ray_session,
+                                                   tmp_path):
+        from gdal_ray.functions.sql import _join_spec, _narrow
+        t = pa.table({"k": [1, 2, 3, 4, None], "x": [1, 2, 3, 4, 5]})
+        j = pa.table({"jk": [2, 4, 4], "seg": ["a", "b", "c"]})
+        (tp, tm), (jp, jm) = (self._write(tmp_path, "t", t),
+                              self._write(tmp_path, "j", j))
+        for how in ("JOIN", "LEFT JOIN"):
+            sql = (f"SELECT x, seg FROM t {how} j ON t.k = j.jk "
+                   "ORDER BY x, seg")
+            self._same(sql, {"t": tp, "j": jp}, {"t": tm, "j": jm})
+            q = parse_select(sql)
+            joins = _join_spec(q, {"j": jm})
+            filt = self._read_of(_narrow(tp, {"k", "x"}, None, joins))[1]
+            assert (filt is None) == (how == "LEFT JOIN")
+
+    def test_group_by_alias_and_unselected_order(self, ray_session,
+                                                 tmp_path, data):
+        _, df = data
+        ds, _ = self._write(tmp_path, "t",
+                            pa.Table.from_pandas(df, preserve_index=False))
+        for sql in [
+                "SELECT CASE WHEN v > 100 THEN 'hi' ELSE 'lo' END AS "
+                "bucket, COUNT(*) AS n, SUM(w) AS sw FROM t WHERE k > 2 "
+                "GROUP BY bucket ORDER BY bucket",
+                "SELECT name FROM t WHERE w < 5 ORDER BY v DESC, name "
+                "LIMIT 7",
+                "SELECT name FROM t WHERE k IN (2, 3) AND w < 4 "
+                "ORDER BY v"]:
+            assert_matches_duckdb(ds, df, sql)
+        out = execute_sql("SELECT name FROM t WHERE w < 5 ORDER BY v "
+                          "DESC LIMIT 3", {"t": ds})
+        assert list(out.columns) == ["name"]
+
+    def test_empty_in_subquery_set(self, ray_session, tmp_path, data):
+        _, df = data
+        ds, _ = self._write(tmp_path, "t",
+                            pa.Table.from_pandas(df, preserve_index=False))
+        for sql in [
+                "SELECT COUNT(*) AS n, SUM(v) AS sv FROM t WHERE k IN "
+                "(SELECT k FROM t WHERE v > 1000000)",
+                "SELECT k, COUNT(*) AS n FROM t WHERE k IN "
+                "(SELECT k FROM t WHERE v > 1000000) GROUP BY k"]:
+            assert_matches_duckdb(ds, df, sql)
+        out = execute_sql("SELECT name, v FROM t WHERE k IN (SELECT k "
+                          "FROM t WHERE v > 1000000) AND w > 1", {"t": ds})
+        assert len(out) == 0 and list(out.columns) == ["name", "v"]
+
+    def test_not_in_over_nulls_unchanged(self, ray_session, tmp_path):
+        """NOT is never pushed: NOT IN reads a NULL input as the
+        evaluator does, with or without the pushed IN beside it."""
+        t = pa.table({"a": pa.array([1, 2, 3, 4, None, 6], pa.int64()),
+                      "s": ["x", None, "y", "x", "z", None]})
+        pq_ds, mem = self._write(tmp_path, "t", t)
+        for sql in ["SELECT a, s FROM t WHERE s NOT IN ('x')",
+                    "SELECT a FROM t WHERE a NOT IN (SELECT a FROM t "
+                    "WHERE s = 'x') AND a IN (1, 2, 3, 6)",
+                    "SELECT s FROM t WHERE a IN (SELECT a FROM t WHERE "
+                    "s IS NULL) AND s NOT IN ('y')"]:
+            self._same(sql, {"t": pq_ds}, {"t": mem})
+
+    def test_ill_typed_conjunct_still_raises(self, ray_session, tmp_path):
+        t = pa.table({"a": [1, 2, 3], "s": ["x", "y", "z"]})
+        pq_ds, mem = self._write(tmp_path, "t", t)
+        for ds in (pq_ds, mem):
+            with pytest.raises(ValueError, match=r"\(s = 5\)"):
+                execute_sql("SELECT a FROM t WHERE s = 5 AND a > 1",
+                            {"t": ds})
+            with pytest.raises(ValueError, match="IN"):
+                execute_sql("SELECT a FROM t WHERE a IN (1, 'x')",
+                            {"t": ds})
+
+    def test_hive_partition_columns(self, ray_session, tmp_path):
+        """A partition column is read from the paths, never filtered in
+        the files."""
+        import pyarrow.parquet as pq
+        import ray.data as rd
+        t = pa.table({"cat": ["a", "b", "a", "c", "b"],
+                      "v": [1.0, 2.0, 3.0, 4.0, 5.0], "w": [1, 2, 3, 4, 5]})
+        pq.write_to_dataset(t, str(tmp_path / "h"), partition_cols=["cat"])
+        ds = rd.read_parquet(str(tmp_path / "h"))
+        assert _parquet_source(ds)["file_cols"] == {"v", "w"}
+        for sql in ["SELECT cat, SUM(v) AS s FROM t WHERE cat IN ('a', "
+                    "'b') AND w > 1 GROUP BY cat ORDER BY cat",
+                    "SELECT v FROM t WHERE cat = 'a' ORDER BY v",
+                    "SELECT COUNT(*) AS n FROM t WHERE v > 1.5"]:
+            self._same(sql, {"t": ds}, {"t": rd.from_arrow(t)})
