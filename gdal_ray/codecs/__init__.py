@@ -159,6 +159,9 @@ _CODECS: dict[str, Codec] = _table(
 )
 
 
+_BUILTIN_CODECS = dict(_CODECS)
+
+
 def register_codec(fmt: str, encode_fn, decode_fn, sniffer=None) -> None:
     """Register a user image codec at the front of the table:
     encode_fn(img, **kw) -> bytes, decode_fn(bytes) -> ndarray; optional
@@ -170,6 +173,20 @@ def register_codec(fmt: str, encode_fn, decode_fn, sniffer=None) -> None:
     _CODECS.clear()
     _CODECS[fmt] = Codec(fmt, sniffer, _pixels(decode_fn), encode_fn)
     _CODECS.update(rest)
+
+
+def unregister_codec(fmt: str) -> None:
+    """Undo ``register_codec``: the table is as if ``fmt`` had never
+    been registered (a built-in it replaced is back in its sniff
+    place). KeyError when no user codec is registered under ``fmt``."""
+    if _CODECS.get(fmt) is _BUILTIN_CODECS.get(fmt):
+        raise KeyError(f"no registered codec {fmt!r}")
+    user = {k: v for k, v in _CODECS.items()
+            if k != fmt and v is not _BUILTIN_CODECS.get(k)}
+    _CODECS.clear()
+    _CODECS.update(user)
+    _CODECS.update((k, v) for k, v in _BUILTIN_CODECS.items()
+                   if k not in user)
 
 
 def find(buf: bytes, fmt: str | None = None) -> Codec:

@@ -496,21 +496,25 @@ def _eval_node(e, t: pa.Table, funcs: dict):
         return pc.is_null(ev(e[1]), nan_is_null=True)
     if kind == "not":
         return pc.invert(_aw_bool(ev(e[1])))
+    # IN, BETWEEN and LIKE are three-valued, as in SQL: a NULL input
+    # gives NULL, which WHERE drops and NOT leaves NULL
     if kind in ("in", "in_set"):
         v = ev(e[1])
         vals = pa.array(list(e[2] if kind == "in_set"
                              else [ev(x) for x in e[2]]))
         if _is_array(v) and pa.types.is_null(v.type):
             v = v.cast(vals.type)        # an all-NULL (say, empty) batch
-        return pc.is_in(v, value_set=vals)
+        hit = pc.is_in(v, value_set=vals, skip_nulls=True)
+        if vals.null_count:              # no match against a NULL: NULL
+            hit = pc.or_kleene(hit, pa.scalar(None, pa.bool_()))
+        return pc.if_else(pc.is_null(v), pa.scalar(None, pa.bool_()), hit)
     if kind == "between":
         v = ev(e[1])
-        # a NULL input is not between anything
-        return pc.fill_null(pc.and_kleene(pc.greater_equal(v, ev(e[2])),
-                                          pc.less_equal(v, ev(e[3]))), False)
+        return pc.and_kleene(pc.greater_equal(v, ev(e[2])),
+                             pc.less_equal(v, ev(e[3])))
     if kind == "like":
         v = pc.cast(ev(e[1]), pa.string())
-        return pc.fill_null(pc.match_like(v, str(ev(e[2]))), False)
+        return pc.match_like(v, str(ev(e[2])))
     if kind == "cast":
         v, ty = ev(e[1]), e[2]
         v = v if _is_array(v) else pa.scalar(v)
@@ -975,7 +979,10 @@ def _resolve_subqueries(node, tables):
             raise ValueError(
                 f"IN subquery returned {len(sub)} rows — too large to "
                 f"broadcast (limit {JOIN_BROADCAST_LIMIT})")
-        vals = sub.iloc[:, 0].dropna().unique().tolist()
+        col = sub.iloc[:, 0]
+        # one NULL stands for every NULL the subquery returned
+        vals = col.dropna().unique().tolist() + [None] * bool(
+            col.isna().any())
         return ("in_set", _resolve_subqueries(n[1], tables), vals)
     return _rewrite(node, resolve)
 

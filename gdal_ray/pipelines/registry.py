@@ -32,6 +32,18 @@ def register_step(name: str):
     return deco
 
 
+def unregister_step(name: str) -> None:
+    """Undo a user ``register_step``: the name is unknown again, or the
+    built-in step it replaced is back. KeyError when no user step is
+    registered under the name."""
+    if STEPS.get(name) is _BUILTIN_STEPS.get(name):
+        raise KeyError(f"no registered step {name!r}")
+    if name in _BUILTIN_STEPS:
+        STEPS[name] = _BUILTIN_STEPS[name]
+    else:
+        del STEPS[name]
+
+
 def _coerce(v: str):
     for cast in (int, float):
         try:
@@ -506,3 +518,6 @@ def _read_raster_step(ds, path: str = "", **kw):
     for k in range(6):
         cols[f"gt{k}"] = pa.array([float(gt[k])], pa.float64())
     return rd.from_arrow(pa.table(cols))
+
+
+_BUILTIN_STEPS = dict(STEPS)

@@ -1,35 +1,219 @@
 """Vector driver dispatch — the OGR driver-manager analog
-(gcore/gdaldrivermanager.cpp): one `read_vector(path)` entry point that
-routes by file extension (or sniff) to the registered reader, plus a
-user-registration hook for new formats (Python driver plugin analog,
-gcore/gdalpythondriverloader.cpp)."""
+(gcore/gdaldrivermanager.cpp): one `read_vector(path)` entry point.
+
+Routing is one ordered driver table, ``_VECTOR``, of ``(name, identify,
+open)`` entries built like the raster table (``raster._DRIVERS``, same
+probe and helpers): the first entry whose ``identify(probe)`` holds
+opens the file. Content sniffs are entries of their own, placed before
+the extension entry they narrow (S-101 before S-57 on ``.000``, OSM
+before MVT on ``.pbf``, NAS before GML on ``.xml``).
+``vector_driver(path)`` names the entry that would open ``path``;
+``register_vector_driver`` puts a user entry in front of the table
+(Python driver plugin analog, gcore/gdalpythondriverloader.cpp)."""
 
 from __future__ import annotations
 
 import atexit
 import hashlib
 import os
+import re
 import shutil
 import tempfile
 
 import pyarrow as pa
 
-_READERS: dict[str, object] = {}
+from .raster import _ext, _fn, _path, _Probe
+
 _TWIN_ROOT: str | None = None
 
 
+class _Declined(Exception):
+    """An open step's reader rejected a file its content sniff let
+    through; routing goes on with the next entry that identifies it."""
+
+
+def _or_next(ref: str):
+    """open adapter for a sniff that a property value can fool (a
+    JSON-FG or TopoJSON marker that is only content): a ValueError
+    from the reader hands the file on."""
+    def open_(p):
+        try:
+            return _fn(ref)(p.path)
+        except ValueError as e:
+            raise _Declined from e
+    return open_
+
+
+def _model(p):
+    """The INTERLIS model beside a transfer file, None when absent."""
+    imd = p.stem + ".imd"
+    return imd if os.path.exists(imd) else None
+
+
+def _first_layer(ref: str, model: bool = False, each: str | None = None):
+    """open adapter for a reader of a whole multi-layer dataset: its
+    first layer. ``ref`` returns ``{layer: table}``, or with ``each``
+    only the layer names, the first then read by ``each(path, name)``;
+    ``model`` passes the INTERLIS ``.imd`` model as a second argument."""
+    def open_(p):
+        layers = _fn(ref)(p.path, *((_model(p),) if model else ()))
+        if not layers:
+            raise ValueError(f"{p.path} has no layers")
+        first = next(iter(layers))
+        return _fn(each)(p.path, first) if each else layers[first]
+    return open_
+
+
+def _nitf(p):
+    raise ValueError(f"{p.path} is a NITF raster, not an NTF volume — "
+                     "use read_raster")
+
+
+def _arrow(p):
+    # Arrow IPC file (the reference's Arrow driver,
+    # ogr/ogrsf_frmts/arrow): the layer IS the record batch stream
+    import pyarrow.ipc as ipc
+    with ipc.open_file(p.path) as rd:
+        return rd.read_all()
+
+
+def _parquet(p):
+    import pyarrow.parquet as pq
+    return pq.read_table(p.path)
+
+
+def _json_head(p) -> str:
+    return p.head(8192).decode("utf-8", "replace")
+
+
+_TOPOLOGY = re.compile(r'"type"\s*:\s*"Topology"')
+_ESRI_MARKERS = ("esriGeometry", "objectIdFieldName", '"attributes"')
+# S-100 Part 10a DSID field structure in the DDR leader, like the
+# reference's OGRS101DriverIdentify (ogrs101drivercore.cpp:24)
+_S101_DSID = (b"RCNM!RCID!ENSP!ENED!PRSP!PRED!PROF!DSNM!DSTL!DSRD!DSLG!"
+              b"DSAB!DSED\\\\*DSTC")
+_AVC_COVER = ("arc.adf", "lab.adf", "pal.adf", "ARC.ADF", "LAB.ADF",
+              "PAL.ADF")
+
+# (name, identify(probe), open(probe)) in routing order: the first
+# entry whose identify holds opens the file
+_VECTOR = (
+    ("ESRI Shapefile", _ext("shp"), _path(".shapefile:read_shapefile")),
+    ("GPKG", _ext("gpkg"), _path(".gpkg:read_gpkg")),
+    ("CSV", _ext("csv"), _path(".csvio:read_csv")),
+    ("GeoJSONSeq", _ext("geojsonl", "geojsons", "ndjson"),
+     _path(".geojson:read_geojsonseq_table")),
+    # .json names four formats: each sniff reads the first 8 KiB
+    ("JSONFG", lambda p: p.ext == "json" and "json-fg" in _json_head(p)
+     and "conformsTo" in _json_head(p), _or_next(".jsonfg:read_jsonfg_table")),
+    ("TopoJSON", lambda p: p.ext == "json" and
+     _TOPOLOGY.search(_json_head(p)) is not None,
+     _or_next(".topojson:read_topojson_layer")),
+    ("TopoJSON", _ext("topojson"), _path(".topojson:read_topojson_layer")),
+    ("ESRIJSON", lambda p: p.ext == "json" and
+     any(m in _json_head(p) for m in _ESRI_MARKERS),
+     _path(".esrijson:read_esrijson")),
+    ("ESRIJSON", _ext("esrijson"), _path(".esrijson:read_esrijson")),
+    ("GeoJSON", _ext("geojson", "json"), _path(".geojson:read_geojson_table")),
+    # PDS3 detached labels: ^TABLE labels are vector (ogr pds driver);
+    # ^IMAGE/^QUBE labels belong to the raster reader
+    ("PDS", _ext("lbl"), _path(".pdsvec:read_pds_table")),
+    ("Interlis 2", _ext("xtf"), _first_layer(".ili2:read_ili2", model=True)),
+    ("Interlis 1", _ext("itf"), _first_layer(".ili:read_ili1", model=True)),
+    ("SXF", _ext("sxf"), _first_layer(".sxf:read_sxf")),
+    ("SOSI", _ext("sos"), _first_layer(".sosi:read_sosi")),
+    ("KML", _ext("kml"), _path(".kmlvec:read_kml_table")),
+    ("FlatGeobuf", _ext("fgb"), _path(".flatgeobuf:read_fgb")),
+    ("GPX", _ext("gpx"), _path(".gpx:read_gpx_table")),
+    ("NITF", lambda p: p.ext == "ntf" and p.head(4) == b"NITF", _nitf),
+    ("UK .NTF", _ext("ntf"), _path(".ntf:read_ntf")),
+    ("EDIGEO", _ext("thf"), _path(".edigeo:read_edigeo")),
+    ("TIGER", _ext("rt1"), _path(".tiger:read_tiger")),
+    ("XODR", _ext("xodr"), _path(".xodr:read_xodr")),
+    # NAS (ALKIS) documents are .xml with the AdV namespace
+    ("NAS", lambda p: p.ext == "xml" and _fn(".nas:is_nas")(p.path),
+     _path(".nas:read_nas")),
+    ("LVBAG", lambda p: p.ext == "xml" and
+     b"kadaster.nl/schemas" in p.head(8192),
+     _first_layer(".lvbag:read_lvbag")),
+    ("GeoRSS", lambda p: p.ext == "xml" and (
+        b"<rss" in p.head(8192) or b"<feed" in p.head(8192)),
+     _path(".georss:read_georss_table")),
+    ("GML", _ext("gml", "xml"), _path(".gml:read_gml_table")),
+    ("MapInfo File", _ext("mif"), _path(".mif:read_mif_table")),
+    ("MapInfo File", _ext("tab"), _path(".tab:read_tab_table")),
+    ("CAD", _ext("dwg"), _path(".cad:read_dwg_table")),
+    ("DXF", _ext("dxf"), _path(".dxf:read_dxf_table")),
+    ("Arrow", _ext("arrow", "arrows", "feather"), _arrow),
+    ("Parquet", _ext("parquet"), _parquet),
+    ("OpenFileGDB", _ext("gdb"), _first_layer(
+        ".openfilegdb:list_gdb_layers", each=".openfilegdb:read_gdb_layer")),
+    # .pbf is both MVT tiles and OSM extracts: an OSM file leads with a
+    # 4-byte BE length + BlobHeader naming "OSMHeader"
+    ("OSM", lambda p: p.ext == "osm" or (p.ext == "pbf" and (
+        b"OSMHeader" in p.head(64) or p.path.endswith(".osm.pbf"))),
+     _path(".osm:read_osm_table")),
+    ("MVT", _ext("pbf", "mvt"), _path(".mvt:read_mvt_table")),
+    ("PMTiles", _ext("pmtiles"), _path(".pmtiles:read_pmtiles_table")),
+    ("OGR_GMT", _ext("gmt"), _path(".gmtvec:read_gmt_table")),
+    ("JML", _ext("jml"), _path(".jml:read_jml_table")),
+    ("XLSX", _ext("xlsx"), _path(".spreadsheet:read_xlsx_table")),
+    ("ODS", _ext("ods"), _path(".spreadsheet:read_ods_table")),
+    ("XLS", _ext("xls"), _path(".xls:read_xls_table")),
+    ("DGN", _ext("dgn"), _path(".dgn:read_dgn_table")),
+    ("AVCE00", _ext("e00"), _path(".avce00:read_e00_table")),
+    ("AVCBin", lambda p: p.has_in_dir(*_AVC_COVER) or p.name in _AVC_COVER,
+     _path(".avcbin:read_avcbin_table")),
+    # a feed directory (a feed .zip goes to the zip front end first)
+    ("GTFS", lambda p: p.has_in_dir("stops.txt"),
+     _path(".gtfs:read_gtfs_table")),
+    ("VDV", _ext("idf", "x10"), _path(".vdv:read_vdv_table")),
+    ("S101", lambda p: p.ext == "000" and b"DSID" in p.head(2048)
+     and _S101_DSID in p.head(2048), _path(".s101:read_s101_table")),
+    ("S57", _ext("000"), _path(".s57:read_s57_table")),
+    ("MapML", _ext("mapml"), _path(".mapml:read_mapml_table")),
+    ("SQLite", _ext("sqlite", "db"), _path(".sqlitevec:read_sqlite")),
+    ("VFK", _ext("vfk"), _path(".vfk:read_vfk_table")),
+    ("MiraMonVector", _ext("pnt", "arc", "pol"),
+     _path(".miramon:read_miramon")),
+    ("WAsP", _ext("map"), _path(".wasp:read_wasp")),
+    ("Selafin", _ext("slf"), _first_layer(".selafin:read_selafin")),
+)
+
+# user entries by extension, routed before _VECTOR, newest first
+_USER: dict[str, tuple] = {}
+
+
+def _table():
+    return (*reversed(_USER.values()), *_VECTOR)
+
+
 def register_vector_driver(extension: str, reader) -> None:
-    """Register reader(path) -> pyarrow.Table for a file extension
-    (e.g. '.kml'). User hook; built-ins are pre-registered below."""
+    """Route files with ``extension`` (e.g. '.kml') to reader(path) ->
+    pyarrow.Table, ahead of every built-in entry; ``vector_driver``
+    names the entry by its extension."""
     if not callable(reader):
         raise TypeError("vector driver reader must be callable")
-    _READERS[extension.lower().lstrip(".")] = reader
+    ext = extension.lower().lstrip(".")
+    _USER.pop(ext, None)
+    _USER[ext] = (ext, _ext(ext), lambda p: reader(p.path))
+
+
+def unregister_vector_driver(extension: str) -> None:
+    """Undo ``register_vector_driver``: files with ``extension`` route
+    through the built-in table again. KeyError when nothing is
+    registered for it."""
+    ext = extension.lower().lstrip(".")
+    if ext not in _USER:
+        raise KeyError(f"no registered vector driver for .{ext}")
+    del _USER[ext]
 
 
 def list_drivers() -> list[str]:
-    """Registered vector format extensions (driver-manager
+    """Vector format extensions the table routes by (driver-manager
     GetDriverCount/GetDriver analog)."""
-    return sorted(_READERS)
+    return sorted({e for _, identify, _ in _table()
+                   if isinstance(identify, _ext) for e in identify})
 
 
 def _archive_twin(archive: str, group: str, name: str, read) -> str:
@@ -80,9 +264,9 @@ def _resolve_zip(path: str) -> str:
     with zipfile.ZipFile(zpath) as zf:
         names = zf.namelist()
         if not inner:
+            exts = set(list_drivers())
             cands = [n for n in names
-                     if os.path.splitext(n)[1].lower().lstrip(".")
-                     in _READERS]
+                     if os.path.splitext(n)[1].lower().lstrip(".") in exts]
             if len(cands) != 1:
                 raise ValueError(
                     f"{zpath}: specify the member to read "
@@ -101,11 +285,9 @@ def _resolve_zip(path: str) -> str:
         return target
 
 
-def read_vector(path: str) -> pa.Table:
-    """Read any registered vector format into the engine's standard
-    layer table (fid, wkb, envelope cols, attributes). Paths into zip
-    archives (``archive.zip/layer.shp`` or ``/vsizip/…``) are handled
-    transparently."""
+def _probe(path: str) -> _Probe:
+    """The probe of ``path`` after the archive front end: paths into
+    zip archives and .gz files are read from extracted twins."""
     if ".zip" in path.lower():
         path = _resolve_zip(path)
     if path.lower().endswith(".gz"):
@@ -116,241 +298,43 @@ def read_vector(path: str) -> pa.Table:
             with gzip.open(gz, "rb") as f:
                 return f.read()
         path = _archive_twin(path, "", os.path.basename(path)[:-3], inflate)
-    ext = os.path.splitext(path)[1].lower().lstrip(".")
-    reader = _READERS.get(ext)
-    if reader is None:
-        raise ValueError(f"no vector driver registered for .{ext} "
-                         f"(have: {sorted(_READERS)})")
-    return reader(path)
+    return _Probe(path)
+
+
+def _no_driver(p) -> ValueError:
+    return ValueError(f"no vector driver identifies {p.path} "
+                      f"(extensions: {list_drivers()})")
+
+
+def vector_driver(path: str) -> str:
+    """Name of the first table entry that identifies ``path``, the one
+    ``read_vector(path)`` opens it with (GDALIdentifyDriver analog)."""
+    p = _probe(path)
+    for name, identify, _ in _table():
+        if identify(p):
+            return name
+    raise _no_driver(p)
+
+
+def read_vector(path: str) -> pa.Table:
+    """Read any registered vector format into the engine's standard
+    layer table (fid, wkb, envelope cols, attributes). Paths into zip
+    archives (``archive.zip/layer.shp`` or ``/vsizip/…``) are handled
+    transparently."""
+    p = _probe(path)
+    declined = None
+    for _, identify, open_ in _table():
+        if identify(p):
+            try:
+                return open_(p)
+            except _Declined as e:
+                declined = e.__cause__
+    raise declined or _no_driver(p)
 
 
 def read_vector_dataset(path: str):
     import ray.data as rd
     return rd.from_arrow(read_vector(path))
-
-
-def _builtin(ext):
-    def deco(fn):
-        _READERS[ext] = fn
-        return fn
-    return deco
-
-
-@_builtin("shp")
-def _read_shp(path):
-    from .shapefile import read_shapefile
-    return read_shapefile(path)
-
-
-@_builtin("gpkg")
-def _read_gpkg(path):
-    from .gpkg import read_gpkg
-    return read_gpkg(path)
-
-
-@_builtin("csv")
-def _read_csv(path):
-    from .csvio import read_csv
-    return read_csv(path)
-
-
-@_builtin("geojson")
-def _read_geojson(path):
-    from .geojson import read_geojson_table
-    return read_geojson_table(path)
-
-
-@_builtin("geojsonl")
-def _read_geojsonseq(path):
-    from .geojson import read_geojsonseq_table
-    return read_geojsonseq_table(path)
-
-
-_READERS["geojsons"] = _read_geojsonseq   # .geojsons alias (RFC 8142)
-_READERS["ndjson"] = _read_geojsonseq
-
-
-@_builtin("json")
-def _read_json(path):
-    """.json is ambiguous: route by content like the reference's
-    driver-identify pass — ESRIJSON featureSets carry esriGeometry
-    markers / attributes-keyed features, TopoJSON declares
-    type=Topology, everything else is GeoJSON."""
-    head = open(path, encoding="utf-8", errors="replace").read(8192)
-    if "json-fg" in head and "conformsTo" in head:
-        from .jsonfg import read_jsonfg_table
-        try:
-            return read_jsonfg_table(path)
-        except ValueError:
-            pass
-    if '"Topology"' in head:
-        from .topojson import read_topojson_layer
-        try:
-            return read_topojson_layer(path)
-        except ValueError:
-            pass        # "Topology" was a property value, not the type
-    if ("esriGeometry" in head or "objectIdFieldName" in head
-            or '"attributes"' in head):
-        from .esrijson import read_esrijson
-        return read_esrijson(path)
-    from .geojson import read_geojson_table
-    return read_geojson_table(path)
-
-
-_READERS["esrijson"] = lambda path: __import__(
-    "gdal_ray.sources.esrijson", fromlist=["read_esrijson"]
-).read_esrijson(path)
-
-
-@_builtin("lbl")
-def _read_pds_lbl(path):
-    """PDS3 detached labels: ^TABLE labels are vector (ogr pds
-    driver); ^IMAGE/^QUBE labels belong to the raster reader."""
-    from .pdsvec import read_pds_table
-    return read_pds_table(path)
-
-
-@_builtin("xtf")
-def _read_ili2(path):
-    import os
-    from .ili2 import read_ili2
-    imd = os.path.splitext(path)[0] + ".imd"
-    layers = read_ili2(path, imd if os.path.exists(imd) else None)
-    if not layers:
-        raise ValueError("empty XTF transfer file")
-    return next(iter(layers.values()))
-
-
-@_builtin("itf")
-def _read_ili1(path):
-    import os
-    from .ili import read_ili1
-    imd = os.path.splitext(path)[0] + ".imd"
-    if not os.path.exists(imd):
-        raise ValueError("INTERLIS 1 needs a sibling .imd model file")
-    layers = read_ili1(path, imd)
-    if not layers:
-        raise ValueError("empty ITF transfer file")
-    return next(iter(layers.values()))
-
-
-@_builtin("sxf")
-def _read_sxf(path):
-    from .sxf import read_sxf
-    layers = read_sxf(path)
-    if not layers:
-        raise ValueError("empty SXF file")
-    return next(iter(layers.values()))
-
-
-@_builtin("sos")
-def _read_sosi(path):
-    from .sosi import read_sosi
-    layers = read_sosi(path)
-    if not layers:
-        raise ValueError("empty SOSI file")
-    return next(iter(layers.values()))
-
-
-@_builtin("kml")
-def _read_kml(path):
-    from .kmlvec import read_kml_table
-    return read_kml_table(path)
-
-
-@_builtin("fgb")
-def _read_fgb(path):
-    from .flatgeobuf import read_fgb
-    return read_fgb(path)
-
-
-@_builtin("gpx")
-def _read_gpx(path):
-    from .gpx import read_gpx_table
-    return read_gpx_table(path)
-
-
-@_builtin("gml")
-def _read_gml(path):
-    from .gml import read_gml_table
-    return read_gml_table(path)
-
-
-@_builtin("ntf")
-def _read_ntf_vector(path):
-    with open(path, "rb") as fh:
-        if fh.read(4) == b"NITF":
-            raise ValueError(
-                f"{path} is a NITF raster, not an NTF volume — "
-                "use read_raster")
-    from .ntf import read_ntf
-    return read_ntf(path)
-
-
-@_builtin("thf")
-def _read_edigeo(path):
-    from .edigeo import read_edigeo
-    return read_edigeo(path)
-
-
-@_builtin("rt1")
-def _read_tiger(path):
-    from .tiger import read_tiger
-    return read_tiger(path)
-
-
-@_builtin("xodr")
-def _read_xodr(path):
-    from .xodr import read_xodr
-    return read_xodr(path)
-
-
-@_builtin("xml")
-def _read_xml_vector(path):
-    # NAS (ALKIS) documents are .xml with the AdV namespace; plain
-    # GML-ish .xml falls through to the GML reader
-    from .nas import is_nas, read_nas
-    if is_nas(path):
-        return read_nas(path)
-    from .gml import read_gml_table
-    return read_gml_table(path)
-
-
-@_builtin("mif")
-def _read_mif(path):
-    from .mif import read_mif_table
-    return read_mif_table(path)
-
-
-@_builtin("tab")
-def _read_tab(path):
-    from .tab import read_tab_table
-    return read_tab_table(path)
-
-
-@_builtin("dwg")
-def _read_dwg(path):
-    from .cad import read_dwg_table
-    return read_dwg_table(path)
-
-
-@_builtin("dxf")
-def _read_dxf(path):
-    from .dxf import read_dxf_table
-    return read_dxf_table(path)
-
-
-@_builtin("arrow")
-def _read_arrow(path):
-    # Arrow IPC file (the reference's Arrow driver,
-    # ogr/ogrsf_frmts/arrow): the layer IS the record batch stream
-    import pyarrow.ipc as ipc
-    with ipc.open_file(path) as rd:
-        return rd.read_all()
-
-
-_READERS["arrows"] = _read_arrow
-_READERS["feather"] = _read_arrow
 
 
 def write_arrow(table: pa.Table, path: str) -> int:
@@ -360,171 +344,3 @@ def write_arrow(table: pa.Table, path: str) -> int:
     with ipc.new_file(path, table.schema) as wr:
         wr.write_table(table)
     return table.num_rows
-
-
-@_builtin("parquet")
-def _read_parquet(path):
-    import pyarrow.parquet as pq
-    return pq.read_table(path)
-
-
-@_builtin("gdb")
-def _read_gdb(path):
-    """Esri File Geodatabase directory: first (or only) user layer;
-    use sources.openfilegdb.read_gdb_layer for a specific one."""
-    from .openfilegdb import list_gdb_layers, read_gdb_layer
-    layers = list_gdb_layers(path)
-    if not layers:
-        raise ValueError(f"{path} has no user layers")
-    return read_gdb_layer(path, layers[0])
-
-
-@_builtin("pbf")
-def _read_mvt(path):
-    # .pbf is both MVT tiles and OSM extracts: an OSM file leads with
-    # a 4-byte BE length + BlobHeader naming "OSMHeader"
-    head = open(path, "rb").read(64)
-    if b"OSMHeader" in head or path.endswith(".osm.pbf"):
-        from .osm import read_osm_table
-        return read_osm_table(path, "points")
-    from .mvt import read_mvt_table
-    return read_mvt_table(path)
-
-
-@_builtin("osm")
-def _read_osm(path):
-    from .osm import read_osm_table
-    return read_osm_table(path, "points")
-
-
-_READERS["mvt"] = _read_mvt
-
-
-@_builtin("topojson")
-def _read_topojson(path):
-    from .topojson import read_topojson_layer
-    return read_topojson_layer(path)
-
-
-@_builtin("pmtiles")
-def _read_pmtiles(path):
-    from .pmtiles import read_pmtiles_table
-    return read_pmtiles_table(path)
-
-
-@_builtin("gmt")
-def _read_gmt(path):
-    from .gmtvec import read_gmt_table
-    return read_gmt_table(path)
-
-
-@_builtin("jml")
-def _read_jml(path):
-    from .jml import read_jml_table
-    return read_jml_table(path)
-
-
-@_builtin("xlsx")
-def _read_xlsx(path):
-    from .spreadsheet import read_xlsx_table
-    return read_xlsx_table(path)
-
-
-@_builtin("ods")
-def _read_ods(path):
-    from .spreadsheet import read_ods_table
-    return read_ods_table(path)
-
-
-@_builtin("xls")
-def _read_xls(path):
-    from .xls import read_xls_table
-    return read_xls_table(path)
-
-
-@_builtin("dgn")
-def _read_dgn(path):
-    from .dgn import read_dgn_table
-    return read_dgn_table(path)
-
-
-@_builtin("e00")
-def _read_e00(path):
-    from .avce00 import read_e00_table
-    return read_e00_table(path)
-
-
-@_builtin("idf")
-def _read_idf(path):
-    from .vdv import read_vdv_table
-    return read_vdv_table(path)
-
-
-@_builtin("x10")
-def _read_x10(path):
-    from .vdv import read_vdv_table
-    return read_vdv_table(path)
-
-
-@_builtin("000")
-def _read_s57(path):
-    # S-101 shares the .000 extension with S-57; identify it by the
-    # S-100 Part 10a DSID field structure in the DDR leader, like the
-    # reference's OGRS101DriverIdentify (ogrs101drivercore.cpp:24)
-    with open(path, "rb") as f:
-        leader = f.read(2048)
-    if (b"DSID" in leader and
-            b"RCNM!RCID!ENSP!ENED!PRSP!PRED!PROF!DSNM!DSTL!DSRD!DSLG!"
-            b"DSAB!DSED\\\\*DSTC" in leader):
-        from .s101 import read_s101_table
-        return read_s101_table(path)
-    from .s57 import read_s57_table
-    return read_s57_table(path)
-
-
-def read_gtfs(path):
-    """GTFS feed (zip or directory) — stops layer by default."""
-    from .gtfs import read_gtfs_table
-    return read_gtfs_table(path)
-
-
-@_builtin("mapml")
-def _read_mapml(path):
-    from .mapml import read_mapml_table
-    return read_mapml_table(path)
-
-
-@_builtin("sqlite")
-def read_sqlite_builtin(path):
-    from .sqlitevec import read_sqlite
-    return read_sqlite(path)
-
-
-@_builtin("db")
-def read_sqlite_db(path):
-    from .sqlitevec import read_sqlite
-    return read_sqlite(path)
-
-
-@_builtin("vfk")
-def read_vfk_builtin(path):
-    from .vfk import read_vfk_table
-    return read_vfk_table(path)
-
-
-@_builtin("pnt")
-def read_miramon_pnt(path):
-    from .miramon import read_miramon
-    return read_miramon(path)
-
-
-@_builtin("arc")
-def read_miramon_arc(path):
-    from .miramon import read_miramon
-    return read_miramon(path)
-
-
-@_builtin("pol")
-def read_miramon_pol(path):
-    from .miramon import read_miramon
-    return read_miramon(path)

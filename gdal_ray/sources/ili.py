@@ -299,6 +299,8 @@ def read_ili1(itf_path: str, imd_path: str) -> dict[str, pa.Table]:
     as a second geometry column ``wkb_point``."""
     from ..core import wkb as W
 
+    if imd_path is None:
+        raise ValueError("INTERLIS 1 needs a sibling .imd model file")
     meta = read_imd(imd_path)
     topics = _parse_itf(itf_path, meta["format"])
 

@@ -111,8 +111,15 @@ def _fn(ref: str):
     return getattr(importlib.import_module(mod, __package__), name)
 
 
-def _ext(*exts: str):
-    return lambda p: p.ext in exts
+class _ext(tuple):
+    """identify by extension alone; the entry's extensions are the
+    tuple itself, so a table can list them"""
+
+    def __new__(cls, *exts: str):
+        return super().__new__(cls, exts)
+
+    def __call__(self, p) -> bool:
+        return p.ext in self
 
 
 def _bytes(ref: str):

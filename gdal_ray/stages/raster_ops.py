@@ -94,6 +94,7 @@ PIXEL_FUNCTIONS = {
     "mod": lambda bands: np.mod(bands[0], np.where(bands[1] == 0, np.nan, bands[1])),
     "interpolate_linear": lambda bands, t=0.5: bands[0] * (1 - t) + bands[1] * t,
 }
+_BUILTIN_PIXEL_FUNCTIONS = dict(PIXEL_FUNCTIONS)
 
 
 def register_pixel_function(name: str, fn) -> None:
@@ -104,6 +105,18 @@ def register_pixel_function(name: str, fn) -> None:
     if not callable(fn):
         raise TypeError("pixel function must be callable")
     PIXEL_FUNCTIONS[name] = fn
+
+
+def unregister_pixel_function(name: str) -> None:
+    """Undo ``register_pixel_function``: the name is unknown again, or
+    the built-in it replaced is back. KeyError when nothing is
+    registered under the name."""
+    if PIXEL_FUNCTIONS.get(name) is _BUILTIN_PIXEL_FUNCTIONS.get(name):
+        raise KeyError(f"no registered pixel function {name!r}")
+    if name in _BUILTIN_PIXEL_FUNCTIONS:
+        PIXEL_FUNCTIONS[name] = _BUILTIN_PIXEL_FUNCTIONS[name]
+    else:
+        del PIXEL_FUNCTIONS[name]
 
 
 def pixel_function(px: np.ndarray, name: str, **kw) -> np.ndarray:

@@ -420,13 +420,14 @@ class TestBufferConstructive:
 class TestCodecRegistry:
     @pytest.fixture(autouse=True)
     def codec_table(self):
-        """register_codec edits the process-wide table: put it back, in
-        its sniff order, so later tests see only the built-ins."""
+        """register_codec edits the process-wide table: undo it, so
+        later tests see only the built-ins, in their sniff order."""
         from gdal_ray import codecs
-        saved = dict(codecs._CODECS)
+        saved = list(codecs._CODECS.items())
         yield
-        codecs._CODECS.clear()
-        codecs._CODECS.update(saved)
+        if "raw8t" in codecs._CODECS:
+            codecs.unregister_codec("raw8t")
+        assert list(codecs._CODECS.items()) == saved
 
     def test_register_custom_codec(self):
         import numpy as np
@@ -443,6 +444,21 @@ class TestCodecRegistry:
         import pytest
         with pytest.raises(TypeError):
             codecs.register_codec("bad", 1, 2)
+
+    def test_unregister_brings_back_a_replaced_builtin(self):
+        import numpy as np
+        from gdal_ray import codecs
+        png = codecs._CODECS["png"]
+        codecs.register_codec("png", lambda img, **kw: b"",
+                              lambda b: np.zeros((1, 1), np.uint8))
+        codecs.register_codec("raw8t", lambda img, **kw: b"",
+                              lambda b: np.zeros((1, 1), np.uint8))
+        assert list(codecs._CODECS)[:2] == ["raw8t", "png"]
+        codecs.unregister_codec("png")
+        assert list(codecs._CODECS)[:2] == ["raw8t", "png"]
+        assert codecs._CODECS["png"] is png
+        with pytest.raises(KeyError):
+            codecs.unregister_codec("png")
 
 
 class TestCurvedWKB:

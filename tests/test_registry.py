@@ -3,7 +3,8 @@
 import pytest
 
 from gdal_ray.pipelines.registry import (STEPS, parse_pipeline,
-                                         register_step, run_pipeline)
+                                         register_step, run_pipeline,
+                                         unregister_step)
 
 
 class TestParse:
@@ -51,13 +52,21 @@ class TestRun:
                                        pc.multiply(t["w"], 2)),
                 batch_format="pyarrow")
 
-        base = run_pipeline("read_images n=3 ! select cols=image_id,w") \
-            .to_pandas().sort_values("image_id").reset_index(drop=True)
-        out = run_pipeline(
-            "read_images n=3 ! double_w ! select cols=image_id,w") \
-            .to_pandas().sort_values("image_id").reset_index(drop=True)
+        try:
+            base = run_pipeline("read_images n=3 ! select cols=image_id,w") \
+                .to_pandas().sort_values("image_id").reset_index(drop=True)
+            out = run_pipeline(
+                "read_images n=3 ! double_w ! select cols=image_id,w") \
+                .to_pandas().sort_values("image_id").reset_index(drop=True)
+        finally:
+            unregister_step("double_w")
         # block arrival order is nondeterministic — compare by key
         assert (out["w"].to_numpy() == base["w"].to_numpy() * 2).all()
+        assert "double_w" not in STEPS
+        with pytest.raises(KeyError):
+            unregister_step("double_w")
+        with pytest.raises(KeyError):
+            unregister_step("read_images")      # a built-in, not a user step
 
     def test_sort_limit(self, ray_session):
         out = run_pipeline(

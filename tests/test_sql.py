@@ -65,6 +65,20 @@ STATEMENTS = [
 ]
 
 
+# over a=[1, 2, 3, 4, NULL], s=['x', NULL, 'y', 'x', 'z']
+NULL_STATEMENTS = [
+    "SELECT a, s FROM t WHERE s NOT IN ('x')",
+    "SELECT a, s FROM t WHERE s NOT LIKE '%x'",
+    "SELECT a, s FROM t WHERE a NOT BETWEEN 2 AND 3",
+    "SELECT a, s FROM t WHERE s NOT IN (SELECT s FROM t WHERE a > 1)",
+    "SELECT a, s FROM t WHERE NOT (s IN (SELECT s FROM t WHERE a > 2))",
+    "SELECT a FROM t WHERE a NOT IN (SELECT a FROM t WHERE s = 'x')",
+    "SELECT a FROM t WHERE a NOT IN (SELECT a FROM t WHERE s <> 'y')",
+    "SELECT s FROM t WHERE a IN (SELECT a FROM t WHERE s IS NULL "
+    "OR s = 'x')",
+]
+
+
 def canon(df: pd.DataFrame) -> pd.DataFrame:
     df = df[sorted(df.columns)].copy()
     for c in df.columns:
@@ -93,6 +107,20 @@ class TestVsDuckdb:
                              ids=[s[:40] for s in STATEMENTS])
     def test_matches_parquet(self, data_pq, sql):
         assert_matches_duckdb(*data_pq, sql)
+
+    @pytest.mark.parametrize("sql", NULL_STATEMENTS,
+                             ids=[s[22:62] for s in NULL_STATEMENTS])
+    def test_null_inputs_three_valued(self, ray_session, tmp_path, sql):
+        """NULL IN / LIKE / BETWEEN are NULL: WHERE drops the row with
+        or without NOT, over memory and over a (pushed-down) Parquet
+        read."""
+        import pyarrow.parquet as pq
+        import ray.data as rd
+        t = pa.table({"a": pa.array([1, 2, 3, 4, None], pa.int64()),
+                      "s": pa.array(["x", None, "y", "x", "z"])})
+        pq.write_table(t, tmp_path / "t.parquet")
+        for ds in (rd.from_arrow(t), rd.read_parquet(str(tmp_path))):
+            assert_matches_duckdb(ds, t.to_pandas(), sql)
 
 
 class TestErrors:
@@ -337,17 +365,30 @@ class TestExtensionHooks:
 
     def test_pixel_function_registration(self):
         import numpy as np
-        from gdal_ray.stages.raster_ops import (pixel_function,
-                                                register_pixel_function)
+        from gdal_ray.stages.raster_ops import (PIXEL_FUNCTIONS,
+                                                pixel_function,
+                                                register_pixel_function,
+                                                unregister_pixel_function)
         register_pixel_function("half_sum",
                                 lambda bands: np.sum(bands, axis=0) / 2.0)
         px = np.stack([np.full((4, 4), 10), np.full((4, 4), 30)],
                       axis=2).astype(np.uint8)
-        out = pixel_function(px, "half_sum")
+        try:
+            out = pixel_function(px, "half_sum")
+        finally:
+            unregister_pixel_function("half_sum")
         assert float(out[0, 0]) == 20.0
+        assert "half_sum" not in PIXEL_FUNCTIONS
         import pytest
         with pytest.raises(TypeError):
             register_pixel_function("bad", 42)
+        # replacing a built-in and undoing it brings the built-in back
+        builtin = PIXEL_FUNCTIONS["sum"]
+        register_pixel_function("sum", lambda bands: bands[0])
+        unregister_pixel_function("sum")
+        assert PIXEL_FUNCTIONS["sum"] is builtin
+        with pytest.raises(KeyError):
+            unregister_pixel_function("sum")
 
 
 class TestSqliteDialect:
@@ -635,13 +676,16 @@ class TestArrowFastPath:
             (("case", None,
               [((("bin", ">", ("col", "f"), ("lit", 0))), ("lit", "pos"))],
               ("lit", "neg")), ["pos", "neg", "pos", "pos", "neg"]),
-            # NULL LIKE / IN / BETWEEN read as False
+            # NULL LIKE / IN / BETWEEN are NULL, as in DuckDB
             (("like", ("col", "s"), ("lit", "%x")),
-             [True, True, False, True, False]),
+             [True, True, None, True, False]),
             (("in_set", ("col", "a"), [1, 5]),
-             [True, False, False, False, True]),
+             [True, False, False, None, True]),
             (("between", ("col", "f"), ("lit", 0), ("lit", 3)),
-             [True, False, True, False, False]),
+             [True, False, True, False, None]),
+            # no match against a list holding NULL is NULL too
+            (("not", ("in_set", ("col", "a"), [1, None])),
+             [False, None, None, None, None]),
             # round half to even, as numpy does
             (("cast", ("col", "f"), "INTEGER"), [0, -2, 2, 4, None]),
             (("isnull", ("col", "s")), [False, False, True, False, False]),

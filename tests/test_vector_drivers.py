@@ -133,15 +133,20 @@ class TestDriverDispatch:
         if have_ref:
             assert read_vector(f"{_OGR_DATA}/poly.shp").num_rows == 10
 
-    def test_user_registration(self):
+    def test_user_registration(self, tmp_path):
         import pyarrow as pa
         from gdal_ray.sources.drivers import (read_vector,
-                                              register_vector_driver)
+                                              register_vector_driver,
+                                              unregister_vector_driver)
         register_vector_driver(".fake", lambda p: pa.table({"fid": [1]}))
-        import tempfile, os
-        p = os.path.join(tempfile.mkdtemp(dir="/tmp"), "x.fake")
+        p = str(tmp_path / "x.fake")
         open(p, "w").close()
-        assert read_vector(p).num_rows == 1
+        try:
+            assert read_vector(p).num_rows == 1
+        finally:
+            unregister_vector_driver(".fake")
+        with pytest.raises(ValueError):
+            read_vector(p)
         with pytest.raises(ValueError):
             read_vector("/tmp/nope.unknownext")
         with pytest.raises(TypeError):
@@ -157,10 +162,19 @@ class TestVsiZip:
         t = read_vector("/root/reference/autotest/ogr/data/shp/poly.zip")
         assert t.num_rows == 10              # ogr_shape.py poly golden
 
+    @staticmethod
+    def _poly(tmp_path):
+        """A 10-feature polygon shapefile; returns its path stem."""
+        from gdal_ray.sources.shapefile import write_shapefile
+        from gdal_ray.sources.vector import polygons_table
+        src = str(tmp_path / "poly")
+        write_shapefile(polygons_table(10), src + ".shp")
+        return src
+
     def test_member_path_and_prefix(self, tmp_path):
         import zipfile
         from gdal_ray.sources.drivers import read_vector
-        src = "/root/reference/autotest/ogr/data/poly"
+        src = self._poly(tmp_path)
         zp = str(tmp_path / "a.zip")
         with zipfile.ZipFile(zp, "w") as z:
             for ext in (".shp", ".shx", ".dbf"):
@@ -172,7 +186,7 @@ class TestVsiZip:
         import zipfile
         import pytest as _pytest
         from gdal_ray.sources.drivers import read_vector
-        src = "/root/reference/autotest/ogr/data/poly"
+        src = self._poly(tmp_path)
         zp = str(tmp_path / "two.zip")
         with zipfile.ZipFile(zp, "w") as z:
             for ext in (".shp", ".shx", ".dbf"):
