@@ -26,7 +26,7 @@ class MsbReader:
 
     def peek(self, n: int) -> int:
         p = self.pos
-        k = ((p & 7) + n + 7) >> 3
+        k = (n >> 3) + 2                  # window bytes covering n bits
         w = self.data[p >> 3:(p >> 3) + k]
         return ((int.from_bytes(w, "big") << ((k - len(w)) << 3))
                 >> ((k << 3) - (p & 7) - n)) & ((1 << n) - 1)
@@ -34,7 +34,7 @@ class MsbReader:
     def get(self, n: int) -> int:
         p = self.pos
         self.pos = p + n
-        k = ((p & 7) + n + 7) >> 3
+        k = (n >> 3) + 2
         w = self.data[p >> 3:(p >> 3) + k]
         return ((int.from_bytes(w, "big") << ((k - len(w)) << 3))
                 >> ((k << 3) - (p & 7) - n)) & ((1 << n) - 1)
@@ -56,14 +56,14 @@ class LsbReader:
     def peek(self, n: int) -> int:
         p = self.pos
         return (int.from_bytes(
-            self.data[p >> 3:(p >> 3) + (((p & 7) + n + 7) >> 3)],
+            self.data[p >> 3:(p >> 3) + (n >> 3) + 2],
             "little") >> (p & 7)) & ((1 << n) - 1)
 
     def get(self, n: int) -> int:
         p = self.pos
         self.pos = p + n
         return (int.from_bytes(
-            self.data[p >> 3:(p >> 3) + (((p & 7) + n + 7) >> 3)],
+            self.data[p >> 3:(p >> 3) + (n >> 3) + 2],
             "little") >> (p & 7)) & ((1 << n) - 1)
 
     def align(self):
@@ -145,6 +145,8 @@ def lzw_decode(data, *, lsb: bool, min_bits: int, early_change: int,
     EOI, at the first code the data does not hold in full, or once
     ``limit`` bytes are out. A code beyond the next free table slot,
     or a non-literal first code, raises ValueError."""
+    if not 0 <= min_bits <= 11:
+        raise ValueError(f"LZW minimum code size {min_bits} out of range")
     clear = 1 << min_bits
     eoi = clear + 1
     base = [bytes([i]) for i in range(clear)] + [b"", b""]
@@ -217,9 +219,7 @@ def unpack_fields(buf, nbits: int, count: int, *, bit_offset: int = 0,
     the end of ``buf`` read as zero."""
     if nbits == 0 or count == 0:
         return np.zeros(count, np.int64)
-    a = np.frombuffer(buf, np.uint8) if not isinstance(buf, np.ndarray) \
-        else buf.reshape(-1).view(np.uint8)
-    a = a[bit_offset >> 3:]
+    a = np.frombuffer(buf, np.uint8)[bit_offset >> 3:]
     bit_offset &= 7
     end = bit_offset + nbits * count
     nbytes = (end + 7) >> 3
@@ -246,7 +246,7 @@ def unpack_rows(rows, nbits: int, width: int) -> np.ndarray:
     else:
         rows = rows[:, :need]
     if 8 % nbits == 0:
-        return _lanes(rows, nbits, False)[:, :width]
+        return np.ascontiguousarray(_lanes(rows, nbits, False)[:, :width])
     bits = np.unpackbits(rows, axis=1)[:, :width * nbits]
     shifts = np.arange(nbits - 1, -1, -1, dtype=np.int64)
     v = bits.reshape(h, width, nbits).astype(np.int64) @ (np.int64(1)

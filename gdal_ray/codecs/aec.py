@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._bits import MsbReader, unpack_fields
+
 _SIGNED = 0x01
 _PREPROCESS = 0x08
 
@@ -55,43 +57,30 @@ def aec_decode(data: bytes, nbits: int, flags: int, block_size: int,
     total_blocks = -(-nsamples // J)     # encoder pads the last block
     padded = total_blocks * J
     out = np.zeros(padded, np.int64)
-    pos = 0                              # bit cursor
+    br = MsbReader(data)                 # bit cursor
     n_out = 0                            # samples emitted
 
-    def getbits(p: int, count: int) -> tuple[int, int]:
-        if count == 0:
-            return 0, p
-        chunk = bits[p:p + count]
-        v = 0
-        for b in chunk:                  # count ≤ 32: cheap
-            v = (v << 1) | int(b)
-        return v, p + count
-
-    def get_fs_run(p: int, count: int) -> tuple[np.ndarray, int]:
+    def get_fs_run(count: int) -> np.ndarray:
         """count consecutive FS codewords (runs of 0s ending in a 1)
-        starting at bit p → (values, new position). Vectorized: the
-        codewords are delimited by the next `count` one-bits."""
-        i0 = int(np.searchsorted(ones, p))
+        at the cursor → values. Vectorized: the codewords are
+        delimited by the next `count` one-bits."""
+        i0 = int(np.searchsorted(ones, br.pos))
         if i0 + count > len(ones):
             raise ValueError("CCSDS stream truncated in FS run")
         ends = ones[i0:i0 + count]
         starts = np.empty(count, np.int64)
-        starts[0] = p
+        starts[0] = br.pos
         starts[1:] = ends[:-1] + 1
-        return ends - starts, int(ends[-1]) + 1
+        br.pos = int(ends[-1]) + 1
+        return ends - starts
 
-    def get_samples(p: int, count: int, width: int) \
-            -> tuple[np.ndarray, int]:
-        """count fixed-width big-endian values → (array, new pos)."""
-        if count == 0 or width == 0:
-            return np.zeros(count, np.int64), p
-        chunk = bits[p:p + count * width]
-        if len(chunk) < count * width:
+    def get_samples(count: int, width: int) -> np.ndarray:
+        """count fixed-width big-endian values at the cursor."""
+        if br.pos + count * width > len(bits):
             raise ValueError("CCSDS stream truncated in sample run")
-        w = (np.int64(1) << np.arange(width - 1, -1, -1,
-                                      dtype=np.int64))
-        return chunk.reshape(count, width).astype(np.int64) @ w, \
-            p + count * width
+        vals = unpack_fields(data, width, count, bit_offset=br.pos)
+        br.pos += count * width
+        return vals
 
     while n_out < padded:
         blocks_in_rsi = min(rsi, (padded - n_out) // J)
@@ -99,14 +88,14 @@ def aec_decode(data: bytes, nbits: int, flags: int, block_size: int,
         b = 0
         while b < blocks_in_rsi:
             ref = preprocess and b == 0
-            id_, pos = getbits(pos, id_len)
+            id_ = br.get(id_len)
             if id_ == 0:                 # low-entropy options
-                sel, pos = getbits(pos, 1)
+                sel = br.get(1)
                 if ref:
-                    rv, pos = getbits(pos, nbits)
+                    rv = br.get(nbits)
                     out[n_out] = rv
                 if sel == 0:             # zero-block run
-                    run, pos = get_fs_run(pos, 1)
+                    run = get_fs_run(1)
                     fs = int(run[0])
                     if fs + 1 == 5:      # ROS: rest of segment
                         zb = min(64 - b % 64, blocks_in_rsi - b)
@@ -120,7 +109,7 @@ def aec_decode(data: bytes, nbits: int, flags: int, block_size: int,
                     continue
                 # second extension: (J - ref) samples, pairwise FS
                 npair = -(-((J - (1 if ref else 0))) // 2)
-                gam, pos = get_fs_run(pos, npair)
+                gam = get_fs_run(npair)
                 m = ((np.sqrt(8.0 * gam + 1.0) - 1.0) / 2.0) \
                     .astype(np.int64)
                 # guard float edges
@@ -138,16 +127,16 @@ def aec_decode(data: bytes, nbits: int, flags: int, block_size: int,
                     out[n_out:n_out + J] = pair[:J]
             elif id_ == max_id:          # uncompressed
                 nsamp = J
-                vals, pos = get_samples(pos, nsamp, nbits)
+                vals = get_samples(nsamp, nbits)
                 out[n_out:n_out + J] = vals
             else:                        # split-sample, k = id − 1
                 k = id_ - 1
                 if ref:
-                    rv, pos = getbits(pos, nbits)
+                    rv = br.get(nbits)
                     out[n_out] = rv
                 nsamp = J - (1 if ref else 0)
-                hi, pos = get_fs_run(pos, nsamp)
-                lo, pos = get_samples(pos, nsamp, k)
+                hi = get_fs_run(nsamp)
+                lo = get_samples(nsamp, k)
                 out[n_out + (1 if ref else 0):n_out + J] = \
                     (hi << k) | lo
             n_out += J

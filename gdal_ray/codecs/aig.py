@@ -25,6 +25,8 @@ import struct
 
 import numpy as np
 
+from ._bits import unpack_fields
+
 __all__ = ["decode_aig"]
 
 _NODATA_INT = -2147483647
@@ -52,18 +54,10 @@ def _process_block(data: bytes, magic: int, nmin: int, bw: int,
         v = np.frombuffer(data, ">i4", n)
         out[:n] = v.astype(np.int64) + nmin
         return out.reshape(bh, bw)
-    if magic == 0x04:  # 4-bit
-        b = np.frombuffer(data, np.uint8)
-        hi = (b >> 4).astype(np.int64)
-        lo = (b & 15).astype(np.int64)
-        v = np.empty(b.size * 2, np.int64)
-        v[0::2] = hi
-        v[1::2] = lo
-        out[:min(tot, v.size)] = v[:tot] + nmin
-        return out.reshape(bh, bw)
-    if magic == 0x01:  # 1-bit
-        v = np.unpackbits(np.frombuffer(data, np.uint8)).astype(np.int64)
-        out[:min(tot, v.size)] = v[:tot] + nmin
+    if magic in (0x04, 0x01):  # 4-bit / 1-bit, MSB-first
+        nbits = 4 if magic == 0x04 else 1
+        n = min(tot, len(data) * 8 // nbits)
+        out[:n] = unpack_fields(data, nbits, n) + nmin
         return out.reshape(bh, bw)
     if magic == 0xFF:
         raise ValueError(_MAGIC_FF_MSG)

@@ -15,6 +15,8 @@ import struct
 
 import numpy as np
 
+from ._bits import unpack_rows
+
 __all__ = ["decode_bmp", "encode_bmp"]
 
 
@@ -54,14 +56,8 @@ def decode_bmp(buf: bytes):
             out = px
         elif bits == 8:
             out = rows[:, :w].copy()
-        elif bits == 4:
-            nib = np.empty((h, row_bytes * 2), np.uint8)
-            nib[:, 0::2] = rows >> 4
-            nib[:, 1::2] = rows & 0x0F
-            out = nib[:, :w].copy()
-        elif bits == 1:
-            bitsarr = np.unpackbits(rows, axis=1)
-            out = bitsarr[:, :w].copy()
+        elif bits in (4, 1):
+            out = unpack_rows(rows, bits, w)
         else:
             raise ValueError(f"unsupported bit depth {bits}")
     elif comp in (1, 2):                       # BI_RLE8 / BI_RLE4

@@ -29,6 +29,8 @@ import zlib
 
 import numpy as np
 
+from ._bits import MsbReader, MsbWriter
+
 __all__ = ["piz_compress", "piz_uncompress",
            "pxr24_compress", "pxr24_uncompress",
            "b44_compress", "b44_uncompress"]
@@ -144,27 +146,6 @@ def _wav2_decode(a: np.ndarray, maxval: int) -> None:
 
 
 # --------------------------------------------------------------- Huffman
-class _BitWriter:
-    def __init__(self):
-        self.out = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def write(self, nbits: int, val: int) -> None:
-        self.acc = (self.acc << nbits) | (val & ((1 << nbits) - 1))
-        self.nbits += nbits
-        while self.nbits >= 8:
-            self.nbits -= 8
-            self.out.append((self.acc >> self.nbits) & 0xFF)
-
-    def flush(self) -> bytes:
-        if self.nbits:
-            self.out.append((self.acc << (8 - self.nbits)) & 0xFF)
-            self.acc = 0
-            self.nbits = 0
-        return bytes(self.out)
-
-
 def _huf_build_lengths(freq: dict[int, int]) -> dict[int, int]:
     """Huffman code lengths (heap merge with parent pointers; the
     library's hlink merge produces the same optimal lengths)."""
@@ -219,7 +200,7 @@ def _huf_canonical(lengths: np.ndarray) -> np.ndarray:
 
 
 def _huf_pack_table(codes: np.ndarray, im: int, iM: int) -> bytes:
-    bw = _BitWriter()
+    bw = MsbWriter()
     i = im
     while i <= iM:
         l = int(codes[i]) & 63
@@ -229,44 +210,35 @@ def _huf_pack_table(codes: np.ndarray, im: int, iM: int) -> bytes:
                     and run < 255 + 6:
                 run += 1
             if run >= 6:
-                bw.write(6, 63)
-                bw.write(8, run - 6)
+                bw.put(63, 6)
+                bw.put(run - 6, 8)
             elif run >= 2:
-                bw.write(6, 59 + run - 2)
+                bw.put(59 + run - 2, 6)
             else:
-                bw.write(6, 0)
+                bw.put(0, 6)
             i += run
         else:
-            bw.write(6, l)
+            bw.put(l, 6)
             i += 1
-    return bw.flush()
+    return bw.finish()
 
 
 def _huf_unpack_table(data: bytes, off: int, im: int, iM: int):
     """→ (lengths ndarray over 0..iM, new bit offset in bits)."""
     lengths = np.zeros(_HUF_ENCSIZE, dtype=np.int64)
-    bitpos = off * 8
-
-    def getbits(n):
-        nonlocal bitpos
-        v = 0
-        for _ in range(n):
-            v = (v << 1) | ((data[bitpos >> 3] >> (7 - (bitpos & 7))) & 1)
-            bitpos += 1
-        return v
-
+    br = MsbReader(data, off * 8)
     i = im
     while i <= iM:
-        l = getbits(6)
+        l = br.get(6)
         if l == 63:
-            run = getbits(8) + 6
+            run = br.get(8) + 6
             i += run
         elif l >= 59:
             i += l - 59 + 2
         else:
             lengths[i] = l
             i += 1
-    return lengths, (bitpos + 7) >> 3
+    return lengths, (br.pos + 7) >> 3
 
 
 _HUF_DECBITS = 14

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._bits import MsbReader, MsbWriter
+
 __all__ = ["decode_g3_g4", "decode_g3", "decode_g4"]
 
 # (code string, run length) — ITU-T T.4 Table 2 (white)
@@ -112,38 +114,15 @@ _BLACK = _build(_BLACK_CODES + _EXT_CODES)
 _MAX_CODE_LEN = 14
 
 
-class _Bits:
-    __slots__ = ("bits", "pos")
-
-    def __init__(self, data: bytes):
-        self.bits = np.unpackbits(np.frombuffer(data, np.uint8))
-        self.pos = 0
-
-    def peek(self, n):
-        end = min(self.pos + n, len(self.bits))
-        v = 0
-        for b in self.bits[self.pos:end]:
-            v = (v << 1) | int(b)
-        v <<= n - (end - self.pos)
-        return v
-
-    def get(self, n):
-        v = self.peek(n)
-        self.pos += n
-        return v
-
-    def eof(self):
-        return self.pos >= len(self.bits)
-
-
-def _read_run(br: _Bits, table) -> int:
+def _read_run(br: MsbReader, table) -> int:
     """One complete run length: makeup codes accumulate until a
     terminating code (< 64)."""
     total = 0
     while True:
         run = None
+        win = br.peek(_MAX_CODE_LEN - 1)
         for ln in range(2, _MAX_CODE_LEN):
-            key = (ln, br.peek(ln))
+            key = (ln, win >> (_MAX_CODE_LEN - 1 - ln))
             if key in table:
                 run = table[key]
                 br.pos += ln
@@ -155,10 +134,10 @@ def _read_run(br: _Bits, table) -> int:
             return total
 
 
-def _sync_eol(br: _Bits) -> bool:
+def _sync_eol(br: MsbReader) -> bool:
     """Skip fill bits to the next EOL (eleven 0s + 1); True if found."""
     zeros = 0
-    while not br.eof():
+    while br.pos < len(br.data) * 8:
         b = br.get(1)
         if b == 0:
             zeros += 1
@@ -169,7 +148,7 @@ def _sync_eol(br: _Bits) -> bool:
     return False
 
 
-def _decode_1d_line(br: _Bits, width: int) -> list:
+def _decode_1d_line(br: MsbReader, width: int) -> list:
     """One MH-coded line → changing-element positions (transitions),
     starting with a white run."""
     changes = []
@@ -183,12 +162,13 @@ def _decode_1d_line(br: _Bits, width: int) -> list:
     return changes
 
 
-def _decode_2d_line(br: _Bits, width: int, ref: list) -> list:
+def _decode_2d_line(br: MsbReader, width: int, ref: list) -> list:
     """One 2D (READ) coded line against reference transitions."""
     from bisect import bisect_right
     changes = []
     a0 = -1
     color_white = True
+    end = len(br.data) * 8
     while a0 < width:
         # b1: first ref transition strictly right of a0 whose parity
         # matches the current colour (even index = white→black)
@@ -198,18 +178,19 @@ def _decode_2d_line(br: _Bits, width: int, ref: list) -> list:
         b1 = ref[i] if i < len(ref) else width
         b2 = ref[i + 1] if i + 1 < len(ref) else width
         # read mode code
-        if br.eof():
+        if br.pos >= end:
             break
-        if br.peek(1) == 1:                       # V0
+        m = br.peek(7)
+        if m >> 6 == 1:                           # V0
             br.pos += 1
             a1 = b1
-        elif br.peek(3) == 0b011:                 # VR1
+        elif m >> 4 == 0b011:                     # VR1
             br.pos += 3
             a1 = b1 + 1
-        elif br.peek(3) == 0b010:                 # VL1
+        elif m >> 4 == 0b010:                     # VL1
             br.pos += 3
             a1 = b1 - 1
-        elif br.peek(3) == 0b001:                 # horizontal
+        elif m >> 4 == 0b001:                     # horizontal
             br.pos += 3
             r1 = _read_run(br, _WHITE if color_white else _BLACK)
             r2 = _read_run(br, _BLACK if color_white else _WHITE)
@@ -218,20 +199,20 @@ def _decode_2d_line(br: _Bits, width: int, ref: list) -> list:
             changes.append(min(base + r1 + r2, width))
             a0 = base + r1 + r2
             continue
-        elif br.peek(4) == 0b0001:                # pass
+        elif m >> 3 == 0b0001:                    # pass
             br.pos += 4
             a0 = b2
             continue
-        elif br.peek(6) == 0b000011:              # VR2
+        elif m >> 1 == 0b000011:                  # VR2
             br.pos += 6
             a1 = b1 + 2
-        elif br.peek(6) == 0b000010:              # VL2
+        elif m >> 1 == 0b000010:                  # VL2
             br.pos += 6
             a1 = b1 - 2
-        elif br.peek(7) == 0b0000011:             # VR3
+        elif m == 0b0000011:                      # VR3
             br.pos += 7
             a1 = b1 + 3
-        elif br.peek(7) == 0b0000010:             # VL3
+        elif m == 0b0000010:                      # VL3
             br.pos += 7
             a1 = b1 - 3
         else:
@@ -261,14 +242,14 @@ def decode_g3(data: bytes, width: int, height: int,
               two_d: bool = False) -> np.ndarray:
     """Group 3 (T.4): EOL-delimited lines; in 2D mode each EOL is
     followed by a tag bit (1 = next line 1D, 0 = 2D)."""
-    br = _Bits(data)
+    br = MsbReader(data)
     rows = []
     ref = [width, width]
     while len(rows) < height:
         if not _sync_eol(br):
             break
         if two_d:
-            if br.eof():
+            if br.pos >= len(data) * 8:
                 break
             tag = br.get(1)
             one_d = tag == 1
@@ -290,7 +271,7 @@ def decode_g3(data: bytes, width: int, height: int,
 
 def decode_g4(data: bytes, width: int, height: int) -> np.ndarray:
     """Group 4 (T.6): pure 2D MMR, no EOLs, all-white reference."""
-    br = _Bits(data)
+    br = MsbReader(data)
     rows = []
     ref = [width, width]
     for _ in range(height):
@@ -308,12 +289,11 @@ def decode_g4(data: bytes, width: int, height: int) -> np.ndarray:
 def decode_mh(data: bytes, width: int, height: int) -> np.ndarray:
     """TIFF compression 2 (CCITT RLE / modified Huffman): pure 1D
     lines, no EOLs, each row restarts on a byte boundary."""
-    br = _Bits(data)
+    br = MsbReader(data)
     rows = []
     for _ in range(height):
-        if br.pos & 7:
-            br.pos += 8 - (br.pos & 7)
-        if br.eof():
+        br.align()
+        if br.pos >= len(data) * 8:
             break
         try:
             changes = _decode_1d_line(br, width)
@@ -355,30 +335,7 @@ _PASS = (0b0001, 4)
 _HORIZ = (0b001, 3)
 
 
-class _BitWriter:
-    __slots__ = ("buf", "acc", "n")
-
-    def __init__(self):
-        self.buf = bytearray()
-        self.acc = 0
-        self.n = 0
-
-    def put(self, val: int, nbits: int):
-        self.acc = (self.acc << nbits) | val
-        self.n += nbits
-        while self.n >= 8:
-            self.n -= 8
-            self.buf.append((self.acc >> self.n) & 0xFF)
-        self.acc &= (1 << self.n) - 1
-
-    def done(self) -> bytes:
-        if self.n:
-            self.buf.append((self.acc << (8 - self.n)) & 0xFF)
-            self.acc = self.n = 0
-        return bytes(self.buf)
-
-
-def _put_run(bw: _BitWriter, black: bool, run: int):
+def _put_run(bw: MsbWriter, black: bool, run: int):
     term = _B_TERM if black else _W_TERM
     makeup = _B_MAKEUP if black else _W_MAKEUP
     mk_runs = _B_MK_RUNS if black else _W_MK_RUNS
@@ -409,7 +366,7 @@ def encode_g4(img: np.ndarray) -> bytes:
     decode_g4's output polarity (roundtrip identity)."""
     img = (np.asarray(img) != 0).astype(np.uint8)
     h, w = img.shape
-    bw = _BitWriter()
+    bw = MsbWriter()
     ref = [w, w, w, w]
     for y in range(h):
         cur = _row_changes(img[y], w)
@@ -451,7 +408,7 @@ def encode_g4(img: np.ndarray) -> bytes:
         ref = cur
     bw.put(0b000000000001, 12)   # EOFB
     bw.put(0b000000000001, 12)
-    return bw.done()
+    return bw.finish()
 
 
 __all__.append("encode_g4")

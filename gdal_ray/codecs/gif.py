@@ -18,64 +18,28 @@ import struct
 
 import numpy as np
 
+from ._bits import LsbWriter, lzw_decode
+
 __all__ = ["decode_gif", "encode_gif"]
 
 
-def _lzw_decode(mcs: int, data: bytes, npix: int) -> np.ndarray:
-    clear = 1 << mcs
-    eoi = clear + 1
-    out = np.empty(npix, np.uint8)
-    n_out = 0
-
-    # bit reader state (LSB-first)
-    acc = 0
-    nbits = 0
-    pos = 0
-    width = mcs + 1
-    dic: list[bytes] = [bytes([i]) for i in range(clear)] + [b"", b""]
-    prev: bytes | None = None
-
-    while n_out < npix:
-        while nbits < width:
-            if pos >= len(data):
-                return out[:n_out]           # truncated stream: best effort
-            acc |= data[pos] << nbits
-            nbits += 8
-            pos += 1
-        code = acc & ((1 << width) - 1)
-        acc >>= width
-        nbits -= width
-        if code == clear:
-            dic = [bytes([i]) for i in range(clear)] + [b"", b""]
-            width = mcs + 1
-            prev = None
-            continue
-        if code == eoi:
-            break
-        if prev is None:
-            entry = dic[code]
-        elif code < len(dic):
-            entry = dic[code]
-            dic.append(prev + entry[:1])
-        elif code == len(dic):
-            entry = prev + prev[:1]
-            dic.append(entry)
-        else:
-            raise ValueError("corrupt GIF LZW stream")
-        take = min(len(entry), npix - n_out)
-        out[n_out:n_out + take] = np.frombuffer(entry[:take], np.uint8)
-        n_out += take
-        prev = entry
-        if len(dic) == (1 << width) and width < 12:
-            width += 1
-    return out[:n_out]
+def _sub_blocks(buf: bytes, pos: int):
+    """Data sub-blocks from ``pos`` → (joined payload, position after
+    the zero-length terminator)."""
+    chunks = []
+    while pos < len(buf) and buf[pos]:
+        chunks.append(buf[pos + 1:pos + 1 + buf[pos]])
+        pos += 1 + buf[pos]
+    if pos >= len(buf):
+        raise ValueError("truncated GIF sub-block chain")
+    return b"".join(chunks), pos + 1
 
 
 def decode_gif(buf: bytes):
     """GIF bytes → (indices (h, w) uint8, palette (n, 3) uint8,
     transparent_index | None). First frame only (the reference's GIF
     driver also exposes frame 1 as the dataset)."""
-    if buf[:6] not in (b"GIF87a", b"GIF89a"):
+    if buf[:6] not in (b"GIF87a", b"GIF89a") or len(buf) < 13:
         raise ValueError("not a GIF file")
     sw, sh, packed, _bg, _ar = struct.unpack_from("<HHBBB", buf, 6)
     pos = 13
@@ -90,18 +54,15 @@ def decode_gif(buf: bytes):
         if b == 0x3B:                        # trailer
             break
         if b == 0x21:                        # extension
-            label = buf[pos + 1]
-            pos += 2
-            if label == 0xF9 and buf[pos] >= 4:
-                flags = buf[pos + 1]
-                if flags & 1:
-                    transparent = buf[pos + 4]
-            while buf[pos]:                  # skip sub-blocks
-                pos += 1 + buf[pos]
-            pos += 1
+            label = buf[pos + 1:pos + 2]
+            ext, pos = _sub_blocks(buf, pos + 2)
+            if label == b"\xF9" and len(ext) >= 4 and ext[0] & 1:
+                transparent = ext[3]
             continue
         if b != 0x2C:
             raise ValueError(f"unexpected GIF block 0x{b:02X}")
+        if pos + 11 > len(buf):
+            raise ValueError("truncated GIF image descriptor")
         left, top, w, h, ipack = struct.unpack_from("<HHHHB", buf, pos + 1)
         pos += 10
         pal = palette
@@ -109,17 +70,15 @@ def decode_gif(buf: bytes):
             n = 2 << (ipack & 7)
             pal = np.frombuffer(buf, np.uint8, n * 3, pos).reshape(n, 3)
             pos += n * 3
+        if pos >= len(buf):
+            raise ValueError("truncated GIF image data")
         mcs = buf[pos]
-        pos += 1
-        chunks = []
-        while buf[pos]:
-            ln = buf[pos]
-            chunks.append(buf[pos + 1:pos + 1 + ln])
-            pos += 1 + ln
-        pos += 1
-        flat = _lzw_decode(mcs, b"".join(chunks), w * h)
+        data, pos = _sub_blocks(buf, pos + 1)
+        # a truncated stream decodes as far as it goes (best effort)
+        flat = lzw_decode(data, lsb=True, min_bits=mcs,
+                          early_change=0, limit=w * h)
         img = np.zeros(w * h, np.uint8)
-        img[:len(flat)] = flat
+        img[:len(flat)] = np.frombuffer(flat, np.uint8)
         img = img.reshape(h, w)
         if ipack & 0x40:                     # interlaced: 4-pass order
             rows = np.concatenate([np.arange(0, h, 8), np.arange(4, h, 8),
@@ -136,19 +95,8 @@ def decode_gif(buf: bytes):
 def _lzw_encode(mcs: int, pixels: np.ndarray) -> bytes:
     clear = 1 << mcs
     eoi = clear + 1
-    out = bytearray()
-    acc = 0
-    nbits = 0
-
-    def emit(code, width):
-        nonlocal acc, nbits
-        acc |= code << nbits
-        nbits += width
-        while nbits >= 8:
-            out.append(acc & 0xFF)
-            acc >>= 8
-            nbits -= 8
-
+    bw = LsbWriter()
+    emit = bw.put
     width = mcs + 1
     table = {bytes([i]): i for i in range(clear)}
     nxt = eoi + 1
@@ -173,9 +121,7 @@ def _lzw_encode(mcs: int, pixels: np.ndarray) -> bytes:
     if prev:
         emit(table[prev], width)
     emit(eoi, width)
-    if nbits:
-        out.append(acc & 0xFF)
-    return bytes(out)
+    return bw.finish()
 
 
 def encode_gif(indices: np.ndarray, palette: np.ndarray,

@@ -32,6 +32,8 @@ import struct
 
 import numpy as np
 
+from ._bits import unpack_fields
+
 
 def _s16(b: bytes) -> int:
     """GRIB sign-magnitude int16."""
@@ -46,20 +48,6 @@ def _s32(b: bytes) -> int:
 
 def sniff_grib(buf: bytes) -> bool:
     return buf[:4] == b"GRIB"
-
-
-def _unpack_bits(data: bytes, nbits: int, n: int) -> np.ndarray:
-    """n MSB-first fixed-width unsigned fields → int64 array."""
-    if nbits == 0:
-        return np.zeros(n, np.int64)
-    bits = np.unpackbits(np.frombuffer(data, np.uint8))
-    need = n * nbits
-    if len(bits) < need:
-        bits = np.concatenate([bits, np.zeros(need - len(bits),
-                                              np.uint8)])
-    bits = bits[:need].reshape(n, nbits).astype(np.int64)
-    weights = (1 << np.arange(nbits - 1, -1, -1, dtype=np.int64))
-    return bits @ weights
 
 
 class Grib2Message:
@@ -112,7 +100,7 @@ def _decode_data(drs_templ: int, drs: bytes, data: bytes, npoints: int):
         # constant field: every point equals the reference value
         return np.full(npoints, ref / (10.0 ** d_scale)), None
     if drs_templ == 0:                   # simple packing
-        x = _unpack_bits(data, nbits, npoints)
+        x = unpack_fields(data, nbits, npoints)
     elif drs_templ == 40:                # JPEG2000 code stream
         from .jp2 import decode_j2k
         bands = decode_j2k(bytes(data))
@@ -168,23 +156,6 @@ def _complex_unpack(drs: bytes, data: bytes, npoints: int,
     gl_last = int.from_bytes(drs[42:46], "big")
     gl_bits = drs[46]
     bitpos = 0
-
-    def take(nb, count):
-        nonlocal bitpos
-        start = bitpos // 8
-        # decode from a byte-aligned copy with a bit offset
-        off = bitpos % 8
-        need_bytes = (off + nb * count + 7) // 8
-        chunk = data[start:start + need_bytes]
-        bits = np.unpackbits(np.frombuffer(chunk, np.uint8))
-        bits = bits[off:off + nb * count]
-        bitpos += nb * count
-        if nb == 0:
-            return np.zeros(count, np.int64)
-        arr = bits.reshape(count, nb).astype(np.int64)
-        w = (1 << np.arange(nb - 1, -1, -1, dtype=np.int64))
-        return arr @ w
-
     od = 0
     gmin = 0
     init = []
@@ -192,7 +163,8 @@ def _complex_unpack(drs: bytes, data: bytes, npoints: int,
         od = drs[47]
         octets = drs[48]
         nb8 = octets * 8
-        head = take(nb8, od + 1)
+        head = unpack_fields(data, nb8, od + 1)
+        bitpos = nb8 * (od + 1)
         # sign-magnitude extras
         def sm(v):
             sbit = 1 << (nb8 - 1)
@@ -200,14 +172,16 @@ def _complex_unpack(drs: bytes, data: bytes, npoints: int,
         init = [sm(v) for v in head[:od]]
         gmin = sm(head[od])
 
-    grefs = take(nbits, ng)
-    bitpos = (bitpos + 7) // 8 * 8
-    gwidths = take(gw_bits, ng) + gw_ref
-    bitpos = (bitpos + 7) // 8 * 8
-    glens = take(gl_bits, ng) * gl_inc + gl_ref
+    # group references, widths and lengths, each array byte-aligned
+    groups = []
+    for nb in (nbits, gw_bits, gl_bits):
+        groups.append(unpack_fields(data, nb, ng, bit_offset=bitpos))
+        bitpos = (bitpos + nb * ng + 7) // 8 * 8
+    grefs, gwidths, glens = groups
+    gwidths = gwidths + gw_ref
+    glens = glens * gl_inc + gl_ref
     if ng:
         glens[-1] = gl_last
-    bitpos = (bitpos + 7) // 8 * 8
     out = np.empty(int(glens.sum()), np.int64)
     miss = np.zeros(int(glens.sum()), bool)
     p = 0
@@ -215,7 +189,8 @@ def _complex_unpack(drs: bytes, data: bytes, npoints: int,
     for g in range(ng):
         cnt = int(glens[g])
         w = int(gwidths[g])
-        vals = take(w, cnt)
+        vals = unpack_fields(data, w, cnt, bit_offset=bitpos)
+        bitpos += w * cnt
         if missing_mgmt == 1:
             if w == 0:
                 # width-0 group: all points share gref, or all missing
@@ -502,7 +477,7 @@ def _parse_grib1_message(buf: bytes, pos: int):
     if nbits == 0:
         vals = np.full(npacked, ref)
     else:
-        x = _unpack_bits(bds[11:], nbits, npacked)
+        x = unpack_fields(bds[11:], nbits, npacked)
         vals = ref + x.astype(np.float64) * 2.0 ** e_scale
     vals = vals / 10.0 ** d_scale
     # degrib presentation: temperature parameters (NCEP table: 11 TMP,

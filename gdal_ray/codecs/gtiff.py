@@ -28,6 +28,8 @@ import zlib
 
 import numpy as np
 
+from ._bits import lzw_decode, unpack_rows
+
 # TIFF tag ids
 _T_WIDTH, _T_HEIGHT = 256, 257
 _T_BITS, _T_COMP, _T_PHOTO = 258, 259, 262
@@ -92,54 +94,6 @@ def _dtype_of(bits, sfmt, bo):
     if base is None:
         raise ValueError(f"unsupported TIFF sample: {bits} bits fmt {sfmt}")
     return np.dtype(base if base == "u1" or base == "i1" else bo + base)
-
-
-def _lzw_decode(data: bytes) -> bytes:
-    """TIFF-variant LZW (MSB-first codes, ClearCode 256, EOI 257,
-    early-change code-width bump)."""
-    out = bytearray()
-    table: list[bytes] = []
-    bitpos = 0
-    nbits = 9
-    prev: bytes | None = None
-    nbytes = len(data)
-
-    def reset():
-        nonlocal table, nbits, prev
-        table = [bytes([i]) for i in range(256)] + [b"", b""]
-        nbits = 9
-        prev = None
-
-    reset()
-    while True:
-        byte0 = bitpos >> 3
-        if byte0 + 3 > nbytes:
-            chunk = data[byte0:byte0 + 3] + b"\x00\x00"
-        else:
-            chunk = data[byte0:byte0 + 3]
-        word = (chunk[0] << 16) | (chunk[1] << 8) | chunk[2]
-        code = (word >> (24 - nbits - (bitpos & 7))) & ((1 << nbits) - 1)
-        bitpos += nbits
-        if code == 257 or byte0 >= nbytes:
-            break
-        if code == 256:
-            reset()
-            continue
-        if prev is None:
-            entry = table[code]
-            out += entry
-        else:
-            if code < len(table):
-                entry = table[code]
-            else:
-                entry = prev + prev[:1]
-            out += entry
-            table.append(prev + entry[:1])
-        prev = entry
-        # early change: widen one code before the table fills
-        if len(table) + 1 >= (1 << nbits) and nbits < 12:
-            nbits += 1
-    return bytes(out)
 
 
 def _packbits_decode(data: bytes) -> bytes:
@@ -287,7 +241,7 @@ def _decompress(raw: bytes, comp: int) -> bytes:
     if comp in (8, 32946):        # deflate / adobe deflate
         return zlib.decompress(raw)
     if comp == 5:
-        return _lzw_decode(raw)
+        return lzw_decode(raw, lsb=False, min_bits=8, early_change=1)
     if comp == 32773:
         return _packbits_decode(raw)
     if comp == 50000:             # ZSTD (own RFC 8878 decoder)
@@ -704,10 +658,7 @@ def _decode_ifd(mv: bytes, bo: str, ifd_off: int, big: bool = False):
             raw = raw + b"\x00" * (need - len(raw))
         rows = np.frombuffer(raw, np.uint8, count=need) \
             .reshape(bh, rowbytes)
-        bits_arr = np.unpackbits(rows, axis=1)[:, :spr * bits] \
-            .reshape(bh, spr, bits)
-        weights = (1 << np.arange(bits - 1, -1, -1)).astype(np.int64)
-        vals = bits_arr.astype(np.int64) @ weights
+        vals = unpack_rows(rows, bits, spr).astype(np.int64)
         if sfmt == 2:
             vals = np.where(vals & (1 << (bits - 1)),
                             vals - (1 << bits), vals)
@@ -770,9 +721,7 @@ def _decode_ifd(mv: bytes, bo: str, ifd_off: int, big: bool = False):
                           count=min(len(raw), rowbytes * bh))
         if a.size < rowbytes * bh:
             a = np.pad(a, (0, rowbytes * bh - a.size))
-        bits_arr = np.unpackbits(a.reshape(bh, rowbytes),
-                                 axis=1)[:, :spb]
-        return np.ascontiguousarray(bits_arr).tobytes()
+        return unpack_rows(a.reshape(bh, rowbytes), 1, spb).tobytes()
 
     if _T_TILE_OFF in tags:
         tw = int(tags[_T_TILE_W][0])

@@ -45,6 +45,8 @@ import struct
 
 import numpy as np
 
+from ._bits import unpack_fields
+
 __all__ = ["decode_hfa", "open_hfa"]
 
 # pixelType enum (frmts/hfa/hfa.h:121-134) → numpy dtype; sub-byte
@@ -487,25 +489,15 @@ class _HFAFile:
 # ------------------------------------------------------------------
 # block decode
 # ------------------------------------------------------------------
-def _unpack_bits(vals: np.ndarray, nbits: int, count: int):
-    """LSB-first sub-byte unpack (1/2/4 bits per value)."""
-    per = 8 // nbits
-    idx = np.arange(count)
-    b = vals[idx // per]
-    shift = (idx % per) * nbits
-    return (b >> shift) & ((1 << nbits) - 1)
-
-
 def _read_packed(values: bytes, nbits: int, count: int) -> np.ndarray:
     """Packed value stream of the ESRI GRID compressor: sub-byte lanes
     LSB-first, 16/32-bit big-endian (hfaband.cpp:600-655)."""
     if nbits == 0:
         return np.zeros(count, np.int64)
-    v = np.frombuffer(values, np.uint8)
     if nbits in (1, 2, 4):
-        return _unpack_bits(v, nbits, count).astype(np.int64)
+        return unpack_fields(values, nbits, count, lsb=True)
     if nbits == 8:
-        return v[:count].astype(np.int64)
+        return np.frombuffer(values, np.uint8)[:count].astype(np.int64)
     if nbits == 16:
         return np.frombuffer(values, ">u2", count=count).astype(
             np.int64)
@@ -552,8 +544,7 @@ def _cast_block(vals: np.ndarray, ept: int) -> np.ndarray:
 
 def _expand_subbyte(raw: bytes, ept: int, n_pixels: int) -> np.ndarray:
     nbits = _EPT_BITS[ept]
-    return _unpack_bits(np.frombuffer(raw, np.uint8), nbits,
-                        n_pixels).astype(np.uint8)
+    return unpack_fields(raw, nbits, n_pixels, lsb=True).astype(np.uint8)
 
 
 def _read_band(hfa: _HFAFile, layer: _Entry):

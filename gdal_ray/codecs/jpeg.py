@@ -29,6 +29,8 @@ import struct
 
 import numpy as np
 
+from ._bits import MsbReader, MsbWriter
+
 # zigzag order (T.81 Figure A.6)
 _ZZ = np.array([
     0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5,
@@ -128,33 +130,6 @@ def _extend(v, t):
     return v if v >= (1 << (t - 1)) else v - (1 << t) + 1
 
 
-class _BitReader:
-    """MSB-first reader over the UNSTUFFED entropy-coded bytes."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0                 # bit position
-
-    def peek16(self) -> int:
-        byte0 = self.pos >> 3
-        chunk = self.data[byte0:byte0 + 4]
-        chunk = chunk + b"\x00" * (4 - len(chunk))
-        word = int.from_bytes(chunk, "big")
-        return (word >> (16 - (self.pos & 7))) & 0xFFFF
-
-    def take(self, n: int) -> int:
-        byte0 = self.pos >> 3
-        chunk = self.data[byte0:byte0 + 5]
-        chunk = chunk + b"\x00" * (5 - len(chunk))
-        word = int.from_bytes(chunk, "big")
-        v = (word >> (40 - (self.pos & 7) - n)) & ((1 << n) - 1)
-        self.pos += n
-        return v
-
-    def align(self):
-        self.pos = (self.pos + 7) & ~7
-
-
 def _collect_entropy(buf: bytes, pos: int):
     """Unstuff the entropy-coded segment starting at ``pos``. Returns
     (bytes, restart bit positions, position of the next marker)."""
@@ -181,7 +156,7 @@ def _collect_entropy(buf: bytes, pos: int):
 
 
 def _huffdec(br, sym, ln, what: str) -> int:
-    win = br.peek16()
+    win = br.peek(16)
     L = int(ln[win])
     if L == 0:
         raise ValueError(f"bad Huffman prefix ({what})")
@@ -196,7 +171,7 @@ def _decode_scan(scan, comps, comp_by_id, coefs, nblocks,
     decode the (Ss..Se) band at successive-approximation bit Al with
     EOB-run and refinement semantics (T.81 G.1.2)."""
     (scan_comps, ss, se, ah, al, huff, restart, ecs, rst_bitpos) = scan
-    br = _BitReader(ecs)
+    br = MsbReader(ecs)
     end_bits = len(ecs) * 8
     dc_pred = {cs: 0 for cs, _, _ in scan_comps}
     eobrun = 0
@@ -215,12 +190,12 @@ def _decode_scan(scan, comps, comp_by_id, coefs, nblocks,
 
     def dc_first(blk, cs, dsym, dlen):
         t = _huffdec(br, dsym, dlen, "DC")
-        diff = _extend(br.take(t), t) if t else 0
+        diff = _extend(br.get(t), t) if t else 0
         dc_pred[cs] += diff
         blk[0] = dc_pred[cs] << al
 
     def dc_refine(blk):
-        if br.take(1):
+        if br.get(1):
             blk[0] |= p1
 
     def ac_first(blk, asym, alen):
@@ -238,12 +213,12 @@ def _decode_scan(scan, comps, comp_by_id, coefs, nblocks,
                     continue
                 eobrun = (1 << r) - 1
                 if r:
-                    eobrun += br.take(r)
+                    eobrun += br.get(r)
                 break
             k += r
             if k > se:
                 break
-            blk[k] = _extend(br.take(s), s) << al
+            blk[k] = _extend(br.get(s), s) << al
             k += 1
 
     def ac_refine(blk, asym, alen):
@@ -264,17 +239,17 @@ def _decode_scan(scan, comps, comp_by_id, coefs, nblocks,
                         # decrements the run
                         eobrun = 1 << r
                         if r:
-                            eobrun += br.take(r)
+                            eobrun += br.get(r)
                         break
                     # r == 15, s == 0: skip 16 zero-history coefficients
                 else:
                     if s != 1:
                         raise ValueError("corrupt AC refinement scan")
-                    val = p1 if br.take(1) else m1
+                    val = p1 if br.get(1) else m1
                 while k <= se:
                     c = int(blk[k])
                     if c != 0:
-                        if br.take(1) and (c & p1) == 0:
+                        if br.get(1) and (c & p1) == 0:
                             blk[k] = c + (p1 if c >= 0 else m1)
                     else:
                         if r == 0:
@@ -288,14 +263,14 @@ def _decode_scan(scan, comps, comp_by_id, coefs, nblocks,
             while k <= se:
                 c = int(blk[k])
                 if c != 0:
-                    if br.take(1) and (c & p1) == 0:
+                    if br.get(1) and (c & p1) == 0:
                         blk[k] = c + (p1 if c >= 0 else m1)
                 k += 1
             eobrun -= 1
 
     def seq_block(blk, cs, dsym, dlen, asym, alen):
         t = _huffdec(br, dsym, dlen, "DC")
-        diff = _extend(br.take(t), t) if t else 0
+        diff = _extend(br.get(t), t) if t else 0
         dc_pred[cs] += diff
         blk[0] = dc_pred[cs]
         k = 1
@@ -310,7 +285,7 @@ def _decode_scan(scan, comps, comp_by_id, coefs, nblocks,
             k += r
             if k > 63:
                 break
-            blk[k] = _extend(br.take(s), s)
+            blk[k] = _extend(br.get(s), s)
             k += 1
 
     def tables_for(td, ta, need_dc, need_ac):
@@ -769,27 +744,11 @@ def _scale_q(tbl: np.ndarray, quality: int) -> np.ndarray:
     return np.clip(q, 1, 255).astype(np.int32)
 
 
-class _BitWriter:
-    def __init__(self):
-        self.out = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def put(self, code: int, length: int):
-        self.acc = (self.acc << length) | (code & ((1 << length) - 1))
-        self.nbits += length
-        while self.nbits >= 8:
-            byte = (self.acc >> (self.nbits - 8)) & 0xFF
-            self.out.append(byte)
-            if byte == 0xFF:
-                self.out.append(0x00)           # stuffing
-            self.nbits -= 8
-        self.acc &= (1 << self.nbits) - 1
-
-    def flush(self):
-        if self.nbits:
-            pad = 8 - self.nbits
-            self.put((1 << pad) - 1, pad)
+def _segment(bw: MsbWriter) -> bytes:
+    """Close an entropy-coded segment: pad the last byte with 1-bits
+    and stuff a 0x00 after every 0xFF (T.81 F.1.2.3, B.1.1.5)."""
+    bw.put(0xFF, -bw.n & 7)
+    return bw.finish().replace(b"\xff", b"\xff\x00")
 
 
 def _enc_table(bits, values):
@@ -972,7 +931,7 @@ def _emit_progressive_scans(out: bytearray, zz, ncomp: int) -> None:
         for ci in comps_idx:
             out += bytes([ci + 1, 0x00])
         out += bytes([ss, se, (ah << 4) | al])
-        bw = _BitWriter()
+        bw = MsbWriter()
         if ss == 0 and ah == 0:              # DC first (arithmetic >>)
             preds = {ci: 0 for ci in comps_idx}
             for bi in range(nb):
@@ -1003,8 +962,7 @@ def _emit_progressive_scans(out: bytearray, zz, ncomp: int) -> None:
             for bi in range(nb):
                 _emit_ac_refine(pw, zz[ci][bi][ss:se + 1], al)
             pw.emit_eobrun()
-        bw.flush()
-        out += bw.out
+        out += _segment(bw)
 
 
 def encode(img: np.ndarray, quality: int = 90,
@@ -1076,7 +1034,7 @@ def encode(img: np.ndarray, quality: int = 90,
         out += bytes([ci + 1, 0x00 if ci == 0 else 0x11])
     out += b"\x00\x3F\x00"
 
-    bw_ = _BitWriter()
+    bw_ = MsbWriter()
     dc_y, ac_y = _enc_table(*_DC_LUMA), _enc_table(*_AC_LUMA)
     dc_c, ac_c = _enc_table(*_DC_CHROMA), _enc_table(*_AC_CHROMA)
     # interleave per MCU (1 block per component at 4:4:4)
@@ -1118,8 +1076,7 @@ def encode(img: np.ndarray, quality: int = 90,
             if last < 63:
                 code, ln = act_tab[0x00]
                 bw_.put(code, ln)
-    bw_.flush()
-    out += bw_.out
+    out += _segment(bw_)
     out += b"\xFF\xD9"
     return bytes(out)
 
@@ -1187,7 +1144,7 @@ def _decode_lossless(buf: bytes, sof_pos: int, sof_seg: bytes,
 
 def _lossless_scan(ecs, rst_bitpos, w, h, precision, scomps, huff,
                    pred_sel, pt, restart, raw_planes):
-    br = _BitReader(ecs)
+    br = MsbReader(ecs)
     nc = len(scomps)
     out = np.zeros((h, w, nc), np.int64)
     default = 1 << (precision - pt - 1)
@@ -1200,7 +1157,7 @@ def _lossless_scan(ecs, rst_bitpos, w, h, precision, scomps, huff,
         for x in range(w):
             for ci in range(nc):
                 sym, ln = luts[ci]
-                window = br.peek16()
+                window = br.peek(16)
                 s = int(sym[window])
                 length = int(ln[window])
                 if length == 0:
@@ -1211,7 +1168,7 @@ def _lossless_scan(ecs, rst_bitpos, w, h, precision, scomps, huff,
                 elif s == 0:
                     diff = 0
                 else:
-                    diff = _extend(br.take(s), s)
+                    diff = _extend(br.get(s), s)
                 idx = y * w + x
                 if idx == reset_at:
                     px = default          # scan / restart start

@@ -32,6 +32,8 @@ import struct
 
 import numpy as np
 
+from ._bits import unpack_fields
+
 __all__ = ["read_msgn"]
 
 _NUM_CHANNELS = 12
@@ -173,7 +175,6 @@ def read_msgn(path: str):
     selected = [i for i in range(_NUM_CHANNELS - 1) if bands[i]]
     data_length = visir_bytes + _SUB_VISIRLINE
     out = np.zeros((lines, cols, len(selected)), dtype=np.uint16)
-    weights = (1 << np.arange(9, -1, -1)).astype(np.uint16)
     for bi, ch in enumerate(selected):
         slot = band_in_file[ch]
         for y in range(lines):
@@ -187,10 +188,7 @@ def read_msgn(path: str):
             validity = rec[24]
             if validity != 1:
                 continue
-            payload = np.frombuffer(rec, dtype=np.uint8,
-                                    offset=_SUB_VISIRLINE)
-            bits = np.unpackbits(payload)[:nsamples * 10]
-            vals = bits.reshape(nsamples, 10).astype(np.uint16) @ weights
+            vals = unpack_fields(rec[_SUB_VISIRLINE:], 10, nsamples)
             n = min(nsamples, cols)
             # stored mirrored: sample c lands at column cols-1-c
             out[iy, cols - 1 - np.arange(n), bi] = vals[:n]

@@ -30,6 +30,8 @@ import struct
 
 import numpy as np
 
+from ._bits import unpack_fields
+
 __all__ = ["decode_nitf", "read_nitf_info"]
 
 
@@ -357,15 +359,8 @@ def _read_uncompressed(buf, seg, starts):
                     raw = np.frombuffer(
                         buf, np.uint8, count=(nbits + 7) // 8,
                         offset=int(s))
-                    bits = np.unpackbits(raw)[:nbits]
-                    if seg.nbpp == 1:
-                        blk = bits.reshape(seg.bh, seg.bw)
-                    else:
-                        k = seg.nbpp
-                        v = bits.reshape(seg.bh, seg.bw, k)
-                        blk = np.zeros((seg.bh, seg.bw), np.uint8)
-                        for b in range(k):
-                            blk = (blk << 1) | v[:, :, b]
+                    blk = unpack_fields(raw, seg.nbpp, seg.bw * seg.bh)\
+                        .reshape(seg.bh, seg.bw)
                     out[y0:y0 + ch, x0:x0 + cw, ib] = blk[:ch, :cw]
                     continue
                 # strided view over the block

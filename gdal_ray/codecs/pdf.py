@@ -33,6 +33,8 @@ import zlib
 
 import numpy as np
 
+from ._bits import lzw_decode, unpack_rows
+
 __all__ = ["PdfFile", "read_pdf", "write_pdf"]
 
 
@@ -343,8 +345,9 @@ def decode_stream(pdf: "PdfFile", st: Stream) -> bytes:
             data = zlib.decompress(data)
             data = _apply_predictor(data, p)
         elif f in ("LZWDecode", "LZW"):
-            from .gtiff import _lzw_decode
-            data = _lzw_decode(data)
+            early = int(pdf.resolve(p.get("EarlyChange", 1)))
+            data = lzw_decode(data, lsb=False, min_bits=8,
+                              early_change=early)
             data = _apply_predictor(data, p)
         elif f in ("RunLengthDecode", "RL"):
             data = _rle_decode(data)
@@ -563,24 +566,13 @@ def _decode_image(pdf: PdfFile, st: Stream) -> np.ndarray:
     elif bpc == 16:
         arr = np.frombuffer(data, ">u2")
         arr = arr[:h * w * ncomp].reshape(h, w, ncomp).astype(np.uint16)
-    elif bpc == 1:
-        rowbytes = (w * ncomp + 7) // 8
-        bits = np.unpackbits(
-            np.frombuffer(data, np.uint8)[:h * rowbytes]
-            .reshape(h, rowbytes), axis=1)[:, :w * ncomp]
-        arr = bits.reshape(h, w, ncomp)
-        if pal is None:
-            arr = arr * 255
-    elif bpc in (2, 4):
+    elif bpc in (1, 2, 4):
         rowbytes = (w * ncomp * bpc + 7) // 8
         rows = np.frombuffer(data, np.uint8)[:h * rowbytes]\
             .reshape(h, rowbytes)
-        shifts = np.arange(8 - bpc, -1, -bpc)
-        vals = (rows[:, :, None] >> shifts[None, None, :]) & \
-            ((1 << bpc) - 1)
-        arr = vals.reshape(h, -1)[:, :w * ncomp].reshape(h, w, ncomp)
+        arr = unpack_rows(rows, bpc, w * ncomp).reshape(h, w, ncomp)
         if pal is None:
-            arr = (arr * (255 // ((1 << bpc) - 1))).astype(np.uint8)
+            arr = arr * np.uint8(255 // ((1 << bpc) - 1))
     else:
         raise ValueError(f"PDF image bpc {bpc}")
     arr = arr.astype(np.uint8) if arr.dtype != np.uint16 else arr

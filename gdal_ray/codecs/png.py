@@ -16,6 +16,8 @@ import zlib
 
 import numpy as np
 
+from ._bits import unpack_rows
+
 _SIG = b"\x89PNG\r\n\x1a\n"
 _COLOR_TYPE = {1: 0, 2: 4, 3: 2, 4: 6}  # nbands -> PNG color type
 _NBANDS = {0: 1, 4: 2, 2: 3, 6: 4}
@@ -90,11 +92,8 @@ def decode(buf: bytes, expand_palette: bool = False) -> np.ndarray:
         def rowdec(chunk, pw, ph):
             rb = (pw * depth + 7) // 8
             sub = _unfilter(chunk, rb, ph, 1, 1)
-            bits = np.unpackbits(sub.astype(np.uint8).reshape(ph, rb),
-                                 axis=1)[:, :pw * depth]
-            weights = (1 << np.arange(depth - 1, -1, -1))
-            return (bits.reshape(ph, pw, depth)
-                    @ weights).astype(np.uint8)
+            return unpack_rows(sub.astype(np.uint8).reshape(ph, rb),
+                               depth, pw)
 
         if inter == 1:
             out = np.zeros((h, w, 1), np.uint8)

@@ -27,6 +27,8 @@ import struct
 
 import numpy as np
 
+from ._bits import unpack_fields, unpack_rows
+
 __all__ = ["decode_rmf"]
 
 
@@ -383,18 +385,15 @@ def decode_rmf(buf: bytes):
                     # palette indices, two per byte LOW nibble first
                     # (4bit.rsw golden 55221)
                     rowb = (raw_w + 1) // 2
-                    a = np.frombuffer(data, np.uint8,
-                                      rowb * raw_h).reshape(raw_h, rowb)
-                    v = np.empty((raw_h, rowb * 2), np.uint8)
-                    v[:, 0::2] = a & 15
-                    v[:, 1::2] = a >> 4
-                    tile_px = v[:, :raw_w, None].astype(out.dtype)
+                    v = unpack_fields(data, 4, raw_h * rowb * 2, lsb=True)
+                    tile_px = v.reshape(raw_h, -1)[:, :raw_w, None]\
+                        .astype(out.dtype)
                 elif not is_mtw and depth == 1:
                     rowb = (raw_w + 7) // 8
                     a = np.frombuffer(data, np.uint8,
                                       rowb * raw_h).reshape(raw_h, rowb)
-                    bits = np.unpackbits(a, axis=1)[:, :raw_w]
-                    tile_px = bits[:, :, None].astype(out.dtype)
+                    tile_px = unpack_rows(a, 1, raw_w)[:, :, None]\
+                        .astype(out.dtype)
                 else:
                     tile_px = np.frombuffer(data, dtype).reshape(
                         raw_h, raw_w, 1).astype(out.dtype)

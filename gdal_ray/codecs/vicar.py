@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._bits import MsbReader
+
 from .pds import _proj_string
 
 __all__ = ["decode_vicar", "parse_vicar_label", "read_vicar_prefix"]
@@ -221,20 +223,7 @@ def _basic_decode(code: np.ndarray, ns: int, wid: int) -> np.ndarray:
     """One compressed record → ns*wid bytes (byte-plane interleaved
     delta/RLE bitstream — vicardataset.cpp basic_decode)."""
     out = np.zeros(ns * wid, np.uint8)
-    bits = np.unpackbits(code)
-    pos = 0
-    nb = bits.size
-
-    def grab(n):
-        nonlocal pos
-        if pos + n > nb:
-            raise ValueError("out of BASIC decoding buffer")
-        v = 0
-        for b in bits[pos:pos + n]:
-            v = (v << 1) | int(b)
-        pos += n
-        return v
-
+    br = MsbReader(code.tobytes())
     trns = (-3, -2, -1, 0, 1, 2, 3)
     old = 0
     run = -3
@@ -245,31 +234,33 @@ def _basic_decode(code: np.ndarray, ns: int, wid: int) -> np.ndarray:
                 out[ip] = nval & 0xFF
                 run -= 1
                 continue
-            val = grab(3)
+            val = br.get(3)
             if val < 7:
                 nval = (old + trns[val]) & 0xFFFFFFFF
                 out[ip] = nval & 0xFF
                 old = nval
                 continue
-            if grab(1):
-                rc = grab(4)
+            if br.get(1):
+                rc = br.get(4)
                 if rc == 15:
-                    rc = grab(8)
+                    rc = br.get(8)
                     if rc == 255:
-                        run = grab(8) | (grab(8) << 8) | (grab(8) << 16)
+                        run = br.get(8) | (br.get(8) << 8) | (br.get(8) << 16)
                     else:
                         run = rc + 15
                 else:
                     run = rc
-                val = grab(3)
+                val = br.get(3)
                 nval = (old + trns[val]) & 0xFFFFFFFF if val < 7 \
-                    else grab(8)
+                    else br.get(8)
                 out[ip] = nval & 0xFF
                 old = nval
             else:
-                val = grab(8)
+                val = br.get(8)
                 out[ip] = val
                 old = val
+    if br.pos > 8 * len(code):
+        raise ValueError("out of BASIC decoding buffer")
     return out
 
 

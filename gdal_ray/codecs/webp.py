@@ -27,9 +27,8 @@ both loop filters — followed by libwebp-parity fancy chroma
 upsampling and fixed-point YUV->RGB; the ALPH chunk (raw or
 VP8L-compressed alpha with all four prediction filters) is honored.
 Byte-exact vs libwebp on the reference fixtures and random encoder
-output (tests/test_vp8.py); the libwebp ctypes plug
-(codecs/webp_sys.py) remains as the test-time conformance oracle
-only.
+output (tests/test_vp8.py); the libwebp ctypes plug (tests/webp_sys.py) is
+the test-time conformance oracle only.
 """
 
 from __future__ import annotations
@@ -38,6 +37,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._bits import LsbReader, LsbWriter
 
 # code length code order (spec §"Prefix code groups"; identical to the
 # constant in libwebp src/utils/huffman_encode_utils.c)
@@ -106,67 +107,6 @@ def webp_info(buf: bytes) -> WebPInfo:
     if info.flavor != "lossless":
         info.has_alpha = info.has_alpha or has_alpha
     return info
-
-
-# ---------------------------------------------------------------------------
-# bit i/o (VP8L is LSB-first)
-# ---------------------------------------------------------------------------
-
-class _BitWriter:
-    def __init__(self):
-        self.out = bytearray()
-        self.acc = 0
-        self.n = 0
-
-    def write(self, value: int, nbits: int):
-        self.acc |= (value & ((1 << nbits) - 1)) << self.n
-        self.n += nbits
-        while self.n >= 8:
-            self.out.append(self.acc & 0xFF)
-            self.acc >>= 8
-            self.n -= 8
-
-    def write_bits(self, bits: np.ndarray):
-        """Append a uint8 0/1 array as LSB-first bits (vectorized via
-        packbits; any partial-byte writer state is folded in)."""
-        if self.n:
-            head = np.array([(self.acc >> i) & 1
-                             for i in range(self.n)], np.uint8)
-            bits = np.concatenate([head, bits])
-            self.acc = 0
-            self.n = 0
-        rem = len(bits) & 7
-        main = bits[:len(bits) - rem] if rem else bits
-        self.out.extend(np.packbits(main, bitorder="little").tobytes())
-        for bit in bits[len(bits) - rem:].tolist() if rem else ():
-            self.acc |= int(bit) << self.n
-            self.n += 1
-
-    def finish(self) -> bytes:
-        if self.n:
-            self.out.append(self.acc & 0xFF)
-        return bytes(self.out)
-
-
-class _BitReader:
-    def __init__(self, data: bytes, pos_bits: int = 0):
-        self.data = data
-        self.pos = pos_bits
-
-    def read(self, nbits: int) -> int:
-        p = self.pos
-        # LSB-first: load a byte window and shift out the bit offset
-        # (slices past the end are short = implicit zero padding)
-        v = (int.from_bytes(self.data[p >> 3:(p >> 3) + 9], "little")
-             >> (p & 7)) & ((1 << nbits) - 1)
-        self.pos = p + nbits
-        return v
-
-    def peek(self, nbits: int) -> int:
-        p = self.pos
-        return (int.from_bytes(self.data[p >> 3:(p >> 3) + 9],
-                               "little") >> (p & 7)) \
-            & ((1 << nbits) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +188,12 @@ class _PrefixEncoder:
         # spec: a single-symbol code consumes ZERO bits per symbol
         self.single = np.count_nonzero(lengths) == 1
 
-    def emit(self, bw: _BitWriter, sym: int):
+    def emit(self, bw: LsbWriter, sym: int):
         if self.single:
             return
         ln = int(self.lengths[sym])
         # prefix codes are written MSB-first into the LSB-first stream
-        bw.write(_rev_bits(int(self.codes[sym]), ln), ln)
+        bw.put(_rev_bits(int(self.codes[sym]), ln), ln)
 
 
 class _PrefixDecoder:
@@ -280,7 +220,7 @@ class _PrefixDecoder:
             lut[base::step] = (int(s) << 5) | ln
         self.lut = lut.tolist()              # plain list: faster index
 
-    def read(self, br: _BitReader) -> int:
+    def read(self, br: LsbReader) -> int:
         if self.single is not None:            # zero-bit code (spec)
             return self.single
         e = self.lut[br.peek(self.max_len)]
@@ -290,24 +230,24 @@ class _PrefixDecoder:
         return e >> 5
 
 
-def _write_code_lengths(bw: _BitWriter, lengths: np.ndarray):
+def _write_code_lengths(bw: LsbWriter, lengths: np.ndarray):
     """Transmit one prefix code: simple 1/2-symbol form when possible,
     else the full code-length-code form (spec §5.2.2)."""
     nz = np.flatnonzero(lengths)
     if 1 <= len(nz) <= 2 and all(int(s) < 256 for s in nz):
-        bw.write(1, 1)                      # simple code
-        bw.write(len(nz) - 1, 1)            # num symbols - 1
+        bw.put(1, 1)                      # simple code
+        bw.put(len(nz) - 1, 1)            # num symbols - 1
         s0 = int(nz[0])
         if s0 <= 1:
-            bw.write(0, 1)                  # first symbol in 1 bit
-            bw.write(s0, 1)
+            bw.put(0, 1)                  # first symbol in 1 bit
+            bw.put(s0, 1)
         else:
-            bw.write(1, 1)
-            bw.write(s0, 8)
+            bw.put(1, 1)
+            bw.put(s0, 8)
         if len(nz) == 2:
-            bw.write(int(nz[1]), 8)
+            bw.put(int(nz[1]), 8)
         return
-    bw.write(0, 1)                          # normal code
+    bw.put(0, 1)                          # normal code
     # run-length encode the length array with symbols 0-15, 16, 17, 18
     seq: list[tuple[int, int]] = []         # (symbol, extra)
     i = 0
@@ -352,38 +292,38 @@ def _write_code_lengths(bw: _BitWriter, lengths: np.ndarray):
     while len(order_lens) > 4 and order_lens[-1] == 0:
         order_lens.pop()
     num = max(4, len(order_lens))
-    bw.write(num - 4, 4)
+    bw.put(num - 4, 4)
     for k in range(num):
-        bw.write(order_lens[k] if k < len(order_lens) else 0, 3)
-    bw.write(0, 1)                          # no explicit max_symbol
+        bw.put(order_lens[k] if k < len(order_lens) else 0, 3)
+    bw.put(0, 1)                          # no explicit max_symbol
     enc = _PrefixEncoder(clc_len)
     extra_bits = {16: 2, 17: 3, 18: 7}
     for s, extra in seq:
         enc.emit(bw, s)
         if s >= 16:
-            bw.write(extra, extra_bits[s])
+            bw.put(extra, extra_bits[s])
 
 
-def _read_code_lengths(br: _BitReader, alphabet: int) -> np.ndarray:
+def _read_code_lengths(br: LsbReader, alphabet: int) -> np.ndarray:
     lengths = np.zeros(alphabet, np.int64)
-    if br.read(1):                          # simple code
-        n = br.read(1) + 1
-        if br.read(1):
-            s0 = br.read(8)
+    if br.get(1):                          # simple code
+        n = br.get(1) + 1
+        if br.get(1):
+            s0 = br.get(8)
         else:
-            s0 = br.read(1)
+            s0 = br.get(1)
         lengths[s0] = 1
         if n == 2:
-            lengths[br.read(8)] = 1
+            lengths[br.get(8)] = 1
         return lengths
-    num = br.read(4) + 4
+    num = br.get(4) + 4
     clc_len = np.zeros(19, np.int64)
     for k in range(num):
-        clc_len[_CLC_ORDER[k]] = br.read(3)
+        clc_len[_CLC_ORDER[k]] = br.get(3)
     max_symbol = alphabet
-    if br.read(1):                          # explicit max symbol count
-        bits = 2 + 2 * br.read(3)
-        max_symbol = 2 + br.read(bits)
+    if br.get(1):                          # explicit max symbol count
+        bits = 2 + 2 * br.get(3)
+        max_symbol = 2 + br.get(bits)
     dec = _PrefixDecoder(clc_len)
     i, prev = 0, 8
     while i < alphabet and max_symbol > 0:
@@ -395,13 +335,13 @@ def _read_code_lengths(br: _BitReader, alphabet: int) -> np.ndarray:
             if s:
                 prev = s
         elif s == 16:
-            rep = 3 + br.read(2)
+            rep = 3 + br.get(2)
             lengths[i:i + rep] = prev
             i += rep
         elif s == 17:
-            i += 3 + br.read(3)
+            i += 3 + br.get(3)
         else:
-            i += 11 + br.read(7)
+            i += 11 + br.get(7)
     return lengths
 
 
@@ -425,14 +365,14 @@ def encode_webp_lossless(img: np.ndarray) -> bytes:
     a = (img[:, :, 3].ravel().astype(np.int64) if has_alpha
          else np.full(h * w, 255, np.int64))
 
-    bw = _BitWriter()
-    bw.write(w - 1, 14)
-    bw.write(h - 1, 14)
-    bw.write(1 if has_alpha else 0, 1)
-    bw.write(0, 3)                          # version
-    bw.write(0, 1)                          # no transforms
-    bw.write(0, 1)                          # no color cache
-    bw.write(0, 1)                          # no meta prefix codes
+    bw = LsbWriter()
+    bw.put(w - 1, 14)
+    bw.put(h - 1, 14)
+    bw.put(1 if has_alpha else 0, 1)
+    bw.put(0, 3)                          # version
+    bw.put(0, 1)                          # no transforms
+    bw.put(0, 1)                          # no color cache
+    bw.put(0, 1)                          # no meta prefix codes
 
     def hist(vals, alphabet):
         f = np.bincount(vals, minlength=alphabet)
@@ -478,7 +418,7 @@ def encode_webp_lossless(img: np.ndarray) -> bytes:
                   - np.repeat(starts, ln)).astype(np.uint64)
         bits = ((np.repeat(val, ln) >> within)
                 & np.uint64(1)).astype(np.uint8)
-        bw.write_bits(bits)
+        bw.put_bits(bits)
     payload = b"\x2f" + bw.finish()
     if len(payload) & 1:
         chunk = b"VP8L" + struct.pack("<I", len(payload)) + payload + b"\x00"
@@ -513,25 +453,25 @@ _DIST_MAP = [
     (-6, 7), (7, 6), (-7, 6), (8, 5), (7, 7), (-7, 7), (8, 6), (8, 7)]
 
 
-def _prefix_value(code: int, br: _BitReader) -> int:
+def _prefix_value(code: int, br: LsbReader) -> int:
     """LZ77 length/distance prefix coding (spec §4.2.2)."""
     if code < 4:
         return code + 1
     extra = (code - 2) >> 1
     offset = (2 + (code & 1)) << extra
-    return offset + br.read(extra) + 1
+    return offset + br.get(extra) + 1
 
 
 def _subsample_size(size: int, bits: int) -> int:
     return (size + (1 << bits) - 1) >> bits
 
 
-def _read_prefix_group(br: _BitReader, cache_size: int):
+def _read_prefix_group(br: LsbReader, cache_size: int):
     alphabets = (256 + 24 + cache_size, 256, 256, 256, 40)
     return [_PrefixDecoder(_read_code_lengths(br, a)) for a in alphabets]
 
 
-def _decode_image_stream(br: _BitReader, w: int, h: int,
+def _decode_image_stream(br: LsbReader, w: int, h: int,
                          is_level0: bool) -> np.ndarray:
     """One VP8L 'spatially coded image' → flat uint32 ARGB array of
     length w*h (transform-inverted when is_level0). Recursion decodes
@@ -540,8 +480,8 @@ def _decode_image_stream(br: _BitReader, w: int, h: int,
     transforms = []                 # (type, data, w_before, w_after)
     if is_level0:
         seen = set()
-        while br.read(1):
-            ttype = br.read(2)
+        while br.get(1):
+            ttype = br.get(2)
             if ttype in seen:
                 raise ValueError("VP8L transform repeated")
             seen.add(ttype)
@@ -549,12 +489,12 @@ def _decode_image_stream(br: _BitReader, w: int, h: int,
             if ttype == 2:                       # subtract green
                 data = None
             elif ttype in (0, 1):                # predictor / color
-                bits = br.read(3) + 2
+                bits = br.get(3) + 2
                 tw = _subsample_size(w, bits)
                 th = _subsample_size(h, bits)
                 data = (bits, _decode_image_stream(br, tw, th, False))
             elif ttype == 3:                     # color indexing
-                n_colors = br.read(8) + 1
+                n_colors = br.get(8) + 1
                 pal = _decode_image_stream(br, n_colors, 1, False)
                 # palette entries are componentwise delta-coded
                 b4 = pal.view(np.uint8).reshape(-1, 4)
@@ -567,14 +507,14 @@ def _decode_image_stream(br: _BitReader, w: int, h: int,
                 data = (xbits, pal, n_colors)
             transforms.append((ttype, data, w_before, w))
 
-    cache_bits = br.read(4) if br.read(1) else 0
+    cache_bits = br.get(4) if br.get(1) else 0
     cache_size = (1 << cache_bits) if cache_bits else 0
 
     meta = None
     mbits = 0
     n_groups = 1
-    if is_level0 and br.read(1):
-        mbits = br.read(3) + 2
+    if is_level0 and br.get(1):
+        mbits = br.get(3) + 2
         mw = _subsample_size(w, mbits)
         mh = _subsample_size(h, mbits)
         mimg = _decode_image_stream(br, mw, mh, False)
@@ -816,11 +756,11 @@ def decode_webp_lossless(buf: bytes) -> np.ndarray:
         pos += 8 + size + (size & 1)
     if body is None or body[0] != 0x2F:
         raise ValueError("no VP8L chunk")
-    br = _BitReader(body, 8)
-    w = br.read(14) + 1
-    h = br.read(14) + 1
-    br.read(1)                              # alpha hint
-    br.read(3)                              # version
+    br = LsbReader(body, 8)
+    w = br.get(14) + 1
+    h = br.get(14) + 1
+    br.get(1)                              # alpha hint
+    br.get(3)                              # version
     argb = _decode_image_stream(br, w, h, True)
     out = np.empty((h * w, 4), np.uint8)
     out[:, 0] = (argb >> np.uint32(16)) & np.uint32(0xFF)
@@ -889,7 +829,7 @@ def _decode_alpha(body: bytes, w: int, h: int) -> np.ndarray:
     else:
         # lossless-compressed: a headerless VP8L stream, alpha in the
         # green channel
-        br = _BitReader(body[1:], 0)
+        br = LsbReader(body[1:], 0)
         argb = _decode_image_stream(br, w, h, True)
         plane = ((argb >> np.uint32(8)) & np.uint32(0xFF)) \
             .astype(np.uint8).reshape(h, w)

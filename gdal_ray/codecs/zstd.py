@@ -26,34 +26,14 @@ from __future__ import annotations
 
 import struct
 
+from ._bits import LsbReader
+
 __all__ = ["zstd_decompress", "zstd_compress", "snappy_decompress"]
 
 _MAGIC = 0xFD2FB528
 
 
-# ----------------------------------------------------- bit readers
-class _FwdBits:
-    """Forward bitstream, LSB-first within bytes (FSE headers)."""
-
-    def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
-        self.bitpos = pos * 8
-
-    def read(self, n: int) -> int:
-        v = 0
-        for i in range(n):
-            bp = self.bitpos + i
-            v |= ((self.data[bp >> 3] >> (bp & 7)) & 1) << i
-        self.bitpos += n
-        return v
-
-    def rewind(self, n: int) -> None:
-        self.bitpos -= n
-
-    def byte_pos(self) -> int:
-        return (self.bitpos + 7) >> 3
-
-
+# ----------------------------------------------------- bit reader
 class _BackBits:
     """Backward bitstream: bits written LSB-first forward are read
     from the top; the last byte's highest set bit is the sentinel.
@@ -86,18 +66,18 @@ class _BackBits:
 
 
 # ----------------------------------------------------- FSE
-def _fse_read_distribution(br: _FwdBits, max_symbol: int):
+def _fse_read_distribution(br: LsbReader, max_symbol: int):
     """→ (accuracy_log, probabilities list incl. -1 entries)."""
-    al = br.read(4) + 5
+    al = br.get(4) + 5
     remaining = 1 << al
     probs = []
     while remaining > 0 and len(probs) <= max_symbol:
         bits = (remaining + 1).bit_length()
-        val = br.read(bits)
+        val = br.get(bits)
         lower_mask = (1 << (bits - 1)) - 1
         threshold = (1 << bits) - 1 - (remaining + 1)
         if (val & lower_mask) < threshold:
-            br.rewind(1)
+            br.pos -= 1
             val &= lower_mask
         elif val > lower_mask:
             val -= threshold
@@ -106,7 +86,7 @@ def _fse_read_distribution(br: _FwdBits, max_symbol: int):
         remaining -= -p if p < 0 else p
         if p == 0:
             while True:
-                rep = br.read(2)
+                rep = br.get(2)
                 probs.extend([0] * rep)
                 if rep != 3:
                     break
@@ -202,12 +182,12 @@ def _huf_read_weights(data: bytes, pos: int):
     else:
         comp = data[pos:pos + hbyte]
         pos += hbyte
-        br = _FwdBits(comp)
+        br = LsbReader(comp)
         al, probs = _fse_read_distribution(br, 255)
         if al > 6:
             raise ValueError("zstd: Huffman-weight FSE accuracy > 6")
         table = _fse_build_dtable(al, probs)
-        stream = comp[br.byte_pos():]
+        stream = comp[(br.pos + 7) >> 3:]
         bb = _BackBits(stream)
         s1 = bb.read(al)
         s2 = bb.read(al)
@@ -372,12 +352,12 @@ def _read_seq_table(data, pos, mode, kind, st: _FrameState):
         st.fse[kind] = (0, _fse_rle_table(data[pos]))
         return pos + 1
     if mode == 2:                        # FSE-compressed
-        br = _FwdBits(data, pos)
+        br = LsbReader(data, pos * 8)
         al, probs = _fse_read_distribution(br, _MAX_SYMBOL[kind])
         if al > _MAX_AL[kind]:
             raise ValueError(f"zstd: {kind} accuracy log {al}")
         st.fse[kind] = (al, _fse_build_dtable(al, probs))
-        return br.byte_pos()
+        return (br.pos + 7) >> 3
     if st.fse[kind] is None:             # repeat
         raise ValueError("zstd: repeat mode without previous table")
     return pos

@@ -21,6 +21,7 @@ import struct
 import numpy as np
 import pyarrow as pa
 
+from . import pick_layer
 from .avce00 import build_avc_layers
 
 __all__ = ["read_avcbin_layers", "read_avcbin_table"]
@@ -285,11 +286,4 @@ def read_avcbin_layers(path: str) -> dict[str, pa.Table]:
 
 
 def read_avcbin_table(path: str, layer: str | None = None) -> pa.Table:
-    layers = read_avcbin_layers(path)
-    if not layers:
-        raise ValueError(f"{path}: empty coverage")
-    if layer is None:
-        return next(iter(layers.values()))
-    if layer not in layers:
-        raise ValueError(f"layer {layer!r} not in {sorted(layers)}")
-    return layers[layer]
+    return pick_layer(read_avcbin_layers(path), path, layer)

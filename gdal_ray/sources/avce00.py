@@ -25,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from . import pick_layer
 
 __all__ = ["read_e00_layers", "read_e00_table"]
 
@@ -287,10 +288,5 @@ def build_avc_layers(arcs, labs, pals, tables, crs=None
 
 
 def read_e00_table(path: str, layer: str | None = None) -> pa.Table:
-    layers = read_e00_layers(path)
-    if layer is None:
-        for k in ("PAL", "ARC", "LAB"):
-            if k in layers:
-                return layers[k]
-        return next(iter(layers.values()))
-    return layers[layer]
+    return pick_layer(read_e00_layers(path), path, layer,
+                      prefer=("PAL", "ARC", "LAB"))

@@ -24,49 +24,33 @@ import struct
 import numpy as np
 import pyarrow as pa
 
+from ..codecs._bits import MsbReader
 from ..core import wkb as W
 
 __all__ = ["read_dwg", "read_dwg_table", "list_dwg_layers"]
 
 
-class BitReader:
-    """MSB-first bit cursor over the object bytes (dwg/io.cpp
+class DwgReader(MsbReader):
+    """DWG bit codes over an MSB-first bit cursor (dwg/io.cpp
     CADBuffer)."""
+
+    __slots__ = ("enc",)
 
     def __init__(self, buf: bytes, bitpos: int = 0,
                  enc: str = "cp1252"):
-        self.buf = buf
-        self.pos = bitpos
+        super().__init__(buf, bitpos)
         self.enc = enc
 
-    def bits(self, n: int) -> int:
-        out = 0
-        for _ in range(n):
-            byte = self.buf[self.pos >> 3]
-            out = (out << 1) | ((byte >> (7 - (self.pos & 7))) & 1)
-            self.pos += 1
-        return out
-
     def bytes_raw(self, n: int) -> bytes:
-        """n bytes at the current bit offset (bit-shifted view)."""
-        sh = self.pos & 7
-        start = self.pos >> 3
-        if sh == 0:
-            out = self.buf[start:start + n]
-        else:
-            chunk = self.buf[start:start + n + 1]
-            arr = np.frombuffer(chunk.ljust(n + 1, b"\0"), np.uint8)
-            out = (((arr[:-1].astype(np.uint16) << sh) & 0xFF) |
-                   (arr[1:] >> (8 - sh))).astype(np.uint8).tobytes()
-        self.pos += 8 * n
-        return out
+        """n bytes at the current bit offset."""
+        return self.get(8 * n).to_bytes(n, "big")
 
     # primitive codes ---------------------------------------------------
     def bit(self):
-        return self.bits(1)
+        return self.get(1)
 
     def bb(self):
-        return self.bits(2)
+        return self.get(2)
 
     def rc(self):
         return self.bytes_raw(1)[0]
@@ -155,8 +139,8 @@ class BitReader:
 
     def handle(self):
         """(code, value) — value from big-endian counter bytes."""
-        b0 = self.bits(4)
-        cnt = self.bits(4)
+        b0 = self.get(4)
+        cnt = self.get(4)
         val = 0
         for _ in range(cnt):
             val = (val << 8) | self.rc()
@@ -234,7 +218,7 @@ def _object_map(raw: bytes, seeker: int) -> dict[int, int]:
         # CreateFileMap reads records while bitpos < size*8 with the
         # size word already in the buffer)
         data = raw[pos:pos + size + 2]
-        rd = BitReader(data, 16)
+        rd = DwgReader(data, 16)
         handle = offset = 0
         first = True
         while (rd.pos >> 3) < size:
@@ -261,7 +245,7 @@ _ENTITY_TYPES = {
 }
 
 
-def _read_common_ed(rd: BitReader):
+def _read_common_ed(rd: DwgReader):
     ced = {}
     rd.rl()                                   # object size in bits
     code, own = rd.handle()
@@ -294,7 +278,7 @@ def _read_common_ed(rd: BitReader):
     return ced
 
 
-def _read_handles(rd: BitReader, ced: dict):
+def _read_handles(rd: DwgReader, ced: dict):
     """Common entity handle data → resolved layer handle."""
     if ced["entmode"] == 0:
         rd.handle()                           # owner
@@ -312,17 +296,17 @@ def _read_handles(rd: BitReader, ced: dict):
         rd.handle()
 
 
-def _extrusion(rd: BitReader):
+def _extrusion(rd: DwgReader):
     if rd.bit():
         return (0.0, 0.0, 1.0)
     return rd.vec3()
 
 
-def _thickness(rd: BitReader):
+def _thickness(rd: DwgReader):
     return 0.0 if rd.bit() else rd.bd()
 
 
-def _text_body(rd: BitReader, with_tag: bool, with_prompt: bool):
+def _text_body(rd: DwgReader, with_tag: bool, with_prompt: bool):
     """TEXT / ATTRIB / ATTDEF shared layout."""
     flags = rd.rc()
     elev = 0.0
@@ -390,7 +374,7 @@ class DwgFile:
         self._scan()
 
     def _obj_reader(self, offset: int):
-        rd = BitReader(self.raw, offset * 8, self.encoding)
+        rd = DwgReader(self.raw, offset * 8, self.encoding)
         size = rd.ms()
         if size <= 0 or size > 65536:
             return None, None
@@ -409,12 +393,13 @@ class DwgFile:
                     self._read_layer(rd)
                 elif otype in _ENTITY_TYPES:
                     ent = self._read_entity(rd, otype)
-                    if ent is not None:
+                    # an object cut off by the end of the file is skipped
+                    if ent is not None and rd.pos <= 8 * len(self.raw):
                         self.entities.append(ent)
             except (IndexError, ValueError, struct.error):
                 continue
 
-    def _read_layer(self, rd: BitReader):
+    def _read_layer(self, rd: DwgReader):
         rd.rl()
         code, own = rd.handle()
         while True:                               # EED
@@ -432,7 +417,7 @@ class DwgFile:
         name = rd.tv()
         self.layers[own] = name
 
-    def _read_entity(self, rd: BitReader, otype: int):
+    def _read_entity(self, rd: DwgReader, otype: int):
         kind = _ENTITY_TYPES[otype]
         ced = _read_common_ed(rd)
         thickness = 0.0

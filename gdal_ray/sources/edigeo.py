@@ -36,6 +36,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from . import pick_layer
 
 __all__ = ["read_edigeo_layers", "read_edigeo"]
 
@@ -326,12 +327,4 @@ def read_edigeo_layers(thf_path: str) -> dict[str, pa.Table]:
 
 
 def read_edigeo(thf_path: str, layer: str | None = None) -> pa.Table:
-    layers = read_edigeo_layers(thf_path)
-    if not layers:
-        raise ValueError("EDIGEO: no feature layers")
-    if layer is not None:
-        if layer not in layers:
-            raise ValueError(f"EDIGEO: no layer {layer!r} "
-                             f"(have {sorted(layers)})")
-        return layers[layer]
-    return next(iter(layers.values()))
+    return pick_layer(read_edigeo_layers(thf_path), thf_path, layer)

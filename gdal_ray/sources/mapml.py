@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from . import pick_layer
 
 __all__ = ["read_mapml_layers", "read_mapml_table"]
 
@@ -136,7 +137,4 @@ def read_mapml_layers(path: str) -> dict[str, pa.Table]:
 
 
 def read_mapml_table(path: str, layer: str | None = None) -> pa.Table:
-    layers = read_mapml_layers(path)
-    if layer is None:
-        return next(iter(layers.values()))
-    return layers[layer]
+    return pick_layer(read_mapml_layers(path), path, layer)

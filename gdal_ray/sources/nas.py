@@ -29,6 +29,7 @@ import xml.etree.ElementTree as ET
 import pyarrow as pa
 
 from ..core import wkb as W
+from . import pick_layer
 from .gml import parse_gml_geometry, _local
 
 __all__ = ["read_nas_layers", "read_nas", "is_nas"]
@@ -198,11 +199,6 @@ def read_nas_layers(path: str) -> dict[str, pa.Table]:
 
 def read_nas(path: str, layer: str | None = None) -> pa.Table:
     layers = read_nas_layers(path)
-    if layer is not None:
-        if layer not in layers:
-            raise ValueError(f"NAS: no layer {layer!r} "
-                             f"(have {sorted(layers)})")
-        return layers[layer]
-    if not layers:
-        return pa.table({})
-    return next(iter(layers.values()))
+    if not layers and layer is None:
+        return pa.table({})           # an empty NAS file has no layers
+    return pick_layer(layers, path, layer)

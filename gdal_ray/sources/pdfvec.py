@@ -28,6 +28,7 @@ import pyarrow as pa
 
 from ..codecs.pdf import PdfFile, Stream, decode_stream, read_pdf
 from ..core import wkb as W
+from . import pick_layer
 
 __all__ = ["read_pdf_layers", "read_pdf_vector_table",
            "write_pdf_vector"]
@@ -589,11 +590,7 @@ def read_pdf_vector_table(path, layer: str | None = None,
     if not layers:
         raise ValueError("no vector layers found (try "
                          "non_structured=True)")
-    if layer is None:
-        return next(iter(layers.values()))
-    if layer not in layers:
-        raise ValueError(f"layer {layer!r} not in {sorted(layers)}")
-    return layers[layer]
+    return pick_layer(layers, path, layer)
 
 
 # ------------------------------------------------------------- writer

@@ -37,6 +37,8 @@ import zlib
 
 import numpy as np
 
+from ..codecs._bits import unpack_rows
+
 __all__ = ["list_rl2_coverages", "read_rl2"]
 
 _SAMPLE = {0xa1: ("u1", 1), 0xa2: ("u1", 2), 0xa3: ("u1", 4),
@@ -74,17 +76,6 @@ def _decode_payload(comp: int, data: bytes,
     if comp == 0x21 or comp == 0x20:             # NONE
         return data
     return zlib.decompress(data)                 # default: deflate
-
-
-def _unpack_bits(row_bytes: np.ndarray, w: int, bits: int) -> np.ndarray:
-    b = np.unpackbits(row_bytes, axis=1)
-    if bits == 1:
-        return b[:, :w]
-    spb = 8 // bits
-    vals = b.reshape(b.shape[0], -1, bits)
-    weights = (1 << np.arange(bits - 1, -1, -1))
-    out = (vals * weights).sum(axis=2)
-    return out[:, :w].astype(np.uint8)
 
 
 def decode_rl2_tile(odd: bytes, even: bytes | None, scale: int = 1):
@@ -129,7 +120,7 @@ def decode_rl2_tile(odd: bytes, even: bytes | None, scale: int = 1):
             full8[orows:] = 0
 
     if bits < 8:
-        px = _unpack_bits(full8, w, bits)
+        px = unpack_rows(full8, bits, w)
         if pixel == 0x11:                 # MONOCHROME: 0=white, 1=black
             px = np.where(px == 0, 255, 0).astype(np.uint8)
         elif pixel == 0x13 and bits in (1, 2, 4):

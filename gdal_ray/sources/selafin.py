@@ -28,13 +28,17 @@ import pyarrow as pa
 __all__ = ["read_selafin", "write_selafin"]
 
 
-def _rec(buf: bytes, off: int):
-    n, = struct.unpack_from(">i", buf, off)
-    data = buf[off + 4:off + 4 + n]
+def _rec(buf: bytes, off: int, need: int = 0):
+    """One Fortran record at ``off`` (at least ``need`` bytes long)
+    → (payload, offset of the next record)."""
+    n = int.from_bytes(buf[off:off + 4], "big", signed=True) \
+        if off + 4 <= len(buf) else -1
+    if n < need or off + 8 + n > len(buf):
+        raise ValueError(f"Selafin: truncated record at byte {off}")
     n2, = struct.unpack_from(">i", buf, off + 4 + n)
     if n2 != n:
         raise ValueError("Selafin: broken Fortran record framing")
-    return data, off + 8 + n
+    return buf[off + 4:off + 4 + n], off + 8 + n
 
 
 def read_selafin(path: str, timestep: int = 0):
@@ -45,7 +49,7 @@ def read_selafin(path: str, timestep: int = 0):
     buf = open(path, "rb").read()
     off = 0
     title, off = _rec(buf, off)
-    counts, off = _rec(buf, off)
+    counts, off = _rec(buf, off, 8)
     nbv1, _nbv2 = struct.unpack(">2i", counts[:8])
     names = []
     for _ in range(nbv1):
@@ -56,7 +60,7 @@ def read_selafin(path: str, timestep: int = 0):
     iparam = struct.unpack(f">{len(iparam_rec) // 4}i", iparam_rec)
     if len(iparam) >= 10 and iparam[9] == 1:
         _date, off = _rec(buf, off)
-    dims, off = _rec(buf, off)
+    dims, off = _rec(buf, off, 16)
     nelem, npoin, ndp, _one = struct.unpack(">4i", dims[:16])
     ikle_rec, off = _rec(buf, off)
     ikle = np.frombuffer(ikle_rec, ">i4").reshape(nelem, ndp)
@@ -71,7 +75,7 @@ def read_selafin(path: str, timestep: int = 0):
     t = None
     step = 0
     while off < len(buf):
-        trec, off = _rec(buf, off)
+        trec, off = _rec(buf, off, 4)
         tval = struct.unpack(">f", trec[:4])[0]
         vals = []
         for _ in range(nbv1):

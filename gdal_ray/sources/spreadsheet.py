@@ -22,6 +22,7 @@ import zipfile
 import xml.etree.ElementTree as ET
 
 import pyarrow as pa
+from . import pick_layer
 
 __all__ = ["read_xlsx_layers", "read_xlsx_table", "read_ods_layers",
            "read_ods_table"]
@@ -343,14 +344,8 @@ def read_ods_layers(path: str) -> dict[str, pa.Table]:
 
 
 def read_xlsx_table(path: str, sheet: str | None = None) -> pa.Table:
-    layers = read_xlsx_layers(path)
-    if sheet is None:
-        return next(iter(layers.values()))
-    return layers[sheet]
+    return pick_layer(read_xlsx_layers(path), path, sheet)
 
 
 def read_ods_table(path: str, sheet: str | None = None) -> pa.Table:
-    layers = read_ods_layers(path)
-    if sheet is None:
-        return next(iter(layers.values()))
-    return layers[sheet]
+    return pick_layer(read_ods_layers(path), path, sheet)

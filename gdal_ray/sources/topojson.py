@@ -33,6 +33,7 @@ import json
 import re
 
 import pyarrow as pa
+from . import pick_layer
 
 __all__ = ["read_topojson", "read_topojson_layer"]
 
@@ -340,9 +341,4 @@ def read_topojson(path_or_text: str) -> dict[str, pa.Table]:
 
 
 def read_topojson_layer(path: str, layer: str | None = None) -> pa.Table:
-    layers = read_topojson(path)
-    if not layers:
-        raise ValueError("empty TopoJSON document")
-    if layer is None:
-        return next(iter(layers.values()))
-    return layers[layer]
+    return pick_layer(read_topojson(path), path, layer)

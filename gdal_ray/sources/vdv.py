@@ -20,6 +20,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from . import pick_layer
 
 __all__ = ["read_vdv_layers", "read_vdv_table"]
 
@@ -157,7 +158,4 @@ def read_vdv_layers(path: str) -> dict[str, pa.Table]:
 
 
 def read_vdv_table(path: str, layer: str | None = None) -> pa.Table:
-    layers = read_vdv_layers(path)
-    if layer is None:
-        return next(iter(layers.values()))
-    return layers[layer]
+    return pick_layer(read_vdv_layers(path), path, layer)

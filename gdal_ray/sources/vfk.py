@@ -21,6 +21,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from . import pick_layer
 
 __all__ = ["read_vfk", "read_vfk_table"]
 
@@ -248,7 +249,4 @@ def read_vfk(path: str) -> dict:
 
 
 def read_vfk_table(path: str, layer: str | None = None) -> pa.Table:
-    layers = read_vfk(path)
-    if layer is None:
-        layer = "PAR" if "PAR" in layers else next(iter(layers))
-    return layers[layer]
+    return pick_layer(read_vfk(path), path, layer, prefer=("PAR",))

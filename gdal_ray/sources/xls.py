@@ -27,6 +27,7 @@ import struct
 
 import pyarrow as pa
 
+from . import pick_layer
 from .spreadsheet import _assemble, _fmt_kind, _render
 
 __all__ = ["read_xls_layers", "read_xls_table"]
@@ -473,7 +474,4 @@ def _assemble_no_header(rows):
 
 
 def read_xls_table(path: str, sheet: str | None = None) -> pa.Table:
-    layers = read_xls_layers(path)
-    if sheet:
-        return layers[sheet]
-    return next(iter(layers.values()))
+    return pick_layer(read_xls_layers(path), path, sheet or None)

@@ -30,8 +30,6 @@ LEFTOVERS = {
                            "product-directory entry for it yet",
     "gdal_ray.codecs.snaptiff": "SNAP TIFF reader; GTiff owns .tif in the "
                                 "raster table and nothing sniffs SNAP tags",
-    "gdal_ray.codecs.webp_sys": "test-time libwebp conformance oracle "
-                                "(codecs/webp.py); belongs under tests/",
     "gdal_ray.core.geodesic": "Vincenty geodesic length; no SQL function "
                               "or stage calls it yet",
     "gdal_ray.sources.adbc": "DuckDB/SQLite reading through one interface; "
@@ -109,7 +107,7 @@ def test_every_module_is_reached_or_a_listed_leftover():
 
 
 def test_leftovers_only_shrink():
-    assert len(LEFTOVERS) <= 12
+    assert len(LEFTOVERS) <= 11
 
 
 def test_table_strings_count_as_reach():

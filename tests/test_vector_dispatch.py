@@ -910,3 +910,16 @@ def test_loading_the_table_imports_no_reader():
     assert eval(out) == ["gdal_ray", "gdal_ray.sources",
                          "gdal_ray.sources.drivers",
                          "gdal_ray.sources.raster"]
+
+
+@pytest.mark.parametrize("name,body", [
+    ("empty.idf", b""), ("empty.x10", b""), ("empty.vfk", b""),
+    ("one_byte.slf", b"\x00")])
+def test_empty_or_truncated_file_raises_valueerror(tmp_path, name, body):
+    """A file with no layers, or a one-byte Selafin file, is refused
+    with ValueError naming what is wrong, not StopIteration or
+    struct.error."""
+    p = tmp_path / name
+    p.write_bytes(body)
+    with pytest.raises(ValueError):
+        read_vector(str(p))

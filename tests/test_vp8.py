@@ -14,7 +14,7 @@ import pytest
 
 from gdal_ray.codecs import vp8
 from gdal_ray.codecs.webp import _chunks, decode_webp_lossless
-from gdal_ray.codecs.webp_sys import system_available
+from webp_sys import system_available
 
 from vp8_synth import make_vp8
 
@@ -25,7 +25,7 @@ needs_libwebp = pytest.mark.skipif(not system_available(),
 
 
 def _sys_rgba(buf):
-    from gdal_ray.codecs.webp_sys import decode_webp_system
+    from webp_sys import decode_webp_system
     return decode_webp_system(buf)
 
 
@@ -88,7 +88,7 @@ class TestEncoderConformance:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_images_all_qualities(self, seed):
-        from gdal_ray.codecs.webp_sys import encode_webp_system
+        from webp_sys import encode_webp_system
         rng = np.random.default_rng(seed)
         q = [10, 35, 55, 75, 90, 98][seed]
         img = rng.integers(0, 256, (48, 48, 3), np.uint8)
@@ -99,7 +99,7 @@ class TestEncoderConformance:
         assert (decode_webp_lossless(buf) == _sys_rgba(buf)).all()
 
     def test_lossy_with_alpha_chunk(self):
-        from gdal_ray.codecs.webp_sys import encode_webp_system
+        from webp_sys import encode_webp_system
         rng = np.random.default_rng(3)
         img = rng.integers(0, 256, (37, 41, 4), np.uint8)
         img[:, :, 3] = np.clip(np.arange(41)[None, :] * 6, 0,
@@ -109,7 +109,7 @@ class TestEncoderConformance:
         assert (own == _sys_rgba(buf)).all()
 
     def test_1mp_smooth_image(self):
-        from gdal_ray.codecs.webp_sys import encode_webp_system
+        from webp_sys import encode_webp_system
         rng = np.random.default_rng(1)
         base = rng.integers(0, 256, (32, 32, 3), np.uint8)
         img = np.kron(base, np.ones((8, 8, 1), np.uint8))
@@ -130,7 +130,7 @@ class TestNativeTwins:
         streams = [make_vp8(48, 48, ymode=4,
                             bmodes=rng.integers(0, 10, (4, 4)).tolist())]
         if system_available():
-            from gdal_ray.codecs.webp_sys import encode_webp_system
+            from webp_sys import encode_webp_system
             img = rng.integers(0, 256, (64, 80, 3), np.uint8)
             for q in (25, 80):
                 streams.append(encode_webp_system(

@@ -95,7 +95,7 @@ class TestLosslessRoundtrip:
 # ---------------------------------------------------------------------------
 
 def _have_libwebp():
-    from gdal_ray.codecs.webp_sys import system_available
+    from webp_sys import system_available
     return system_available()
 
 
@@ -118,13 +118,13 @@ class _Crafter:
     paths are tested bit-by-bit; libwebp cross-checks every stream."""
 
     def __init__(self, w, h):
-        from gdal_ray.codecs.webp import _BitWriter
-        self.bw = _BitWriter()
+        from gdal_ray.codecs._bits import LsbWriter
+        self.bw = LsbWriter()
         self.w, self.h = w, h
-        self.bw.write(w - 1, 14)
-        self.bw.write(h - 1, 14)
-        self.bw.write(0, 1)
-        self.bw.write(0, 3)
+        self.bw.put(w - 1, 14)
+        self.bw.put(h - 1, 14)
+        self.bw.put(0, 1)
+        self.bw.put(0, 3)
 
     def emit_codes_and_literals(self, ops, cache_size=0):
         """ops: list of ('lit', a, r, g, b) | ('ref', length, dist_code)
@@ -173,16 +173,16 @@ class _Crafter:
                 _, ls, lev, leb, ds, dev, deb = p
                 eg.emit(self.bw, 256 + ls)
                 if leb:
-                    self.bw.write(lev, leb)
+                    self.bw.put(lev, leb)
                 ed.emit(self.bw, ds)
                 if deb:
-                    self.bw.write(dev, deb)
+                    self.bw.put(dev, deb)
             else:
                 eg.emit(self.bw, 280 + p[1])
 
     def subimage(self, ops):
         """Entropy-coded subimage: [cache bit 0][codes][pixels]."""
-        self.bw.write(0, 1)
+        self.bw.put(0, 1)
         self.emit_codes_and_literals(ops)
 
     def finish(self):
@@ -208,12 +208,12 @@ class TestDistMap:
         W, H, NPRE = 17, 10, 161
         oracle = _have_libwebp()
         if oracle:
-            from gdal_ray.codecs.webp_sys import decode_webp_system
+            from webp_sys import decode_webp_system
         for k in (1, 2, 3, 4, 7, 19, 40, 77, 96, 104, 119, 120):
             c = _Crafter(W, H)
-            c.bw.write(0, 1)        # no transform
-            c.bw.write(0, 1)        # no cache
-            c.bw.write(0, 1)        # no meta
+            c.bw.put(0, 1)        # no transform
+            c.bw.put(0, 1)        # no cache
+            c.bw.put(0, 1)        # no meta
             ops = _lits([(255, 1, i % 256, 2) for i in range(NPRE)])
             ops.append(("ref", 1, k))
             ops += _lits([(255, 1, (NPRE + 1 + j) % 256, 2)
@@ -232,7 +232,7 @@ class TestDistMap:
         from gdal_ray.codecs.webp import decode_webp_lossless
         W, H = 20, 6
         c = _Crafter(W, H)
-        c.bw.write(0, 1); c.bw.write(0, 1); c.bw.write(0, 1)
+        c.bw.put(0, 1); c.bw.put(0, 1); c.bw.put(0, 1)
         ops = _lits([(255, i, i, i) for i in range(30)])
         # plain distance (code 120 + 25 = dist 25), overlapping length 60
         ops.append(("ref", 60, 120 + 25))
@@ -243,7 +243,7 @@ class TestDistMap:
         for i in range(60):
             assert g[30 + i] == g[30 + i - 25]
         if _have_libwebp():
-            from gdal_ray.codecs.webp_sys import decode_webp_system
+            from webp_sys import decode_webp_system
             assert np.array_equal(got, decode_webp_system(c.finish()))
 
 
@@ -258,10 +258,10 @@ class TestColorCacheCrafted:
             return ((0x1E35A7BD * v) & 0xFFFFFFFF) >> (32 - CB)
 
         c = _Crafter(W, H)
-        c.bw.write(0, 1)            # no transform
-        c.bw.write(1, 1)            # color cache
-        c.bw.write(CB, 4)
-        c.bw.write(0, 1)            # no meta
+        c.bw.put(0, 1)            # no transform
+        c.bw.put(1, 1)            # color cache
+        c.bw.put(CB, 4)
+        c.bw.put(0, 1)            # no meta
         ops = _lits(vals)
         for v in (vals * 10)[:W * H - 3]:
             ops.append(("cache", key(*v)))
@@ -272,7 +272,7 @@ class TestColorCacheCrafted:
         for i, (a, r, g, b) in enumerate((vals + vals * 10)[:W * H]):
             assert tuple(flat[i]) == (r, g, b, a), i
         if _have_libwebp():
-            from gdal_ray.codecs.webp_sys import decode_webp_system
+            from webp_sys import decode_webp_system
             assert np.array_equal(got, decode_webp_system(buf))
 
 
@@ -281,10 +281,10 @@ class TestMetaPrefixCrafted:
         from gdal_ray.codecs.webp import decode_webp_lossless
         W, H = 8, 4                 # mbits=2 -> tiles of 4: 2x1 tiles
         c = _Crafter(W, H)
-        c.bw.write(0, 1)            # no transform
-        c.bw.write(0, 1)            # no cache
-        c.bw.write(1, 1)            # meta prefix present
-        c.bw.write(0, 3)            # mbits = 2
+        c.bw.put(0, 1)            # no transform
+        c.bw.put(0, 1)            # no cache
+        c.bw.put(1, 1)            # meta prefix present
+        c.bw.put(0, 3)            # mbits = 2
         # entropy image 2x1: groups 0 and 1 ((r<<8)|g)
         c.subimage(_lits([(0, 0, 0, 0), (0, 0, 1, 0)]))
         # group 0 codes+...: emission interleaves groups per pixel tile,
@@ -332,7 +332,7 @@ class TestMetaPrefixCrafted:
                          pix[:, :, 3], pix[:, :, 0]], -1).astype(np.uint8)
         assert np.array_equal(got, want)
         if _have_libwebp():
-            from gdal_ray.codecs.webp_sys import decode_webp_system
+            from webp_sys import decode_webp_system
             assert np.array_equal(got, decode_webp_system(buf))
 
 
@@ -346,18 +346,18 @@ class TestCraftedPredictors:
         if not _have_libwebp():
             pytest.skip("libwebp not available")
         from gdal_ray.codecs.webp import decode_webp_lossless
-        from gdal_ray.codecs.webp_sys import decode_webp_system
+        from webp_sys import decode_webp_system
         rng = np.random.default_rng(sum(modes))
         W, H, bits = 32, 8, 2       # tiles of 4px -> 8x2 tiles
         c = _Crafter(W, H)
-        c.bw.write(1, 1)            # transform present
-        c.bw.write(0, 2)            # predictor
-        c.bw.write(bits - 2, 3)
+        c.bw.put(1, 1)            # transform present
+        c.bw.put(0, 2)            # predictor
+        c.bw.put(bits - 2, 3)
         tiles = (modes * 16)[:16]
         c.subimage(_lits([(0, 0, m, 0) for m in tiles]))
-        c.bw.write(0, 1)            # no more transforms
-        c.bw.write(0, 1)            # no cache
-        c.bw.write(0, 1)            # no meta
+        c.bw.put(0, 1)            # no more transforms
+        c.bw.put(0, 1)            # no cache
+        c.bw.put(0, 1)            # no meta
         res = rng.integers(0, 256, (W * H, 4))
         c.emit_codes_and_literals(
             _lits([tuple(int(v) for v in row) for row in res]))
@@ -376,8 +376,7 @@ class TestFullVp8lVsLibwebp:
         if not _have_libwebp():
             pytest.skip("libwebp not available")
         from gdal_ray.codecs.webp import decode_webp_lossless
-        from gdal_ray.codecs.webp_sys import (decode_webp_system,
-                                              encode_webp_system)
+        from webp_sys import decode_webp_system, encode_webp_system
         r = np.random.default_rng(seed)
         h, w = int(r.integers(5, 150)), int(r.integers(5, 150))
         kind = seed % 4

@@ -1,10 +1,8 @@
-"""Optional libwebp system-codec plug (ctypes) — the documented plug
-point for lossy VP8 decode (frmts/webp/webpdataset.cpp wraps libwebp
-the same way). Import-guarded: everything degrades to None/False when
-the shared library is absent. The engine's own from-scratch VP8L
-codec (codecs/webp.py) never routes through here except for lossy
-streams; tests also use this module as the conformance oracle for the
-own decoder."""
+"""libwebp through ctypes: the conformance oracle the WebP tests
+compare the engine's own VP8L and VP8 codecs against
+(frmts/webp/webpdataset.cpp wraps libwebp the same way).
+Import-guarded: everything degrades to None/False when the shared
+library is absent; the engine itself never calls it."""
 
 from __future__ import annotations
 
