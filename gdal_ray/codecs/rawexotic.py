@@ -740,19 +740,23 @@ def decode_mff2(path: str):
         p = os.path.join(d, fname)
         if not os.path.exists(p):
             return kv
-        for line in open(p, errors="replace"):
-            if "=" in line:
-                k, v = line.split("=", 1)
-                v = v.strip()
-                if v.startswith("{"):
-                    # choice list: the * marks the selection
-                    toks = v.strip("{} ").split()
-                    sel = [t[1:] for t in toks if t.startswith("*")]
-                    v = sel[0] if sel else (toks[0] if toks else "")
-                kv[k.strip()] = v
+        with open(p, errors="replace") as f:
+            for line in f:
+                if "=" in line:
+                    k, v = line.split("=", 1)
+                    v = v.strip()
+                    if v.startswith("{"):
+                        # choice list: the * marks the selection
+                        toks = v.strip("{} ").split()
+                        sel = [t[1:] for t in toks if t.startswith("*")]
+                        v = sel[0] if sel else (toks[0] if toks else "")
+                    kv[k.strip()] = v
         return kv
 
     at = read_kv("attrib")
+    if "extent.cols" not in at or "extent.rows" not in at:
+        raise ValueError(f"{d}: no MFF2 attrib with extent.cols and "
+                         "extent.rows")
     w = int(at["extent.cols"])
     h = int(at["extent.rows"])
     nb = int(at.get("channel.enumeration", "1"))
@@ -771,7 +775,8 @@ def decode_mff2(path: str):
         dt = f"u{size}"
     dtype = np.dtype(bo + dt) if size > 1 or field == "complex" \
         else np.dtype("u1")
-    buf = open(os.path.join(d, "image_data"), "rb").read()
+    with open(os.path.join(d, "image_data"), "rb") as f:
+        buf = f.read()
     need = w * h * nb * dtype.itemsize
     buf = buf + b"\x00" * max(0, need - len(buf))
     il = at.get("channel.interleave", "pixel")

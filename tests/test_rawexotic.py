@@ -337,3 +337,19 @@ class TestHf2:
         img = np.round(rng.normal(size=(300, 270)) * 100, 2)
         px, *_ = decode_hf2(encode_hf2(img, precision=0.01))
         assert np.allclose(px, img, atol=0.005)
+
+
+class TestMff2Headerless:
+    """An MFF2 directory whose attrib lacks the extent keys, or that has
+    no attrib at all, raises ValueError (hermetic)."""
+
+    def test_attrib_without_extent(self, tmp_path):
+        (tmp_path / "attrib").write_text("channel.enumeration = 1\n")
+        (tmp_path / "image_data").write_bytes(bytes(16))
+        with pytest.raises(ValueError, match="extent"):
+            read_raster(str(tmp_path))
+
+    def test_no_attrib(self, tmp_path):
+        (tmp_path / "image_data").write_bytes(bytes(16))
+        with pytest.raises(ValueError, match="extent"):
+            R.decode_mff2(str(tmp_path))
