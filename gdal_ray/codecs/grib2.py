@@ -522,22 +522,3 @@ def _parse_grib1_message(buf: bytes, pos: int):
         # bitmap-missing points were filled with degrib's sentinel
         m.meta["missing_value"] = missing
     return m, end
-
-
-def parse_grib1(buf: bytes) -> list[Grib2Message]:
-    out = []
-    pos = 0
-    n = len(buf)
-    while pos + 8 <= n:
-        if buf[pos:pos + 4] != b"GRIB":
-            pos += 1
-            continue
-        if buf[pos + 7] != 1:
-            pos += 4
-            continue
-        m, end = _parse_grib1_message(buf, pos)
-        out.append(m)
-        pos = end
-    if not out:
-        raise ValueError("no GRIB1 messages found")
-    return out

@@ -448,13 +448,6 @@ def _decode_pixel_block(raw: bytes, comp: int, bh: int, bw: int,
     return blk.astype(dt).tobytes()
 
 
-def _undo_predictor(arr: np.ndarray) -> np.ndarray:
-    """Horizontal differencing predictor (2): cumulative sum per row
-    with dtype wraparound."""
-    return np.cumsum(arr, axis=1, dtype=np.int64).astype(arr.dtype) \
-        if not np.issubdtype(arr.dtype, np.floating) else np.cumsum(arr, axis=1)
-
-
 def _tiff_header(mv: bytes):
     """Classic (magic 42) and BigTIFF (magic 43, 8-byte offsets —
     frmts/gtiff bBigTIFF paths / the published BigTIFF spec) headers.

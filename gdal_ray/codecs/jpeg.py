@@ -756,43 +756,6 @@ def _enc_table(bits, values):
             for code, length, sym in _canonical_codes(bits, values)}
 
 
-def _encode_blocks(bw, blocks_zz, dc_tab, ac_tab):
-    pred = 0
-    for bz in blocks_zz:
-        diff = int(bz[0]) - pred
-        pred = int(bz[0])
-        mag = abs(diff)
-        t = mag.bit_length()
-        code, ln = dc_tab[t]
-        bw.put(code, ln)
-        if t:
-            bw.put(diff if diff >= 0 else diff + (1 << t) - 1, t)
-        k = 1
-        run = 0
-        last_nz = np.nonzero(bz[1:])[0]
-        last = (last_nz[-1] + 1) if len(last_nz) else 0
-        while k <= last:
-            v = int(bz[k])
-            if v == 0:
-                run += 1
-                k += 1
-                continue
-            while run > 15:
-                code, ln = ac_tab[0xF0]
-                bw.put(code, ln)
-                run -= 16
-            mag = abs(v)
-            s = mag.bit_length()
-            code, ln = ac_tab[(run << 4) | s]
-            bw.put(code, ln)
-            bw.put(v if v >= 0 else v + (1 << s) - 1, s)
-            run = 0
-            k += 1
-        if last < 63:
-            code, ln = ac_tab[0x00]
-            bw.put(code, ln)                     # EOB
-
-
 # progressive AC table: every K.3 symbol plus the EOBn run symbols
 # (r<<4 for r=1..14), all at code length 8 — a valid canonical Huffman
 # table (176 < 255 codes, all-ones code unused) that can express any

@@ -358,22 +358,6 @@ def _pad4(b: bytes) -> bytes:
     return b + b"\x00" * (-len(b) % 4)
 
 
-def _w_name(s: str) -> bytes:
-    e = s.encode()
-    return struct.pack(">I", len(e)) + _pad4(e)
-
-
-def _w_attrs(atts: list) -> bytes:
-    """atts: [(name, nc_type, bytes_payload, nelems)]"""
-    if not atts:
-        return struct.pack(">II", 0, 0)
-    out = [struct.pack(">II", _NC_ATTRIBUTE, len(atts))]
-    for nm, tp, payload, nelems in atts:
-        out.append(_w_name(nm) + struct.pack(">II", tp, nelems) +
-                   _pad4(payload))
-    return b"".join(out)
-
-
 def encode_netcdf(img: np.ndarray, geotransform=None, crs: str | None = None,
                   nodata: float | None = None, bottom_up: bool = True) -> bytes:
     """ndarray (+ georeferencing) → netCDF classic bytes. Writes CDF-1

@@ -31,8 +31,6 @@ _STOPWORDS = {
 }
 
 _WORD_RE = re.compile(r"[a-zàâäéèêëïîôöùûüçßñ]+")
-# BPE-ish token estimate: word pieces + digits + punctuation runs
-_BPE_RE = re.compile(r"[A-Za-z]{1,6}|[0-9]{1,3}|[^\sA-Za-z0-9]")
 
 
 def detect_language(text: str) -> str:
@@ -82,16 +80,6 @@ def quality_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
         .append_column("punct_ratio", pa.array(punct, pa.float64())) \
         .append_column("stopword_ratio", pa.array(stopr, pa.float64())) \
         .append_column("mean_word_len", mean_wlen)
-
-
-def token_count_batch(batch: pa.Table, text_col: str = "text",
-                      method: str = "whitespace") -> pa.Table:
-    """Token counting: whitespace or BPE-ish regex estimate."""
-    if method == "whitespace":
-        n = pc.list_value_length(pc.split_pattern(batch[text_col], " "))
-        return batch.append_column("n_tokens", pc.cast(n, pa.int64()))
-    counts = [len(_BPE_RE.findall(t)) for t in batch[text_col].to_pylist()]
-    return batch.append_column("n_tokens", pa.array(counts, pa.int64()))
 
 
 _FP_BASE = np.uint64(1099511628211)

@@ -96,17 +96,6 @@ def _load_source(path: str):
     return px if px.ndim == 3 else px[:, :, None]
 
 
-def _source_nodata(path: str):
-    """NoData of a source file (needed by NoDataFromMaskSource-style
-    flows and LUTs over nodata-bearing grids)."""
-    try:
-        from .raster import read_raster
-        _px, _gt, nd, _m = read_raster(path)
-        return nd
-    except Exception:
-        return None
-
-
 def _rect(el, defaults=(0, 0, None, None)):
     if el is None:
         return defaults

@@ -314,22 +314,6 @@ class _Road:
         return x + t * nx, y + t * ny, z
 
 
-def _lane_rows(section_el):
-    """Lanes of a section ordered like the reference iteration:
-    left ids descending? libOpenDRIVE stores map id→lane; OGR
-    iterates all.  Order: left (positive, ascending), center (0),
-    right (negative, descending by magnitude)."""
-    out = []
-    for side in ("left", "center", "right"):
-        side_el = section_el.find(side)
-        if side_el is None:
-            continue
-        lanes = side_el.findall("lane")
-        for ln in lanes:
-            out.append(ln)
-    return out
-
-
 def _lane_link(lane_el, which):
     el = lane_el.find(f"link/{which}")
     if el is not None and el.get("id") is not None:
