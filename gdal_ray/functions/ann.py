@@ -3,8 +3,8 @@
 
 The brute-force path is the exactness baseline: the query matrix ships
 once via ray.put, each batch does one numpy matmul, and a global
-sort/limit (or per-query groupby top-k for many queries) finishes. The
-IVF path clusters vectors into nlist buckets (k-means-lite on a sample)
+sort/limit (or per-query top-k, exchanged by query id, for many
+queries) finishes. The IVF path clusters vectors into nlist buckets (k-means-lite on a sample)
 and probes only the nprobe nearest buckets — the 10^12-scale path.
 """
 
@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from ..stages.exchange import bucket_groups, topk_rows
 
 
 def list_to_matrix(col, dtype=np.float64) -> np.ndarray:
@@ -54,7 +56,7 @@ def brute_topk(ds, queries: np.ndarray, k: int = 10, *,
     """Exact top-k cosine for each query row (queries: (nq, dim)).
 
     Per-batch: candidates = per-batch top-k per query (nq×k rows per
-    batch); global: groupby(qid) top-k merge. Partial top-k inside
+    batch); global: top-k merge exchanged by qid. Partial top-k inside
     map_batches keeps the shuffle tiny (combiner pattern)."""
     import ray
 
@@ -76,11 +78,18 @@ def brute_topk(ds, queries: np.ndarray, k: int = 10, *,
                          id_col: pa.array(vid),
                          "cos_sim": pa.array(sim, pa.float64())})
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        return g.nlargest(k, "cos_sim")
+    def topk_group(t: pa.Table) -> pa.Table:
+        return _topk(t, "cos_sim", k, id_col)
 
-    return ds.map_batches(score, batch_format="pyarrow") \
-        .groupby("qid").map_groups(topk, batch_format="pandas")
+    return bucket_groups(ds.map_batches(score, batch_format="pyarrow"),
+                         topk_group, key="qid")
+
+
+def _topk(t: pa.Table, sim: str, k: int, id_col: str,
+          dedup: bool = False) -> pa.Table:
+    """The k most similar rows of each query, ties by ascending id."""
+    return topk_rows(t.select(["qid", id_col, sim]), "qid", sim, k,
+                     descending=True, id_col=id_col, dedup=dedup)
 
 
 def kmeans_lite(sample: np.ndarray, nlist: int, iters: int = 8,
@@ -110,7 +119,7 @@ def ivf_topk(ds, queries: np.ndarray, k: int = 10, *, nlist: int = 16,
     batch of vectors (the round-2 version put ~N/nlist full vectors into
     a single ``groupby(bucket)`` group — an OOM at corpus scale). The
     per-batch partials (≤ nq×k candidate rows each) merge with a tiny
-    ``groupby(qid)`` top-k, same combiner shape as :func:`brute_topk`,
+    top-k exchanged by qid, same combiner shape as :func:`brute_topk`,
     so the driver only ever sees ≤ nq×k result rows."""
     import ray
 
@@ -157,15 +166,14 @@ def ivf_topk(ds, queries: np.ndarray, k: int = 10, *, nlist: int = 16,
             id_col: pa.array(np.concatenate(vids_out)),
             "cos_sim": pa.array(np.concatenate(sims_out), pa.float64())})
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["cos_sim", id_col],
-                             ascending=[False, True]).head(k)
+    def topk_group(t: pa.Table) -> pa.Table:
+        return _topk(t, "cos_sim", k, id_col)
 
     kwargs = {"batch_format": "pyarrow"}
     if batch_size is not None:
         kwargs["batch_size"] = batch_size
-    cands = ds.map_batches(score, **kwargs) \
-        .groupby("qid").map_groups(topk, batch_format="pandas")
+    cands = bucket_groups(ds.map_batches(score, **kwargs), topk_group,
+                          key="qid")
     # ≤ nq × k rows after the per-query merge — the result itself
     df = cands.to_pandas()
     if df.empty or "qid" not in df.columns:
@@ -230,10 +238,11 @@ def pq_topk(ds, queries: np.ndarray, k: int = 10, *, m_sub: int = 4,
     codes via :func:`pq_encode` (persisted/materialized once — the
     10^12-vector memory path); each query scores the CODES table
     through per-block lookup tables (asymmetric distance computation),
-    per-batch partial top-(k·over), bounded groupby(qid) merge. With
+    per-batch partial top-(k·over), bounded merge exchanged by qid. With
     ``refine`` (the standard ADC+R step) the oversampled candidates
     re-rank by exact cosine in one more streaming pass — candidate ids
-    (≤ nq·k·oversample) broadcast, never the vectors. Pass a
+    (≤ nq·k·oversample) broadcast, never the vectors; without it the
+    merge keeps the k best ADC scores. Pass a
     pre-encoded ``codes_ds`` to reuse a stored index. Recall vs
     brute_topk is pytest-gated (tests/test_functions.py)."""
     import ray
@@ -278,16 +287,14 @@ def pq_topk(ds, queries: np.ndarray, k: int = 10, *, m_sub: int = 4,
                          id_col: pa.array(vid),
                          "adc_sim": pa.array(s, pa.float64())})
 
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        return g.nlargest(k, "adc_sim")
+    def approx_topk_group(t: pa.Table) -> pa.Table:
+        return _topk(t, "adc_sim", keep if refine else k, id_col)
 
-    approx = codes_ds.map_batches(score, batch_format="pyarrow") \
-        .groupby("qid").map_groups(
-            lambda g: g.nlargest(min(keep, len(g)), "adc_sim"),
-            batch_format="pandas")
+    approx = bucket_groups(
+        codes_ds.map_batches(score, batch_format="pyarrow"),
+        approx_topk_group, key="qid")
     if not refine:
-        return approx.groupby("qid").map_groups(topk,
-                                                batch_format="pandas")
+        return approx
 
     # exact re-rank (ADC+R): candidate list is bounded by nq·keep, so
     # pulling the (qid, id) pairs to the driver and broadcasting the
@@ -320,11 +327,10 @@ def pq_topk(ds, queries: np.ndarray, k: int = 10, *, m_sub: int = 4,
                          id_col: pa.array(vids),
                          "cos_sim": pa.array(sims, pa.float64())})
 
-    def topk_exact(g: pd.DataFrame) -> pd.DataFrame:
+    def topk_exact_group(t: pa.Table) -> pa.Table:
         # deterministic tie-break on id (matches the SQL oracle's
         # ORDER BY c DESC, vec_id)
-        return g.drop_duplicates([id_col]).sort_values(
-            ["cos_sim", id_col], ascending=[False, True]).head(k)
+        return _topk(t, "cos_sim", k, id_col, dedup=True)
 
-    return ds.map_batches(exact, batch_format="pyarrow") \
-        .groupby("qid").map_groups(topk_exact, batch_format="pandas")
+    return bucket_groups(ds.map_batches(exact, batch_format="pyarrow"),
+                         topk_exact_group, key="qid")

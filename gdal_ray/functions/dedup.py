@@ -2,10 +2,11 @@
 embedding-cosine near-dup.
 
 Each is a Ray Data composition: vectorized signature computation in
-``map_batches`` → ``groupby(bucket)`` shuffle → per-group resolution.
-Shuffle keys are small integers/bytes (signatures), never the payload —
-the pattern that survives 10^12 rows: the wide exchange moves hashes,
-and only confirmed-candidate pairs ever touch full text again.
+``map_batches`` → the group exchange (stages/exchange.py) on a
+signature key → per-bucket Arrow resolution, which walks the fine keys
+of its bucket. Shuffle keys are small integers (signatures), never the
+payload — the pattern that survives 10^12 rows: the wide exchange moves
+hashes, and only confirmed-candidate pairs ever touch full text again.
 """
 
 from __future__ import annotations
@@ -14,21 +15,10 @@ import functools
 import hashlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-# ---------------------------------------------------------------------------
-# shared bucket-shuffle machinery
-# ---------------------------------------------------------------------------
-#
-# High-cardinality keys (band_key / block_key / LSH bucket) must not be
-# Ray groupby keys directly: tens of thousands of 1-row groups cost
-# ~0.2 ms of per-group overhead each in map_groups. Instead we shuffle
-# on a SALTED bucket (key % n_buckets) and do the fine-key grouping
-# vectorized inside the group callable — all rows of a fine key land in
-# the same bucket, so semantics are identical.
-
-_N_BUCKETS = 256
+from ..stages.exchange import bucket_groups, key_slices
 
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
@@ -39,9 +29,11 @@ def popcount64(x: np.ndarray) -> np.ndarray:
     return _POP8[x.view(np.uint8).reshape(x.shape + (8,))].sum(axis=-1)
 
 
-def _collided_pairs(ds_rows, fine_key: str, pair_fn, empty: pd.DataFrame):
-    """groupby(bucket) → drop singleton fine keys vectorized → per-fine-key
-    pair_fn.
+def _collided_pairs(ds_rows, fine_key: str, id_col: str, value: pa.Field,
+                    pair_fn):
+    """Exchange on `fine_key`, drop singleton fine keys vectorized, then
+    per fine key `pair_fn(sub) → (i, j, v)`: the row pairs of `sub` that
+    match and their `value`. Emits (id_a, id_b, value) with id_a < id_b.
 
     Cross-key pair dedup is the CALLER's job, done locally inside
     pair_fn via the canonical-key rule (emit a pair only in its lowest
@@ -49,23 +41,23 @@ def _collided_pairs(ds_rows, fine_key: str, pair_fn, empty: pd.DataFrame):
     global groupby((id_a,id_b)) re-shuffle on the pair table is both an
     extra all-to-all and, with hundreds of thousands of two-key groups,
     slower than the whole rest of the pipeline."""
+    schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()), value])
 
-    def bucketed(t: pa.Table) -> pa.Table:
-        k = t[fine_key].to_numpy()
-        return t.append_column(
-            "bucket", pa.array((k % _N_BUCKETS).astype(np.int64), pa.int64()))
-
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
+    def collided_pairs_group(t: pa.Table) -> pa.Table:
         # vectorized singleton elimination: most fine keys are unique
-        g = g[g.duplicated(fine_key, keep=False)]
-        if len(g) < 2:
-            return empty
-        frames = [r for _, sub in g.groupby(fine_key, sort=False)
-                  for r in (pair_fn(sub),) if r is not None and len(r)]
-        return pd.concat(frames, ignore_index=True) if frames else empty
+        _, inv, n = np.unique(t[fine_key].to_numpy(), return_inverse=True,
+                              return_counts=True)
+        t = t.filter(pa.array(n[inv] > 1))
+        out = [schema.empty_table()]
+        for sub in key_slices(t, t[fine_key].to_numpy()):
+            i, j, v = pair_fn(sub)
+            ids = sub[id_col].to_numpy()
+            out.append(pa.table([np.minimum(ids[i], ids[j]),
+                                 np.maximum(ids[i], ids[j]), v],
+                                schema=schema))
+        return pa.concat_tables(out)
 
-    return ds_rows.map_batches(bucketed, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(resolve, batch_format="pandas")
+    return bucket_groups(ds_rows, collided_pairs_group, key=fine_key)
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +75,16 @@ def exact_dedup(ds, key_col: str = "text", id_col: str = "doc_id"):
     def sig(t: pa.Table) -> pa.Table:
         hs = np.array([sha1_64(str(v).encode())
                        for v in t[key_col].to_pylist()], dtype=np.int64)
-        return pa.table({"bucket": pa.array(hs % _N_BUCKETS, pa.int64()),
-                         "h": pa.array(hs, pa.int64()), id_col: t[id_col]})
+        return pa.table({"h": pa.array(hs, pa.int64()), id_col: t[id_col]})
 
-    def first_per_hash(g: pd.DataFrame) -> pd.DataFrame:
-        # vectorized min-per-hash inside a salted bucket (all rows of a
-        # hash share its bucket) — no per-hash Ray group overhead
-        return g.groupby("h", sort=False)[[id_col]].min().reset_index(drop=True)
+    def first_per_hash_group(t: pa.Table) -> pa.Table:
+        # min-per-hash of a bucket (all rows of a hash share it) as one
+        # Arrow hash aggregate — no per-hash Ray group overhead
+        g = t.group_by("h").aggregate([(id_col, "min")])
+        return pa.table({id_col: g[f"{id_col}_min"]})
 
-    return ds.map_batches(sig, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(first_per_hash, batch_format="pandas")
+    return bucket_groups(ds.map_batches(sig, batch_format="pyarrow"),
+                         first_per_hash_group, key="h")
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +179,12 @@ def minhash_candidates(ds, *, n_perm=64, shingle_k=5, n_bands=16,
     actor pool) → groupby(band_key) pairs → estimate jaccard from full
     signatures → global pair dedup."""
     hasher = MinHasher(n_perm, shingle_k, n_bands, text_col, id_col)
-    empty = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                          "id_b": pd.Series([], dtype="int64"),
-                          "est_jaccard": pd.Series([], dtype="float64")})
-
     rpb = hasher.rows_per_band
 
-    def pairs(sub: pd.DataFrame) -> pd.DataFrame:
-        band = int(sub["band"].iloc[0])
-        ids = sub[id_col].to_numpy()
-        sigs = np.stack([np.frombuffer(s, dtype="<u8") for s in sub["sig"]])
+    def pairs(sub: pa.Table):
+        band = sub["band"][0].as_py()
+        sigs = np.frombuffer(b"".join(sub["sig"].to_pylist()),
+                             dtype="<u8").reshape(sub.num_rows, -1)
         # pairwise signature-agreement fraction, fully vectorized
         eq = sigs[:, None, :] == sigs[None, :, :]
         est = eq.mean(axis=2)
@@ -206,15 +194,11 @@ def minhash_candidates(ds, *, n_perm=64, shingle_k=5, n_bands=16,
         for lower in range(band):
             hit &= ~eq[:, :, lower * rpb:(lower + 1) * rpb].all(axis=2)
         ii, jj = np.nonzero(hit)
-        if not len(ii):
-            return empty
-        return pd.DataFrame({
-            "id_a": pd.Series(np.minimum(ids[ii], ids[jj]), dtype="int64"),
-            "id_b": pd.Series(np.maximum(ids[ii], ids[jj]), dtype="int64"),
-            "est_jaccard": pd.Series(est[ii, jj], dtype="float64")})
+        return ii, jj, est[ii, jj]
 
     rows = ds.map_batches(hasher, batch_format="pyarrow", concurrency=4)
-    return _collided_pairs(rows, "band_key", pairs, empty)
+    return _collided_pairs(rows, "band_key", id_col,
+                           pa.field("est_jaccard", pa.float64()), pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +224,6 @@ def simhash(text: str, k: int = 4) -> int:
     bits = ((h[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1))
     votes = bits.sum(axis=0).astype(np.int64) * 2 - np.int64(len(h))
     return int((votes > 0).astype(np.uint64) @ (np.uint64(1) << np.arange(64, dtype=np.uint64)))
-
-
-def simhash_batch(batch: pa.Table, text_col="text") -> pa.Table:
-    # NOTE: a fully-batched variant (concatenated windows + unpackbits
-    # + segmented reduceat) was measured 20x SLOWER than this loop on
-    # this hardware: the per-doc work is already numpy-vectorized and
-    # cache-resident, while the batched form materializes ~0.5 GB of
-    # bit-matrix temporaries and becomes memory-bound. Keep the loop.
-    hs = np.array([simhash(str(t)) for t in batch[text_col].to_pylist()],
-                  dtype=np.uint64)
-    return batch.append_column(
-        "simhash", pa.array(hs.view(np.int64), pa.int64()))
 
 
 def simhash_near_dups(ds, *, text_col="text", id_col="doc_id", max_hamming=3):
@@ -283,12 +255,8 @@ def simhash_near_dups(ds, *, text_col="text", id_col="doc_id", max_hamming=3):
                          id_col: pa.array(np.tile(ids, nb)),
                          "simhash": pa.array(hrep.view(np.int64), pa.int64())})
 
-    empty = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                          "id_b": pd.Series([], dtype="int64"),
-                          "hamming": pd.Series([], dtype="int64")})
-
-    def pairs(sub: pd.DataFrame) -> pd.DataFrame:
-        blk = int(np.uint64(sub["block_key"].iloc[0]) >> np.uint64(58))
+    def pairs(sub: pa.Table):
+        blk = int(np.uint64(sub["block_key"][0].as_py()) >> np.uint64(58))
         ids = sub[id_col].to_numpy()
         hs = sub["simhash"].to_numpy().astype(np.int64).view(np.uint64)
         x = hs[:, None] ^ hs[None, :]
@@ -300,15 +268,11 @@ def simhash_near_dups(ds, *, text_col="text", id_col="doc_id", max_hamming=3):
         for lower in range(blk):
             hit &= (x >> offs[lower]) & masks[lower] != 0
         ii, jj = np.nonzero(hit)
-        if not len(ii):
-            return empty
-        return pd.DataFrame({
-            "id_a": pd.Series(np.minimum(ids[ii], ids[jj]), dtype="int64"),
-            "id_b": pd.Series(np.maximum(ids[ii], ids[jj]), dtype="int64"),
-            "hamming": pd.Series(d[ii, jj], dtype="int64")})
+        return ii, jj, d[ii, jj]
 
     rows = ds.map_batches(sig, batch_format="pyarrow")
-    return _collided_pairs(rows, "block_key", pairs, empty)
+    return _collided_pairs(rows, "block_key", id_col,
+                           pa.field("hamming", pa.int64()), pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -442,64 +406,42 @@ def verify_pairs_coshuffle(ds_pairs, ds_docs, *, text_col: str = "text",
             "text": t[text_col].combine_chunks().cast(pa.large_string()),
             "kind": pa.array(np.zeros(n, np.int8), pa.int8())})
 
-    def bucket_doc(t: pa.Table) -> pa.Table:
-        b = (t["doc_id"].to_numpy() % _N_BUCKETS).astype(np.int64)
-        return t.append_column("bucket", pa.array(b, pa.int64()))
+    def attach_group(t: pa.Table) -> pa.Table:
+        docs = t.filter(pc.and_(pc.equal(t["kind"], 0),
+                                pc.is_valid(t["text"])))
+        reqs = t.filter(pc.equal(t["kind"], 1))
+        at = pc.index_in(reqs["doc_id"],
+                         value_set=docs["doc_id"].combine_chunks())
+        reqs = reqs.filter(pc.is_valid(at))
+        ia, ib = reqs["id_a"].to_numpy(), reqs["id_b"].to_numpy()
+        return pa.table({
+            "id_a": reqs["id_a"], "id_b": reqs["id_b"],
+            # the exchange key of the pair's two texts
+            "pair": pa.array((ia * np.int64(0x9E3779B1)) ^ ib, pa.int64()),
+            "is_a": pc.equal(reqs["doc_id"], reqs["id_a"]),
+            "side_text": docs["text"].take(at.drop_null())})
 
-    empty_attach = pd.DataFrame({
-        "id_a": pd.Series([], dtype="int64"),
-        "id_b": pd.Series([], dtype="int64"),
-        "is_a": pd.Series([], dtype="bool"),
-        "side_text": pd.Series([], dtype="object")})
-
-    def attach(g: pd.DataFrame) -> pd.DataFrame:
-        reqs = g[g["kind"] == 1]
-        if not len(reqs):
-            return empty_attach
-        docs = g[g["kind"] == 0]
-        m = dict(zip(docs["doc_id"], docs["text"]))
-        txt = reqs["doc_id"].map(m)
-        ok = txt.notna().to_numpy()
-        return pd.DataFrame({
-            "id_a": reqs["id_a"].to_numpy()[ok],
-            "id_b": reqs["id_b"].to_numpy()[ok],
-            "is_a": (reqs["doc_id"].to_numpy() == reqs["id_a"].to_numpy())[ok],
-            "side_text": txt.to_numpy()[ok]})
-
-    def bucket_pair(t: pa.Table) -> pa.Table:
-        key = (t["id_a"].to_numpy() * np.int64(0x9E3779B1)) \
-            ^ t["id_b"].to_numpy()
-        return t.append_column(
-            "bucket", pa.array((key % _N_BUCKETS).astype(np.int64), pa.int64()))
-
-    empty_out = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                              "id_b": pd.Series([], dtype="int64"),
-                              "jaccard": pd.Series([], dtype="float64")})
-
-    def score_group(g: pd.DataFrame) -> pd.DataFrame:
-        out_a, out_b, out_j = [], [], []
-        for (ia, ib), sub in g.groupby(["id_a", "id_b"], sort=False):
-            ta = sub.loc[sub["is_a"], "side_text"]
-            tb = sub.loc[~sub["is_a"], "side_text"]
-            if not len(ta) or not len(tb):
+    def score_group(t: pa.Table) -> pa.Table:
+        sides: dict = {}
+        for ia, ib, is_a, text in zip(*(t[c].to_pylist() for c in (
+                "id_a", "id_b", "is_a", "side_text"))):
+            sides.setdefault((ia, ib), {}).setdefault(is_a, text)
+        out = {"id_a": [], "id_b": [], "jaccard": []}
+        for (ia, ib), s in sides.items():
+            if len(s) < 2:
                 continue            # a side's doc was missing from ds_docs
-            j = score(str(ta.iloc[0]), str(tb.iloc[0]))
+            j = score(s[True], s[False])
             if j >= threshold:
-                out_a.append(int(ia))
-                out_b.append(int(ib))
-                out_j.append(j)
-        if not out_a:
-            return empty_out
-        return pd.DataFrame({"id_a": pd.Series(out_a, dtype="int64"),
-                             "id_b": pd.Series(out_b, dtype="int64"),
-                             "jaccard": pd.Series(out_j, dtype="float64")})
+                for c, v in zip(out, (ia, ib, j)):
+                    out[c].append(v)
+        return pa.table({"id_a": pa.array(out["id_a"], pa.int64()),
+                         "id_b": pa.array(out["id_b"], pa.int64()),
+                         "jaccard": pa.array(out["jaccard"], pa.float64())})
 
     mixed = ds_docs.map_batches(doc_rows, batch_format="pyarrow").union(
         ds_pairs.map_batches(requests, batch_format="pyarrow"))
-    attached = mixed.map_batches(bucket_doc, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(attach, batch_format="pandas")
-    return attached.map_batches(bucket_pair, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(score_group, batch_format="pandas")
+    attached = bucket_groups(mixed, attach_group, key="doc_id")
+    return bucket_groups(attached, score_group, key="pair")
 
 
 # broadcast is cheaper while the whole corpus fits comfortably in a
@@ -573,16 +515,13 @@ def embedding_near_dups(ds, *, vec_col="embedding", id_col="vec_id",
                          "unit": pa.array(np.tile(unit, (n_tables, 1)).tolist(),
                                           pa.list_(pa.float64()))})
 
-    empty = pd.DataFrame({"id_a": pd.Series([], dtype="int64"),
-                          "id_b": pd.Series([], dtype="int64"),
-                          "cos_sim": pd.Series([], dtype="float64")})
-
     mask = np.uint64((1 << bits_per_table) - 1)
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        table = int(np.uint64(g["plane_key"].iloc[0]) >> np.uint64(58))
+    def pairs(g: pa.Table):
+        from .ann import list_to_matrix
+        table = int(np.uint64(g["plane_key"][0].as_py()) >> np.uint64(58))
         ids = g[id_col].to_numpy()
-        mat = np.stack(g["unit"].to_numpy())
+        mat = list_to_matrix(g["unit"])
         bits = g["bits"].to_numpy().astype(np.int64).view(np.uint64)
         cos = mat @ mat.T
         hit = np.triu(cos >= threshold, k=1) & (ids[:, None] != ids[None, :])
@@ -592,12 +531,8 @@ def embedding_near_dups(ds, *, vec_col="embedding", id_col="vec_id",
         for lower in range(table):
             hit &= (x >> np.uint64(lower * bits_per_table)) & mask != 0
         ii, jj = np.nonzero(hit)
-        if not len(ii):
-            return empty
-        return pd.DataFrame({
-            "id_a": pd.Series(np.minimum(ids[ii], ids[jj]), dtype="int64"),
-            "id_b": pd.Series(np.maximum(ids[ii], ids[jj]), dtype="int64"),
-            "cos_sim": pd.Series(cos[ii, jj], dtype="float64")})
+        return ii, jj, cos[ii, jj]
 
     rows = ds.map_batches(signatures, batch_format="pyarrow")
-    return _collided_pairs(rows, "plane_key", pairs, empty)
+    return _collided_pairs(rows, "plane_key", id_col,
+                           pa.field("cos_sim", pa.float64()), pairs)

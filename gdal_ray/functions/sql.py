@@ -39,6 +39,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.exchange import bucket_groups
+
 _TOKEN_RE = re.compile(r"""
     \s*(?:
       (?P<num>\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+|\d+)
@@ -1079,30 +1081,28 @@ def _wrap_ds(df: pd.DataFrame):
 
 
 def distinct_group(t: pa.Table) -> pa.Table:
-    """One salted bucket of SELECT DISTINCT's exchange, deduplicated."""
-    return _distinct(t.drop_columns(["__bucket"]))
+    """One bucket of SELECT DISTINCT's exchange, deduplicated."""
+    return _distinct(pa.Table.from_struct_array(t["row"].combine_chunks()))
 
 
 def _distinct_ds(ds):
     """SELECT DISTINCT as a shuffle, not a driver frame: hash every row
     (all columns, each cast to its text form, so a value hashes alike in
-    every block), salt-bucket the hash so identical rows co-locate, and
-    dedup each bucket on Arrow. The full result never lands on one
-    machine."""
-    def bucketize(t: pa.Table) -> pa.Table:
+    every block) and exchange on the hash so identical rows co-locate,
+    then dedup each bucket on Arrow. The row rides as one struct column,
+    so a selected column may have any name. The full result never lands
+    on one machine."""
+    def row_hash(t: pa.Table) -> pa.Table:
         h = np.zeros(t.num_rows, np.uint64)
         for col in t.columns:
             text = pc.fill_null(pc.cast(col, pa.string()), "\x00")
             h = h * np.uint64(31) + pd.util.hash_array(
                 text.to_numpy(zero_copy_only=False))
-        b = ((h * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)) \
-            % np.uint64(128)
-        return t.append_column("__bucket",
-                               pa.array(b.astype(np.int64), pa.int64()))
+        return pa.table({"row": t.to_struct_array(),
+                         "row_hash": pa.array(h, pa.uint64())})
 
-    return ds.map_batches(bucketize, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(distinct_group,
-                                        batch_format="pyarrow")
+    return bucket_groups(ds.map_batches(row_hash, batch_format="pyarrow"),
+                         distinct_group, key="row_hash")
 
 
 # the Arrow hash aggregates each SQL aggregate needs per batch ("sq" is

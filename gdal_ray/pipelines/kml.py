@@ -113,22 +113,24 @@ def doc_kml(top_tiles, min_z: int) -> str:
     return "".join(parts)
 
 
+def _xy_rows(x, y, cx, cy) -> pa.Table:
+    """(x, y, cx, cy) rows keyed by their level-z tile: k = x << 32 | y."""
+    k = (x.astype(np.uint64) << np.uint64(32)) | y.astype(np.uint64)
+    return pa.table({"x": x, "y": y, "cx": cx, "cy": cy, "k": k})
+
+
 def _self_rows(t: pa.Table) -> pa.Table:
     """Level-z tiles as (x, y, cx=-1, cy=-1) marker rows."""
-    neg = pa.array(np.full(t.num_rows, -1, np.int64), pa.int64())
-    return pa.table({"x": t["x"].cast(pa.int64()),
-                     "y": t["y"].cast(pa.int64()),
-                     "cx": neg, "cy": neg})
+    neg = np.full(t.num_rows, -1, np.int64)
+    return _xy_rows(t["x"].to_numpy().astype(np.int64),
+                    t["y"].to_numpy().astype(np.int64), neg, neg)
 
 
 def _child_rows(t: pa.Table) -> pa.Table:
     """Level-(z+1) tiles keyed by their parent at z: (x, y, cx, cy)."""
     cx = t["x"].to_numpy().astype(np.int64)
     cy = t["y"].to_numpy().astype(np.int64)
-    return pa.table({"x": pa.array(cx // 2, pa.int64()),
-                     "y": pa.array(cy // 2, pa.int64()),
-                     "cx": pa.array(cx, pa.int64()),
-                     "cy": pa.array(cy, pa.int64())})
+    return _xy_rows(cx // 2, cy // 2, cx, cy)
 
 
 def write_superoverlay(levels: dict, out_dir: str, ext: str = "png"):
@@ -137,11 +139,11 @@ def write_superoverlay(levels: dict, out_dir: str, ext: str = "png"):
     through write_tile_tree; per-tile KML needs the tile's EXISTING
     children at z+1, so child membership is computed as a shuffle —
     level z+1 coordinates map to their parent key and meet the level-z
-    self rows in a salt-bucketed groupby (coordinates only cross the
+    self rows in the group exchange (coordinates only cross the
     exchange, never tile bytes; no driver-side coordinate pull)."""
     from pyarrow import fs as pafs
 
-    from ..stages.join import salted_bucket
+    from ..stages.exchange import bucket_groups, key_slices
     from .tiles import write_tile_tree
 
     manifest = write_tile_tree(levels, out_dir, ext=ext)
@@ -162,30 +164,23 @@ def write_superoverlay(levels: dict, out_dir: str, ext: str = "png"):
                 .map_batches(_child_rows, batch_format="pyarrow")
             rows = rows.union(kids)
 
-        def add_bucket(t: pa.Table) -> pa.Table:
-            key = ((t["x"].to_numpy().astype(np.uint64) << np.uint64(32))
-                   | t["y"].to_numpy().astype(np.uint64))
-            return salted_bucket(t.append_column(
-                "k", pa.array(key, pa.uint64())), "k").drop_columns(["k"])
-
-        def write_bucket(df, z=z):
-            import pandas as pd
+        def write_kml_group(t: pa.Table, z=z) -> pa.Table:
             n = 0
-            for (x, y), g in df.groupby(["x", "y"], sort=False):
-                if not (g["cx"] < 0).any():
+            for g in key_slices(t, t["k"].to_numpy()):
+                cx, cy = g["cx"].to_numpy(), g["cy"].to_numpy()
+                if not (cx < 0).any():
                     continue  # child rows whose parent tile wasn't rendered
-                ch = g.loc[g["cx"] >= 0, ["cx", "cy"]].itertuples(index=False)
-                body = tile_kml(z, int(x), int(y), list(map(tuple, ch)),
+                x, y = g["x"][0].as_py(), g["y"][0].as_py()
+                kids = cx >= 0
+                body = tile_kml(z, x, y,
+                                list(zip(cx[kids].tolist(), cy[kids].tolist())),
                                 ext=ext, max_zoom=max_z)
-                with fsys.open_output_stream(
-                        f"{root}/{z}/{int(x)}/{int(y)}.kml") as f:
+                with fsys.open_output_stream(f"{root}/{z}/{x}/{y}.kml") as f:
                     f.write(body.encode())
                 n += 1
-            return pd.DataFrame({"n": [n]})
+            return pa.table({"n": pa.array([n], pa.int64())})
 
-        cnt = rows.map_batches(add_bucket, batch_format="pyarrow") \
-            .groupby("bucket") \
-            .map_groups(write_bucket, batch_format="pandas").sum("n")
+        cnt = bucket_groups(rows, write_kml_group, key="k").sum("n")
         manifest[f"z={z}"]["n_kml"] = int(cnt)
 
     # doc.kml links every min-zoom tile: bounded by construction (a

@@ -31,6 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources import geo
+from ..stages.exchange import bucket_groups, key_slices
 from ..functions.text import _STOPWORDS as _STOPWORDS_FOR_ORACLE
 from . import oracles as _OR
 
@@ -578,11 +579,13 @@ def q_image_phash_dedup(sf_dir: str):
     first image_id per phash."""
     from ..sources.images import images_dataset
 
-    def first(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values("image_id").head(1)[["phash", "image_id"]]
+    def first_image_group(t: pa.Table) -> pa.Table:
+        g = t.group_by("phash").aggregate([("image_id", "min")])
+        return pa.table({"phash": g["phash"], "image_id": g["image_id_min"]})
 
-    return images_dataset(N_IMAGES_QUERY).select_columns(["image_id", "phash"]) \
-        .groupby("phash").map_groups(first, batch_format="pandas")
+    return bucket_groups(
+        images_dataset(N_IMAGES_QUERY).select_columns(["image_id", "phash"]),
+        first_image_group, key="phash")
 
 
 def q_image_pip(sf_dir: str):
@@ -620,37 +623,41 @@ def q_image_knn(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# window / ordered analytics (map_groups ordering semantics)
+# window / ordered analytics: the group exchange on the partition key,
+# then the per-key logic vectorized over each bucket's sorted runs
 # ---------------------------------------------------------------------------
 
+def _runs(t: pa.Table, order: list[str]):
+    """`t` sorted by the `order` columns (partition key first) and, per
+    row, the position of the first row of its key's run."""
+    t = t.take(np.lexsort([t[c].to_numpy() for c in reversed(order)]))
+    key = t[order[0]].to_numpy()
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    return t, np.repeat(start, np.diff(np.r_[start, len(key)]))
+
+
 def q_running_sum(sf_dir: str):
-    """Per-order running quantity by line number — ordered map_groups
-    (OGR has no window functions; this is the per-group ordered-scan
-    pattern the overview cascade also relies on)."""
-    # bucket-parallel: groupby a coarse hash bucket (64 groups) and run
-    # the per-key logic vectorized inside — per-group Python overhead on
-    # millions of tiny keys is the scale killer, 64 fat groups are not.
-    P = 64
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "bucket", pa.array(t["l_orderkey"].to_numpy() % P, pa.int64()))
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
+    """Per-order running quantity by line number — an ordered per-key
+    scan (OGR has no window functions; this is the per-group
+    ordered-scan pattern the overview cascade also relies on)."""
+    def running_sum_group(t: pa.Table) -> pa.Table:
         # (l_orderkey, l_linenumber) is NOT unique in the synthetic data:
         # order by the full value tuple so ties sum identically under any
         # tie permutation (equal keys => equal quantities => equal sums)
-        g = g.sort_values(["l_orderkey", "l_linenumber", "l_quantity",
-                           "l_extendedprice"])
-        gb = g.groupby("l_orderkey", sort=False)
-        g["rn"] = gb.cumcount().to_numpy() + 1
-        g["running_qty"] = _half_away(gb["l_quantity"].cumsum().to_numpy())
-        return g[["l_orderkey", "rn", "running_qty"]]
+        t, run0 = _runs(t, ["l_orderkey", "l_linenumber", "l_quantity",
+                            "l_extendedprice"])
+        # a run's sum is the bucket's cumsum less its value before the
+        # run: exact for whole quantities, as TPC-H's are
+        qty = np.cumsum(t["l_quantity"].to_numpy())
+        return pa.table({
+            "l_orderkey": t["l_orderkey"],
+            "rn": pa.array(np.arange(len(run0)) - run0 + 1, pa.int64()),
+            "running_qty": _half_away(qty - np.r_[0.0, qty][run0])})
 
-    return _rp(sf_dir, "lineitem",
-               ["l_orderkey", "l_linenumber", "l_quantity", "l_extendedprice"]) \
-        .map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(run, batch_format="pandas")
+    return bucket_groups(
+        _rp(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_quantity",
+                                 "l_extendedprice"]),
+        running_sum_group, key="l_orderkey")
 
 
 SQL_RUNNING_SUM = """
@@ -667,25 +674,19 @@ FROM lineitem
 def q_sessionize(sf_dir: str):
     """Sessionization: per-user session count with a 30-minute idle gap —
     stateful ordered per-group scan over the events stream."""
-    P = 64
+    def sessionize_group(t: pa.Table) -> pa.Table:
+        t, run0 = _runs(t, ["user_id", "ts"])
+        first = run0 == np.arange(len(run0))
+        gap = np.r_[False, np.diff(t["ts"].to_numpy())
+                    > np.timedelta64(1800, "s")] & ~first
+        run = np.cumsum(first) - 1
+        return pa.table({
+            "user_id": t["user_id"].take(np.flatnonzero(first)),
+            "n_events": np.bincount(run),
+            "n_sessions": np.bincount(run, gap).astype(np.int64) + 1})
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "bucket", pa.array(t["user_id"].to_numpy() % P, pa.int64()))
-
-    def sess(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts"])
-        gb = g.groupby("user_id", sort=False)
-        gaps = gb["ts"].diff().dt.total_seconds().fillna(0)
-        new_sess = (gaps > 1800).groupby(g["user_id"], sort=False).sum()
-        counts = gb.size()
-        return pd.DataFrame({"user_id": counts.index.to_numpy(),
-                             "n_events": counts.to_numpy().astype("int64"),
-                             "n_sessions": (new_sess.to_numpy() + 1).astype("int64")})
-
-    return _rp(sf_dir, "events", ["user_id", "ts"]) \
-        .map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(sess, batch_format="pandas")
+    return bucket_groups(_rp(sf_dir, "events", ["user_id", "ts"]),
+                         sessionize_group, key="user_id")
 
 
 SQL_SESSIONIZE = """
@@ -724,20 +725,14 @@ FROM lineitem GROUP BY 1
 
 def q_count_distinct(sf_dir: str):
     """COUNT(DISTINCT) per group — distinct-shuffle pattern."""
-    P = 64
+    def count_distinct_group(t: pa.Table) -> pa.Table:
+        g = t.group_by("l_partkey").aggregate(
+            [("l_suppkey", "count_distinct")])
+        return pa.table({"l_partkey": g["l_partkey"],
+                         "n_suppliers": g["l_suppkey_count_distinct"]})
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "bucket", pa.array(t["l_partkey"].to_numpy() % P, pa.int64()))
-
-    def cd(g: pd.DataFrame) -> pd.DataFrame:
-        nu = g.groupby("l_partkey")["l_suppkey"].nunique()
-        return pd.DataFrame({"l_partkey": nu.index.to_numpy(),
-                             "n_suppliers": nu.to_numpy().astype("int64")})
-
-    return _rp(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]) \
-        .map_batches(add_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(cd, batch_format="pandas")
+    return bucket_groups(_rp(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]),
+                         count_distinct_group, key="l_partkey")
 
 
 SQL_COUNT_DISTINCT = """
@@ -1552,8 +1547,6 @@ def q_mvt_roundtrip(sf_dir: str):
     decoded feature counts + mvt_id sums. Counts survive the tile
     quantization (polygons are km-scale, z9 cells are ~19 m), so the
     oracle replays the envelope->tile-range math in SQL."""
-    import pandas as pd
-
     from ..sources.mvt import decode_mvt, encode_mvt
     from ..sources.vector import polygons_dataset
 
@@ -1580,28 +1573,29 @@ def q_mvt_roundtrip(sf_dir: str):
                     out_x.append(tx)
                     out_y.append(ty)
                     out_w.append(wkbs[i])
+        tx, ty = np.array(out_x, np.int64), np.array(out_y, np.int64)
         return pa.table({"fid": pa.array(out_f, pa.int64()),
-                         "tile_x": pa.array(out_x, pa.int64()),
-                         "tile_y": pa.array(out_y, pa.int64()),
+                         "tile_x": tx, "tile_y": ty,
+                         "tile": (tx << 32) | ty,
                          "wkb": pa.array(out_w, pa.binary())})
 
-    def per_tile(df: pd.DataFrame) -> pd.DataFrame:
+    def mvt_tile_group(t: pa.Table) -> pa.Table:
         from ..core import wkb as W
-        tx = int(df["tile_x"].iloc[0])
-        ty = int(df["tile_y"].iloc[0])
-        feats = [(W.loads(w), {"name": f"p{f}"}, int(f))
-                 for w, f in zip(df["wkb"], df["fid"])]
-        buf = encode_mvt(feats, layer="polys", z=Z, x=tx, y=ty)
-        dec = decode_mvt(buf, Z, tx, ty)["polys"]
-        ids = dec["mvt_id"].to_numpy(zero_copy_only=False)
-        return pd.DataFrame({"tile_x": [tx], "tile_y": [ty],
-                             "n_features": [len(dec)],
-                             "fid_sum": [int(ids.sum())]})
+        out = {"tile_x": [], "tile_y": [], "n_features": [], "fid_sum": []}
+        for sub in key_slices(t, t["tile"].to_numpy()):
+            tx, ty = sub["tile_x"][0].as_py(), sub["tile_y"][0].as_py()
+            feats = [(W.loads(w), {"name": f"p{f}"}, f) for w, f in
+                     zip(sub["wkb"].to_pylist(), sub["fid"].to_pylist())]
+            buf = encode_mvt(feats, layer="polys", z=Z, x=tx, y=ty)
+            dec = decode_mvt(buf, Z, tx, ty)["polys"]
+            ids = dec["mvt_id"].to_numpy(zero_copy_only=False)
+            for c, v in zip(out, (tx, ty, len(dec), int(ids.sum()))):
+                out[c].append(v)
+        return pa.table({c: pa.array(v, pa.int64()) for c, v in out.items()})
 
-    return polygons_dataset(40) \
-        .map_batches(assign, batch_format="pyarrow") \
-        .groupby(["tile_x", "tile_y"]) \
-        .map_groups(per_tile, batch_format="pandas")
+    return bucket_groups(
+        polygons_dataset(40).map_batches(assign, batch_format="pyarrow"),
+        mvt_tile_group, key="tile")
 
 
 def q_gmt_roundtrip(sf_dir: str):
@@ -2458,23 +2452,25 @@ def q_mosaic_alpha(sf_dir: str):
                          "rank": pa.array(ranks, pa.int64()),
                          "mask": pa.array(masks, pa.binary())})
 
-    def composite(df: pd.DataFrame) -> pd.DataFrame:
-        ranks = df["rank"].to_numpy()
-        valids = [np.unpackbits(np.frombuffer(b, np.uint8))[:CELL * CELL]
-                  .reshape(CELL, CELL).astype(bool) for b in df["mask"]]
-        vals = [np.full((CELL, CELL), int(rk) % 256, np.int64)
-                for rk in ranks]
-        comp, depth = alpha_composite_group(vals, valids, ranks)
-        return pd.DataFrame([{
-            "cell": int(df["cell"].iloc[0]),
-            "comp_sum": int(comp.sum()),
-            "covered_px": int((depth > 0).sum()),
-        }])
+    def composite_group(t: pa.Table) -> pa.Table:
+        out = {"cell": [], "comp_sum": [], "covered_px": []}
+        for sub in key_slices(t, t["cell"].to_numpy()):
+            ranks = sub["rank"].to_numpy()
+            valids = [np.unpackbits(np.frombuffer(b, np.uint8))
+                      [:CELL * CELL].reshape(CELL, CELL).astype(bool)
+                      for b in sub["mask"].to_pylist()]
+            vals = [np.full((CELL, CELL), int(rk) % 256, np.int64)
+                    for rk in ranks]
+            comp, depth = alpha_composite_group(vals, valids, ranks)
+            for c, v in zip(out, (sub["cell"][0].as_py(), int(comp.sum()),
+                                  int((depth > 0).sum()))):
+                out[c].append(v)
+        return pa.table({c: pa.array(v, pa.int64()) for c, v in out.items()})
 
-    return images_dataset(96) \
-        .map_batches(with_georef, batch_format="pyarrow") \
-        .map_batches(fragments, batch_format="pyarrow", batch_size=16) \
-        .groupby("cell").map_groups(composite, batch_format="pandas")
+    return bucket_groups(
+        images_dataset(96).map_batches(with_georef, batch_format="pyarrow")
+        .map_batches(fragments, batch_format="pyarrow", batch_size=16),
+        composite_group)
 
 
 def q_cutline_clip(sf_dir: str):

@@ -453,8 +453,11 @@ def _vector_reproject(ds, src: str = "EPSG:3857", dst: str = "EPSG:4326",
                       **kw):
     """ogr2ogr -s_srs/-t_srs: every WKB vertex through the CRS chain."""
     from ..stages.vector_ops import reproject_wkb_batch
-    return ds.map_batches(lambda t: reproject_wkb_batch(t, src, dst),
-                          batch_format="pyarrow")
+
+    def reproject_wkb(t):
+        return reproject_wkb_batch(t, src, dst)
+
+    return ds.map_batches(reproject_wkb, batch_format="pyarrow")
 
 
 @register_step("concave_hull")

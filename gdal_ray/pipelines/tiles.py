@@ -5,16 +5,16 @@ Composition (all lazy; the streaming executor pipelines the stages):
   images ─ map_batches(with_georef)            metadata only
          ─ map_batches(warp_fragments_batch)   decode once, one pre-warped
                                                fragment per covering tile
-         ─ map_batches(_with_bucket("cell"))   salted shuffle key
-         ─ groupby(bucket).map_groups(RenderFragments)    ← the shuffle
-         ─ [per zoom, descending] add_parent_cell → _with_bucket("parent")
-           → groupby(bucket).map_groups(CombineChildren)
+         ─ bucket_groups(RenderFragments, key cell)    ← the shuffle
+         ─ [per zoom, descending] add_parent_cell
+           → bucket_groups(CombineChildren, key parent)
          ─ write_datasink(TileSink(out/z=K/))  resumable, one directory per
                                                zoom: one file per level up to
                                                Ray's block-size target
 
-Both exchanges hand their callables Arrow groups (batch_format=
-"pyarrow") and get TILE_SCHEMA tables back: no pandas round trip.
+Both exchanges are the engine's group exchange (stages/exchange.py) at
+N_RENDER_BUCKETS salted buckets: the callables get Arrow groups and give
+TILE_SCHEMA tables back, with no pandas round trip.
 
 Every tile-store Parquet file (each z=K/ level file, and the tiles and
 cells files of render_base_resumable) is written with one profile,
@@ -37,6 +37,7 @@ import pyarrow.parquet as pq
 from ray.data.datasource import BlockBasedFileDatasink
 
 from ..sources.images import images_dataset
+from ..stages.exchange import bucket_groups
 from ..stages.georef import with_georef
 from ..stages.tiles import (CombineChildren, RenderFragments,
                             add_parent_cell, warp_fragments_batch)
@@ -66,14 +67,6 @@ class TileSink(BlockBasedFileDatasink):
         pq.write_table(block.to_arrow(), file, **TILE_PARQUET)
 
 
-def _with_bucket(batch: pa.Table, key: str) -> pa.Table:
-    """Salted shuffle key (shared recipe in stages/join.py): ~n_cpus×4
-    buckets instead of one Ray group per tile — balanced reduce tasks,
-    per-group overhead amortized."""
-    from ..stages.join import salted_bucket
-    return salted_bucket(batch, key, N_RENDER_BUCKETS)
-
-
 def build_base_tiles(images, zoom: int | None = None, *,
                      resampling: str = "bilinear"):
     """images Dataset (raw schema) → base-zoom tile Dataset.
@@ -87,19 +80,22 @@ def build_base_tiles(images, zoom: int | None = None, *,
     wins), which also moves the warp compute to the perfectly-parallel
     map stage. Pixel output is checksum-identical to the previous
     warp-in-reduce path (tests/test_tiles.py parity test)."""
-    ds = images.map_batches(with_georef, batch_format="pyarrow")
-    ds = ds.map_batches(
-        lambda b: warp_fragments_batch(b, zoom, resampling=resampling),
-        batch_format="pyarrow")
-    ds = ds.map_batches(lambda b: _with_bucket(b, "cell"),
-                        batch_format="pyarrow")
     renderer = RenderFragments()
 
     def render_tile_group(g):
         return renderer(g)
 
-    return ds.groupby("bucket").map_groups(render_tile_group,
-                                           batch_format="pyarrow")
+    return bucket_groups(_fragments(images, zoom, resampling),
+                         render_tile_group, N_RENDER_BUCKETS)
+
+
+def _fragments(images, zoom: int | None, resampling: str):
+    """Georef, then one pre-warped fragment per covering tile."""
+    def warp_fragments(b: pa.Table) -> pa.Table:
+        return warp_fragments_batch(b, zoom, resampling=resampling)
+
+    return images.map_batches(with_georef, batch_format="pyarrow") \
+        .map_batches(warp_fragments, batch_format="pyarrow")
 
 
 def build_overviews(tiles, min_z: int, max_z: int):
@@ -115,12 +111,10 @@ def build_overviews(tiles, min_z: int, max_z: int):
         return combiner(g)
 
     for z in range(max_z, min_z, -1):
-        cur = (cur.map_batches(add_parent_cell, batch_format="pyarrow")
-               .map_batches(lambda b: _with_bucket(b, "parent"),
-                            batch_format="pyarrow")
-               .groupby("bucket")
-               .map_groups(combine_children_group, batch_format="pyarrow")
-               .materialize())
+        cur = bucket_groups(
+            cur.map_batches(add_parent_cell, batch_format="pyarrow"),
+            combine_children_group, N_RENDER_BUCKETS, key="parent") \
+            .materialize()
         levels[z - 1] = cur
     return levels
 
@@ -256,25 +250,19 @@ def render_base_resumable(images, zoom: int, out_dir: str, *,
             done = np.unique(np.concatenate(parts)).astype(np.uint64)
     done_ref = ray.put(done)
 
-    ds = images.map_batches(with_georef, batch_format="pyarrow")
-    ds = ds.map_batches(
-        lambda b: warp_fragments_batch(b, zoom, resampling=resampling),
-        batch_format="pyarrow")
+    ds = _fragments(images, zoom, resampling)
     if len(done):
         def drop_done(t: pa.Table) -> pa.Table:
             d = ray.get(done_ref)
             keep = ~np.isin(t["cell"].to_numpy().astype(np.uint64), d)
             return t.filter(pa.array(keep))
         ds = ds.map_batches(drop_done, batch_format="pyarrow")
-    ds = ds.map_batches(lambda b: _with_bucket(b, "cell"),
-                        batch_format="pyarrow")
     renderer = RenderFragments()
 
     def render_tile_group(g):
         return renderer(g)
 
-    rendered = ds.groupby("bucket").map_groups(render_tile_group,
-                                               batch_format="pyarrow")
+    rendered = bucket_groups(ds, render_tile_group, N_RENDER_BUCKETS)
 
     def commit_block(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:

@@ -26,6 +26,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..core import geotransform as gtr
+from .exchange import bucket_groups, key_slices
 
 TILE_SPEC_SCHEMA = pa.schema([
     ("tile_id", pa.int64()),
@@ -169,7 +170,8 @@ def grid_partitioned(points_ds, transform, shape, *, method: str = "invdist",
     """Distributed grid with HALO-PARTITIONED points (radius-bounded
     methods only): each point flat-maps into every tile whose expanded
     bounds (± radius) contain it; groupby(tile) computes tiles from
-    exactly their influence set. Identical results to grid_broadcast
+    exactly their influence set (the group exchange keyed on tile_id).
+    Identical results to grid_broadcast
     for the same radius."""
     if method == "linear":
         raise ValueError(
@@ -206,19 +208,23 @@ def grid_partitioned(points_ds, transform, shape, *, method: str = "invdist",
                   for i, c, r, tw_, th_ in zip(
                       specs["tile_id"].to_numpy(), sc0, sr0, stw, sth)}
 
-    def compute(g: pd.DataFrame) -> pd.DataFrame:
-        tid = int(g["tile_id"].iloc[0])
-        c0, r0, tw_, th_ = spec_by_id[tid]
-        gx, gy = _tile_centers(transform, c0, r0, tw_, th_)
-        grid = _interp_tile(gx, gy, g["x"].to_numpy(), g["y"].to_numpy(),
-                            g["value"].to_numpy(), method, power, radius,
-                            min_points)
-        return pd.DataFrame({"tile_id": [tid], "col0": [c0], "row0": [r0],
-                             "tw": [tw_], "th": [th_],
-                             "data": [grid.astype(np.float64).tobytes()]})
+    def idw_tile_group(t: pa.Table) -> pa.Table:
+        out = {"tile_id": [], "col0": [], "row0": [], "tw": [], "th": [],
+               "data": []}
+        for g in key_slices(t, t["tile_id"].to_numpy()):
+            tid = g["tile_id"][0].as_py()
+            c0, r0, tw_, th_ = spec_by_id[tid]
+            gx, gy = _tile_centers(transform, c0, r0, tw_, th_)
+            grid = _interp_tile(gx, gy, g["x"].to_numpy(), g["y"].to_numpy(),
+                                g["value"].to_numpy(), method, power, radius,
+                                min_points)
+            for c, v in zip(out, (tid, c0, r0, tw_, th_,
+                                  grid.astype(np.float64).tobytes())):
+                out[c].append(v)
+        return pa.table(out)
 
-    return points_ds.map_batches(assign, batch_format="pyarrow") \
-        .groupby("tile_id").map_groups(compute, batch_format="pandas")
+    return bucket_groups(points_ds.map_batches(assign, batch_format="pyarrow"),
+                         idw_tile_group, key="tile_id")
 
 
 def assemble_grid(tiles_df: pd.DataFrame, shape) -> np.ndarray:

@@ -7,16 +7,10 @@ reject → rectangle-contains fast accept → exact Intersects; and the
 layer-algebra candidate-pair pattern (ogrlayer.cpp:5386+).
 
 Partitioning: both sides flat-map to covering quadkey cells at a join
-zoom, and each row takes the salted shuffle bucket of its cell
-(salted_bucket), so one groupby(bucket) co-partitions candidates. A
-bucket holds any number of cells; one Arrow kernel per bucket splits it
-into its two sides, expands every same-cell row pair at once
-(same_cell_pairs), runs the envelope test, the dedup rule and the exact
-predicate on flat arrays, and takes the output columns with Arrow.
-Pairs whose geometries span several cells are deduplicated with the
-PBSM *reference-point* rule — a pair is emitted only from the cell that
-contains the bottom-left corner of the envelope intersection — so no
-second dedup shuffle is needed.
+zoom and meet in the group exchange (stages/exchange.py, keyed on the
+cell); one Arrow kernel per bucket expands every same-cell row pair at
+once (same_cell_pairs), runs the envelope test, the PBSM reference-point
+dedup rule (reference_cell) and the exact predicate on flat arrays.
 
 Scale note: join zoom picks the partition granularity; higher zoom →
 more, smaller cells (better balance, more duplication of large
@@ -29,24 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from ..core import geom, mercator as merc, wkb as wkb_mod
-
-
-N_JOIN_BUCKETS = 128
-
-
-def salted_bucket(batch: pa.Table, key: str,
-                  n_buckets: int = N_JOIN_BUCKETS) -> pa.Table:
-    """Append a Fibonacci-hashed shuffle bucket for `key` — the shared
-    salt-bucket recipe (all rows of a key share its bucket; hot/adjacent
-    keys spread): used by every join/render shuffle."""
-    k = batch[key].to_numpy().astype(np.uint64)
-    b = ((k * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)) \
-        % np.uint64(n_buckets)
-    return batch.append_column("bucket", pa.array(b.astype(np.int64),
-                                                  pa.int64()))
+from .exchange import bucket_groups, split_sides, topk_rows
+# importable from here too: the benchmark's join layer metrics use them
+from .exchange import N_JOIN_BUCKETS, salted_bucket  # noqa: F401
 
 
 def _cover_cells_batch(batch: pa.Table, zoom: int, keep: list[str],
@@ -72,8 +53,10 @@ def _cover_cells_batch(batch: pa.Table, zoom: int, keep: list[str],
 
 def with_cells(ds, zoom: int, keep: list[str]):
     """Dataset with envelope cols → flat-mapped (cell, keep...) rows."""
-    return ds.map_batches(lambda b: _cover_cells_batch(b, zoom, keep),
-                          batch_format="pyarrow")
+    def cover_cells(b: pa.Table) -> pa.Table:
+        return _cover_cells_batch(b, zoom, keep)
+
+    return ds.map_batches(cover_cells, batch_format="pyarrow")
 
 
 def reference_cell(minx_a, miny_a, minx_b, miny_b, zoom: int):
@@ -112,12 +95,6 @@ def same_cell_pairs(a_cells: np.ndarray, b_cells: np.ndarray):
     run0 = np.repeat(np.cumsum(n) - n, n)
     j = order[np.repeat(lo, n) + np.arange(len(i)) - run0]
     return i, j
-
-
-def split_sides(t: pa.Table, a: str, b: str) -> tuple[pa.Table, pa.Table]:
-    """Split a bucket into its two sides by the `side` column."""
-    return (t.filter(pc.equal(t["side"], a)).combine_chunks(),
-            t.filter(pc.equal(t["side"], b)).combine_chunks())
 
 
 def _envelopes(t: pa.Table) -> np.ndarray:
@@ -212,17 +189,6 @@ def _is_rect(g) -> bool:
     return len(xs) == 2 and len(ys) == 2
 
 
-def bucket_groups(both, group_fn, n_buckets: int = N_JOIN_BUCKETS,
-                  key: str = "cell"):
-    """Co-partition rows by the salted bucket of their `key` column (a
-    join cell by default) and run the bucket kernel `group_fn` once per
-    bucket, on Arrow tables. Name `group_fn` `*_group`: the benchmark's
-    op.group.* metrics count Ray operators by that name."""
-    return both.map_batches(lambda b: salted_bucket(b, key, n_buckets),
-                            batch_format="pyarrow") \
-        .groupby("bucket").map_groups(group_fn, batch_format="pyarrow")
-
-
 PAIR_COLS = ["cell", "side", "image_id", "fid", "wkb",
              "minx", "miny", "maxx", "maxy", "name", "category"]
 
@@ -231,10 +197,12 @@ def _polygon_side(polygons, zoom: int, id_type: pa.DataType):
     """T2 polygons → the P side of an image or point join, PAIR_COLS."""
     pols = with_cells(polygons, zoom, ["fid", "wkb", "minx", "miny", "maxx",
                                        "maxy", "name", "category"])
-    return pols.map_batches(
-        lambda b: (b.append_column("side", pa.array(["P"] * b.num_rows))
-                   .append_column("image_id", pa.nulls(b.num_rows, id_type))),
-        batch_format="pyarrow").select_columns(PAIR_COLS)
+    def polygon_rows(b: pa.Table) -> pa.Table:
+        return (b.append_column("side", pa.array(["P"] * b.num_rows))
+                .append_column("image_id", pa.nulls(b.num_rows, id_type)))
+
+    return pols.map_batches(polygon_rows, batch_format="pyarrow") \
+        .select_columns(PAIR_COLS)
 
 
 def spatial_join(images_geo, polygons, zoom: int = 7,
@@ -246,13 +214,16 @@ def spatial_join(images_geo, polygons, zoom: int = 7,
     stage), polygons the T2 schema."""
     joiner = SpatialJoinCell(zoom, predicate)
     imgs = with_cells(images_geo, zoom, ["image_id", "minx", "miny", "maxx", "maxy"])
-    imgs = imgs.map_batches(
-        lambda b: (b.append_column("side", pa.array(["I"] * b.num_rows))
-                   .append_column("fid", pa.nulls(b.num_rows, pa.int64()))
-                   .append_column("wkb", pa.nulls(b.num_rows, pa.binary()))
-                   .append_column("name", pa.nulls(b.num_rows, pa.string()))
-                   .append_column("category", pa.nulls(b.num_rows, pa.string()))),
-        batch_format="pyarrow")
+
+    def image_rows(b: pa.Table) -> pa.Table:
+        n = b.num_rows
+        return (b.append_column("side", pa.array(["I"] * n))
+                .append_column("fid", pa.nulls(n, pa.int64()))
+                .append_column("wkb", pa.nulls(n, pa.binary()))
+                .append_column("name", pa.nulls(n, pa.string()))
+                .append_column("category", pa.nulls(n, pa.string())))
+
+    imgs = imgs.map_batches(image_rows, batch_format="pyarrow")
 
     def join_cell_group(t: pa.Table) -> pa.Table:
         return joiner(t)
@@ -454,21 +425,10 @@ def knn_join(points, queries, k: int = 3, zoom: int = 6):
 
     cands = bucket_groups(both, knn_cell_group)
 
-    # final top-k per query: salt-bucket by qid, then one Arrow pass
+    # final top-k per query, exchanged by qid: a point reached from
+    # several halo cells keeps its smallest dist
     def topk_group(t: pa.Table) -> pa.Table:
-        q, f, d = (t[c].to_numpy() for c in ("qid", "fid", "dist"))
-        # (qid, fid) dedup: a point reached from several halo cells keeps
-        # its smallest dist, the first row of its run in (qid, fid, dist)
-        o = np.lexsort((d, f, q))
-        qo, fo = q[o], f[o]
-        first = np.ones(len(o), bool)
-        first[1:] = (qo[1:] != qo[:-1]) | (fo[1:] != fo[:-1])
-        o = o[first]
-        # the k smallest dist of each query, as in KnnCell
-        o = o[np.lexsort((d[o], q[o]))]
-        keep = np.arange(len(o)) - np.searchsorted(q[o], q[o]) < k
-        return t.select(["qid", "fid", "dist"]).take(pa.array(o[keep]))
+        return topk_rows(t.select(["qid", "fid", "dist"]), "qid", "dist", k,
+                         descending=False, id_col="fid", dedup=True)
 
-    return cands.map_batches(lambda b: salted_bucket(b, "qid"),
-                             batch_format="pyarrow") \
-        .groupby("bucket").map_groups(topk_group, batch_format="pyarrow")
+    return bucket_groups(cands, topk_group, key="qid")

@@ -3,8 +3,8 @@
 Reference: ogrlayer.cpp Intersection :5386 (pairwise GEOS intersection
 of envelope-overlapping features), Union :5804, SymDifference :6341,
 Erase :7847. All share one skeleton — candidate pairs from a spatial
-filter, per-pair geometry combine — which here runs on the SAME
-exchange as the spatial join (stages/join.py): both layers flat-map to
+filter, per-pair geometry combine — which here runs on the
+spatial join's group exchange (stages/exchange.py): both layers flat-map to
 their covering cells, rows co-partition by salted cell bucket
 (bucket_groups), and one Arrow kernel per bucket (set_op_bucket)
 expands the same-cell envelope-overlapping pairs, keeps each pair in
@@ -24,8 +24,8 @@ import pyarrow as pa
 from ..core import geom
 from ..core import wkb as wkb_mod
 from ..core.overlay import intersection_area
-from .join import (bucket_groups, overlap_pairs, reference_cell, split_sides,
-                   with_cells)
+from .exchange import bucket_groups, split_sides
+from .join import overlap_pairs, reference_cell, with_cells
 
 SIDE_COLS = ["cell", "side", "fid", "wkb", "minx", "miny", "maxx", "maxy"]
 

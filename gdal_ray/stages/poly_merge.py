@@ -26,7 +26,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..core.rastervec import label_components
-from .join import same_cell_pairs, split_sides
+from .exchange import split_sides
+from .join import same_cell_pairs
 from .seams import pairs_table, piece_ids, stitch
 
 

@@ -10,7 +10,7 @@ shape. Each tile yields pieces (``kind == 'P'``) and boundary records
      ceil(size_bytes / target_max_block_size) blocks, so both exchanges
      are as wide as the data is large, not as the caller's block count
      (a sort shuffle has one partition per input block);
-  2. boundary records exchanged by ``edge_key`` (join.bucket_groups); the
+  2. boundary records exchanged by ``edge_key`` (exchange.bucket_groups); the
      caller's match kernel turns one bucket into (a, b) piece-id pairs;
   3. a driver-side numpy union-find over the pairs, which are few (one
      per boundary crossing, not per pixel); a component's id is its
@@ -30,7 +30,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
-from .join import bucket_groups
+from .exchange import bucket_groups
 
 
 def piece_ids(t: pa.Table, piece: str) -> np.ndarray:

@@ -17,7 +17,7 @@ lifecycle; apps/gdalalg_raster_tile.cpp:642-700 per-tile work unit):
   per-zoom barrier (gdal2tiles.py:4547).
 
 Both exchanges run on Arrow: a bucket arrives as a pa.Table, is split
-into cells (or parents) at numpy run boundaries over the sorted key,
+into cells (or parents) by exchange.key_slices,
 and comes back as one TILE_SCHEMA table with no pandas schema metadata.
 
 Skew: contributions for hot cells can be range-salted by image rank so
@@ -37,6 +37,7 @@ from ..core import geotransform as gtr
 from ..core import mercator as merc
 from ..core import resample as rs
 from ..core.checksum import checksum_multiband
+from .exchange import key_slices
 
 TILE_SIZE = 256
 
@@ -200,20 +201,6 @@ def _as_table(group: pa.Table | pd.DataFrame) -> pa.Table:
     return group
 
 
-def _key_slices(t: pa.Table, key: np.ndarray):
-    """Split a group into one slice per distinct key (a salted bucket
-    holds many cells or parents). The table is reordered at most once —
-    a stable sort, so rows of one key keep their arrival order — and
-    every slice is a zero-copy view between numpy run boundaries."""
-    if len(key) > 1 and (key[1:] < key[:-1]).any():
-        order = np.argsort(key, kind="stable")
-        t, key = t.take(order), key[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    ends = np.r_[starts[1:], len(key)]
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        yield t.slice(s, e - s)
-
-
 def _first(t: pa.Table, col: str) -> int:
     return int(t[col][0].as_py())
 
@@ -243,7 +230,7 @@ def _render_by_cell(render_one, group: pa.Table | pd.DataFrame) -> pa.Table:
     t = _as_table(group)
     out = _TileRows()
     if t.num_rows:
-        for sub in _key_slices(t, t["cell"].to_numpy()):
+        for sub in key_slices(t, t["cell"].to_numpy()):
             render_one(sub, out)
     return out.table()
 
@@ -397,7 +384,7 @@ class CombineChildren:
         if t.num_rows:
             parent = (t["parent"].to_numpy() if "parent" in t.column_names
                       else merc.cell_parent(t["cell"].to_numpy()))
-            for sub in _key_slices(t, parent):
+            for sub in key_slices(t, parent):
                 self._combine_one(sub, out)
         return out.table()
 

@@ -13,7 +13,7 @@ Ray-Data-first plan (round-2 scale shape):
      re-encoded crops totalling ≈1× the corpus (never source bytes ×
      cover factor), and partial stats become purely ADDITIVE — no
      PBSM reference-point dedup needed.
-  2. SHUFFLE: groupby on the house salted bucket (stages/join.py
+  2. SHUFFLE: groupby on the house salted bucket (stages/exchange.py
      salted_bucket) — balanced reduce tasks, no per-cell group
      overhead, no hot-cell straggler groups.
   3. REDUCE (ZonalCell): one Arrow kernel per bucket, whatever the
@@ -33,7 +33,8 @@ import pyarrow as pa
 from ..core import mercator as merc
 from ..core import wkb as wkb_mod
 from ..core.rastervec import rasterize
-from .join import bucket_groups, overlap_pairs, split_sides, with_cells
+from .exchange import bucket_groups, split_sides
+from .join import overlap_pairs, with_cells
 
 N_ZONAL_BUCKETS = 128
 

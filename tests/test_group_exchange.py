@@ -1,17 +1,20 @@
-"""Grouped exchanges: the battery queries that run a `map_groups` are
-pinned to digests of their sorted frames (`test_seams.frame_digest`:
-row count, dtypes and sorted CSV), so a change to how their groups are
-bucketed or computed must keep every row, value and dtype. The dedup
-operators are checked on a planted near-duplicate corpus against
-brute-force numpy/Python references."""
+"""The group exchange (`stages/exchange.py`). Its kernels are checked
+against pandas references; the battery queries whose groups run on it
+are pinned to digests of their sorted frames (`test_seams.frame_digest`:
+row count, dtypes and sorted CSV), recorded when each still ran its own
+bucketing recipe or pandas groups, so every row, value and dtype is
+kept. The dedup operators are checked on a planted near-duplicate
+corpus against brute-force numpy/Python references."""
 
 import itertools
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pytest
 
 from gdal_ray.pipelines import queries
+from gdal_ray.stages.exchange import key_slices, topk_rows
 from test_functions import SF
 from test_seams import frame_digest
 
@@ -56,6 +59,46 @@ def _frame(res):
     if isinstance(res, pa.Table):
         return res.to_pandas()
     return res
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+@pytest.mark.parametrize("descending", [False, True])
+def test_topk_rows_matches_pandas(descending, dedup):
+    rng = np.random.default_rng(2)
+    t = pa.table({"q": rng.integers(0, 6, 300), "id": rng.integers(0, 40, 300),
+                  "s": rng.integers(0, 5, 300).astype(np.float64)})
+    df = t.to_pandas().sort_values(["q", "s", "id"],
+                                   ascending=[True, not descending, True])
+    if dedup:
+        df = df.drop_duplicates(["q", "id"])
+        df = df.sort_values(["q", "s", "id"],
+                            ascending=[True, not descending, True])
+    want = df.groupby("q").head(3).reset_index(drop=True)
+    got = topk_rows(t, "q", "s", 3, descending=descending, id_col="id",
+                    dedup=dedup).to_pandas()
+    pd.testing.assert_frame_equal(got, want)
+
+
+def test_key_slices():
+    t = pa.table({"k": [3, 1, 3, 2, 1], "i": [0, 1, 2, 3, 4]})
+    got = [s.to_pydict() for s in key_slices(t, t["k"].to_numpy())]
+    assert got == [{"k": [1, 1], "i": [1, 4]}, {"k": [2], "i": [3]},
+                   {"k": [3, 3], "i": [0, 2]}]
+    assert list(key_slices(t.slice(0, 0), np.empty(0, np.int64))) == []
+
+
+def test_sql_distinct_dataset_any_column_name(ray_session):
+    """DISTINCT's exchange carries the row as one struct column, so a
+    selected column may be named like the exchange's own columns."""
+    import ray.data as rd
+    from gdal_ray.functions.sql import execute_sql
+    t = rd.from_arrow(pa.table({"bucket": [1, 2, 1, 2, 3] * 4,
+                                "row": ["a", "b", "a", "b", "c"] * 4})) \
+        .repartition(3)
+    out = execute_sql("SELECT DISTINCT bucket, row FROM t", {"t": t},
+                      as_dataset=True).to_pandas()
+    assert sorted(zip(out["bucket"], out["row"])) == [(1, "a"), (2, "b"),
+                                                      (3, "c")]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))

@@ -117,17 +117,28 @@ def test_stitch_output_independent_of_block_layout(ray_session, caller):
         per_tile.sort_values(cols).reset_index(drop=True))
 
 
-def test_pandas_map_groups_ratchet():
-    """Groups run on Arrow tables: the count of
-    map_groups(..., batch_format="pandas") calls may only fall."""
-    n = 0
+def _map_groups_calls():
+    """(path, call node) of every `.map_groups(...)` call in gdal_ray/."""
     for path in sorted(GDAL_RAY.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            n += (isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "map_groups"
-                  and any(kw.arg == "batch_format"
-                          and isinstance(kw.value, ast.Constant)
-                          and kw.value.value == "pandas"
-                          for kw in node.keywords))
-    assert n <= 17
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "map_groups"):
+                yield path, node
+
+
+def test_pandas_map_groups_ratchet():
+    """Groups run on Arrow tables: no
+    map_groups(..., batch_format="pandas") call is left."""
+    n = sum(any(kw.arg == "batch_format"
+                and isinstance(kw.value, ast.Constant)
+                and kw.value.value == "pandas" for kw in node.keywords)
+            for _, node in _map_groups_calls())
+    assert n == 0
+
+
+def test_map_groups_only_in_exchange():
+    """Every grouped stage goes through stages/exchange.py::bucket_groups;
+    no other module calls map_groups."""
+    where = {str(p.relative_to(GDAL_RAY)) for p, _ in _map_groups_calls()}
+    assert where == {"stages/exchange.py"}
