@@ -32,10 +32,12 @@ SIDE_COLS = ["cell", "side", "fid", "wkb", "minx", "miny", "maxx", "maxy"]
 
 def _layer_side(layer, zoom: int, side: str):
     """A polygon layer → its side ("A" or "B") of a set-op exchange."""
-    cells = with_cells(layer, zoom, SIDE_COLS[2:])
-    return cells.map_batches(
-        lambda b: b.append_column("side", pa.array([side] * b.num_rows)),
-        batch_format="pyarrow").select_columns(SIDE_COLS)
+    def side_rows(b: pa.Table) -> pa.Table:
+        return b.append_column("side", pa.array([side] * b.num_rows))
+
+    return with_cells(layer, zoom, SIDE_COLS[2:]) \
+        .map_batches(side_rows, batch_format="pyarrow") \
+        .select_columns(SIDE_COLS)
 
 
 def _areas(wkbs) -> np.ndarray:

@@ -239,8 +239,10 @@ def zonal_raster_stats(images_geo, polygons, zoom: int = 7, band: int = 0):
     images. images_geo must carry georef columns (with_georef);
     polygons the T2 schema. Returns Dataset
     (fid, pixel_count, pixel_sum, pixel_min, pixel_max, pixel_mean)."""
-    imgs = images_geo.map_batches(
-        lambda b: crop_images_to_cells(b, zoom), batch_format="pyarrow")
+    def crop_to_cells(b: pa.Table) -> pa.Table:
+        return crop_images_to_cells(b, zoom)
+
+    imgs = images_geo.map_batches(crop_to_cells, batch_format="pyarrow")
     pols = with_cells(polygons, zoom,
                       ["fid", "wkb", "minx", "miny", "maxx", "maxy"])
 
