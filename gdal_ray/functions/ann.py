@@ -4,8 +4,9 @@
 The brute-force path is the exactness baseline: the query matrix ships
 once via ray.put, each batch does one numpy matmul, and a global
 sort/limit (or per-query top-k, exchanged by query id, for many
-queries) finishes. The IVF path clusters vectors into nlist buckets (k-means-lite on a sample)
-and probes only the nprobe nearest buckets — the 10^12-scale path.
+queries) finishes. The IVF path clusters vectors into nlist buckets
+(k-means-lite on a sample) and probes only the nprobe nearest buckets —
+the 10^12-scale path.
 """
 
 from __future__ import annotations

@@ -169,10 +169,9 @@ def grid_partitioned(points_ds, transform, shape, *, method: str = "invdist",
                      tile: int = 64):
     """Distributed grid with HALO-PARTITIONED points (radius-bounded
     methods only): each point flat-maps into every tile whose expanded
-    bounds (± radius) contain it; groupby(tile) computes tiles from
-    exactly their influence set (the group exchange keyed on tile_id).
-    Identical results to grid_broadcast
-    for the same radius."""
+    bounds (± radius) contain it; the group exchange keyed on tile_id
+    computes tiles from exactly their influence set. Identical results
+    to grid_broadcast for the same radius."""
     if method == "linear":
         raise ValueError(
             "linear needs the GLOBAL Delaunay triangulation — halo "
