@@ -923,3 +923,89 @@ def test_empty_or_truncated_file_raises_valueerror(tmp_path, name, body):
     p.write_bytes(body)
     with pytest.raises(ValueError):
         read_vector(str(p))
+
+
+def _mvt_layers(path):
+    from gdal_ray.sources.mvt import decode_mvt
+    with open(path, "rb") as f:
+        return decode_mvt(f.read())
+
+
+def _interlis(ref):
+    def read(path):
+        stem = os.path.splitext(path)[0]
+        imd = stem + ".imd"
+        return _ref(ref)(path, imd if os.path.exists(imd) else None)
+    return read
+
+
+def _ref(ref):
+    mod, fn = ref.split(":")
+    return getattr(importlib.import_module("gdal_ray.sources." + mod), fn)
+
+
+# probe → its reader of the whole {layer: table} dataset: the readers
+# behind a ``_first_layer`` entry and the other multi-layer readers
+LAYER_READERS = {
+    "transfer.xtf": _interlis("ili2:read_ili2"),
+    "transfer.itf": _interlis("ili:read_ili1"),
+    "sheet.sxf": _ref("sxf:read_sxf"),
+    "survey.sos": _ref("sosi:read_sosi"),
+    "lvbag.xml": _ref("lvbag:read_lvbag"),
+    "empty.gdb": _ref("openfilegdb:read_gdb"),
+    "mesh.slf": _ref("selafin:read_selafin"),
+    "cadastre.vfk": _ref("vfk:read_vfk"),
+    "feed": _ref("gtfs:read_gtfs_layers"),
+    "transit.idf": _ref("vdv:read_vdv_layers"),
+    "transit.x10": _ref("vdv:read_vdv_layers"),
+    "s57/US5PROBE.000": _ref("s57:read_s57_layers"),
+    "tile.pbf": _mvt_layers,
+    "tile.mvt": _mvt_layers,
+    "cover.e00": _ref("avce00:read_e00_layers"),
+    "cover": _ref("avcbin:read_avcbin_layers"),
+}
+
+# (probe, layer, rows, digest) for every layer, recorded before the
+# readers moved onto ``sources/vector.py::with_geometry``
+EXPECTED_LAYERS = [
+    ("transfer.xtf", "Probe.Topic.Punkt", 1, "5b96e246aa0fb632"),
+    ("transfer.itf", "Topic__Grenzen", 1, "38debe3366cc6276"),
+    ("sheet.sxf", "SYSTEM", 1, "bd2f9d5f7ef36c80"),
+    ("survey.sos", "points", 1, "59b8eebd0a383107"),
+    ("lvbag.xml", "Woonplaats", 1, "1aa1132bc3f001b0"),
+    ("mesh.slf", "points", 3, "3cf4bf62fefae04a"),
+    ("mesh.slf", "elements", 1, "3aff16d85bf3443c"),
+    ("cadastre.vfk", "SOBR", 1, "ee9820f92023bfdc"),
+    ("feed", "stops", 2, "f0b11b832a8b9266"),
+    ("transit.idf", "Node", 2, "dd69f9789257eff8"),
+    ("transit.idf", "Link", 1, "da8d4fd734d69af7"),
+    ("transit.x10", "Node", 2, "dd69f9789257eff8"),
+    ("transit.x10", "Link", 1, "da8d4fd734d69af7"),
+    ("s57/US5PROBE.000", "DEPARE", 1, "cbc8b6c50017c70d"),
+    ("tile.pbf", "layer", 2, "0f3bd9bf09abab6e"),
+    ("tile.mvt", "layer", 2, "0f3bd9bf09abab6e"),
+    ("cover.e00", "ARC", 1, "38f617ff80b0c3d3"),
+    ("cover", "LAB", 1, "f175512e76b87631"),
+]
+
+
+def test_every_layer_reader_probe_is_a_probe():
+    assert set(LAYER_READERS) <= set(PROBES)
+
+
+@pytest.mark.parametrize("rel,layer,rows,expect", EXPECTED_LAYERS,
+                         ids=[f"{e[0]}:{e[1]}" for e in EXPECTED_LAYERS])
+def test_every_layer_is_pinned(probe_dir, rel, layer, rows, expect):
+    t = LAYER_READERS[rel](os.path.join(probe_dir, rel))[layer]
+    assert (t.num_rows, digest(t)) == (rows, expect)
+
+
+def test_pinned_layers_are_all_layers(probe_dir):
+    seen = []
+    for rel, read in LAYER_READERS.items():
+        try:
+            layers = read(os.path.join(probe_dir, rel))
+        except (ValueError, FileNotFoundError):
+            continue
+        seen += [(rel, name) for name in layers]
+    assert seen == [e[:2] for e in EXPECTED_LAYERS]
