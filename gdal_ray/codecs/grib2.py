@@ -46,10 +46,6 @@ def _s32(b: bytes) -> int:
     return -(v & 0x7FFFFFFF) if v & 0x80000000 else v
 
 
-def sniff_grib(buf: bytes) -> bool:
-    return buf[:4] == b"GRIB"
-
-
 class Grib2Message:
     __slots__ = ("values", "ni", "nj", "geotransform", "meta")
 

@@ -53,7 +53,8 @@ class _LZW:
             raise ValueError("RIK: LZW block too short")
         self.has_clear = bool(data[4] & 0x80)
         self.max_bits = data[4] & 0x1F
-        if self.max_bits > 13:
+        # codes start 9 bits wide, so a table below 9 bits cannot hold them
+        if not 9 <= self.max_bits <= 13:
             raise ValueError("RIK: invalid LZW max bits")
         self.data = data
         self.pos = 5

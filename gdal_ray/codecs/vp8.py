@@ -324,10 +324,6 @@ def _pred_b(mode, ctx):
 # frame decode
 # ---------------------------------------------------------------------------
 
-class _Frame:
-    pass
-
-
 def decode_vp8(data: bytes, _debug: dict | None = None):
     """VP8 key frame → (Y, U, V) uint8 planes (cropped to the frame
     dimensions; U/V are ceil(w/2) × ceil(h/2))."""

@@ -31,11 +31,6 @@ def envelopes_intersect(a, b) -> bool:
     return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
 
 
-def envelope_contains(outer, inner) -> bool:
-    return (outer[0] <= inner[0] and outer[1] <= inner[1]
-            and outer[2] >= inner[2] and outer[3] >= inner[3])
-
-
 # ---------------------------------------------------------------------------
 # point in polygon (vectorized over points)
 # ---------------------------------------------------------------------------

@@ -51,11 +51,6 @@ def apply_inverse(gt: GT, x, y):
     return apply(inv, x, y)
 
 
-def is_axis_aligned(gt: GT) -> bool:
-    """True when rotation terms are zero (gdal_geotransform.h:228)."""
-    return gt[2] == 0.0 and gt[4] == 0.0
-
-
 def rescale(gt: GT, x_ratio: float, y_ratio: float) -> GT:
     """Scale pixel size by ratios — overview-level geotransform
     (gdal_geotransform.h:218)."""

@@ -313,8 +313,10 @@ def _read(mv: memoryview, off: int):
 
 def envelopes_of_wkb(wkbs) -> np.ndarray:
     """Bulk envelope computation: list of WKB buffers → (n,4) float64
-    [minx,miny,maxx,maxy] array. The denormalized envelope columns every
-    vector Dataset carries come from here."""
+    [minx,miny,maxx,maxy] array. ``sources/vector.py::with_geometry``,
+    which makes every layer's envelope columns, uses it for geometries
+    given as WKB; for ``Geometry`` objects it calls
+    ``Geometry.envelope``."""
     out = np.empty((len(wkbs), 4), dtype=np.float64)
     for i, b in enumerate(wkbs):
         out[i] = loads(b).envelope()

@@ -109,11 +109,6 @@ def fingerprint(text: str, window: int = 64) -> int:
     return int(out & np.uint64(0x7FFFFFFFFFFFFFFF))
 
 
-def fingerprint_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    fps = [fingerprint(t) for t in batch[text_col].to_pylist()]
-    return batch.append_column("fingerprint", pa.array(fps, pa.int64()))
-
-
 _FP6_POW = [131 ** p for p in range(5, -1, -1)]  # 131^5 … 131^0
 
 

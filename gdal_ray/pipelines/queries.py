@@ -2520,16 +2520,16 @@ def q_vector_drivers(sf_dir: str):
     read back as Ray datasets; per-fid areas from each driver must
     match the closed-form shape-class areas (oracle). Shapefile read is
     golden-tested against the reference's own poly.shp in pytest."""
-    from ..sources.csvio import read_csv_dataset, write_csv
-    from ..sources.gpkg import read_gpkg_dataset, write_gpkg
-    from ..sources.kmlvec import read_kml, write_kml
+    from ..sources.csvio import write_csv
+    from ..sources.drivers import read_vector_dataset
+    from ..sources.gpkg import write_gpkg
+    from ..sources.kmlvec import write_kml
 
     csv_df, gpkg_df, kml_df = (
-        _vector_roundtrip(25, ext, write, read, f"area_km2_{ext}")
-        .to_pandas()
-        for ext, write, read in [("csv", write_csv, read_csv_dataset),
-                                 ("gpkg", write_gpkg, read_gpkg_dataset),
-                                 ("kml", write_kml, read_kml)])
+        _vector_roundtrip(25, ext, write, read_vector_dataset,
+                          f"area_km2_{ext}").to_pandas()
+        for ext, write in [("csv", write_csv), ("gpkg", write_gpkg),
+                           ("kml", write_kml)])
     return csv_df.merge(gpkg_df, on="fid").merge(kml_df, on="fid")
 
 
@@ -2542,7 +2542,8 @@ def q_fgb_roundtrip(sf_dir: str):
     from ..core import wkb as _W
     from ..core.geom import area as _area
     from ..pipelines.oracles import fgb_query_bbox
-    from ..sources.flatgeobuf import read_fgb, read_fgb_dataset, write_fgb
+    from ..sources.drivers import read_vector_dataset
+    from ..sources.flatgeobuf import read_fgb, write_fgb
     from ..sources.vector import polygons_table
 
     m = 40
@@ -2564,7 +2565,8 @@ def q_fgb_roundtrip(sf_dir: str):
             "in_bbox": pa.array([1 if p in hit_pids else 0 for p in pids],
                                 pa.int64())})
 
-    return read_fgb_dataset(path).map_batches(stats, batch_format="pyarrow")
+    return read_vector_dataset(path).map_batches(stats,
+                                                 batch_format="pyarrow")
 
 
 def q_vrt_composite(sf_dir: str):
@@ -2689,9 +2691,10 @@ def q_mif_roundtrip(sf_dir: str):
     reassembly uses mitab's containment rule (holes vs disjoint
     parts). Golden WKT parity vs the reference's own all_geoms.mif is
     tests/test_mif.py."""
-    from ..sources.mif import read_mif, write_mif
+    from ..sources.drivers import read_vector_dataset
+    from ..sources.mif import write_mif
 
-    return _vector_roundtrip(25, "mif", write_mif, read_mif,
+    return _vector_roundtrip(25, "mif", write_mif, read_vector_dataset,
                              "area_km2_mif", category="category")
 
 
@@ -2701,9 +2704,10 @@ def q_gml_roundtrip(sf_dir: str):
     (outerBoundaryIs/innerBoundaryIs, repr()-exact coordinates) → read
     back → per-fid areas + attribute pass-through; the same
     closed-form area oracle as mif_roundtrip."""
-    from ..sources.gml import read_gml, write_gml
+    from ..sources.drivers import read_vector_dataset
+    from ..sources.gml import write_gml
 
-    return _vector_roundtrip(25, "gml", write_gml, read_gml,
+    return _vector_roundtrip(25, "gml", write_gml, read_vector_dataset,
                              "area_km2_gml", category="category")
 
 
@@ -2732,19 +2736,21 @@ def q_dxf_roundtrip(sf_dir: str):
     code) → read back through the HATCH boundary-path parser →
     containment ring reassembly → per-fid areas; closed-form area
     oracle."""
-    from ..sources.dxf import read_dxf, write_dxf
+    from ..sources.drivers import read_vector_dataset
+    from ..sources.dxf import write_dxf
 
     return _vector_roundtrip(
         25, "dxf", lambda t, path: write_dxf(t, path, layer_col="category"),
-        read_dxf, "area_km2_dxf", category="Layer")
+        read_vector_dataset, "area_km2_dxf", category="Layer")
 
 
 def q_geojson_roundtrip(sf_dir: str):
     """GeoJSON driver: write the polygon layer to a FeatureCollection,
     read it back, verify geometry byte-equality + areas."""
-    from ..sources.geojson import read_geojson, write_geojson
+    from ..sources.drivers import read_vector_dataset
+    from ..sources.geojson import write_geojson
 
-    return _vector_roundtrip(25, "geojson", write_geojson, read_geojson,
+    return _vector_roundtrip(25, "geojson", write_geojson, read_vector_dataset,
                              "area", scale=1.0, nd=2)
 
 

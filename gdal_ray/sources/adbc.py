@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-__all__ = ["list_duckdb_tables", "read_duckdb", "read_duckdb_dataset"]
+__all__ = ["list_duckdb_tables", "read_duckdb"]
 
 
 def list_duckdb_tables(path: str) -> list[str]:
@@ -139,9 +139,3 @@ def _to_wkb(blob: bytes | None) -> bytes | None:
 
     g, _ = parse(off)
     return W.dumps(g) if g is not None else None
-
-
-def read_duckdb_dataset(path: str, table: str | None = None,
-                        sql: str | None = None):
-    import ray.data as rd
-    return rd.from_arrow(read_duckdb(path, table, sql))

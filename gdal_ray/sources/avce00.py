@@ -26,6 +26,7 @@ import pyarrow as pa
 
 from ..core import wkb as W
 from . import pick_layer
+from .vector import with_geometry
 
 __all__ = ["read_e00_layers", "read_e00_table"]
 
@@ -207,22 +208,9 @@ def build_avc_layers(arcs, labs, pals, tables, crs=None
     out: dict[str, pa.Table] = {}
 
     def finish(cols: dict, geoms, extra_meta=None):
-        fids = list(range(len(geoms)))
-        wkbs, envs = [], []
-        for g in geoms:
-            if g is None:
-                wkbs.append(None)
-                envs.append((float("nan"),) * 4)
-            else:
-                wkbs.append(W.dumps(g))
-                envs.append(g.envelope())
-        env = np.asarray(envs, np.float64) if envs else np.empty((0, 4))
-        t = pa.table({"fid": pa.array(fids, pa.int64()),
+        t = pa.table({"fid": pa.array(range(len(geoms)), pa.int64()),
                       **{k: pa.array(v) for k, v in cols.items()}})
-        t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-        for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-            t = t.append_column(nm, pa.array(
-                env[:, j] if len(env) else [], pa.float64()))
+        t = with_geometry(t, geoms)
         if crs:
             t = t.replace_schema_metadata({b"crs": crs.encode()})
         return t

@@ -26,8 +26,9 @@ import pyarrow as pa
 
 from ..codecs._bits import MsbReader
 from ..core import wkb as W
+from .vector import with_geometry
 
-__all__ = ["read_dwg", "read_dwg_table", "list_dwg_layers"]
+__all__ = ["read_dwg_table", "list_dwg_layers"]
 
 
 class DwgReader(MsbReader):
@@ -627,23 +628,7 @@ def read_dwg_table(path, layer: str | None = None) -> pa.Table:
             [e["eed"].hex() if e["eed"] else None for e in ents],
             pa.string()),
     }
-    wkbs = []
-    envs = np.full((n, 4), np.nan)
-    for i, e in enumerate(ents):
-        g = e["geom"]
-        wkbs.append(W.dumps(g) if g is not None else None)
-        if g is not None:
-            envs[i] = g.envelope()
-    t = pa.table(cols)
-    t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-    for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(nm, pa.array(envs[:, j] if n else [],
-                                         pa.float64()))
+    t = with_geometry(pa.table(cols), [e["geom"] for e in ents])
     return t.replace_schema_metadata(
         {b"cad_layers": ",".join(names[h] for h in by_handle).encode(),
          b"cad_layer": (wanted or "").encode()})
-
-
-def read_dwg(path, layer: str | None = None):
-    import ray.data as rd
-    return rd.from_arrow(read_dwg_table(path, layer))

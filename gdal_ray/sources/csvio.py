@@ -11,6 +11,7 @@ import pyarrow as pa
 
 from ..core import wkb as W
 from ..core import wkt as WT
+from .vector import ENVELOPE
 
 _GEOM_NAMES = ("wkt", "geometry", "geom", "the_geom")
 _X_NAMES = ("x", "lon", "longitude", "easting")
@@ -99,7 +100,7 @@ def read_csv(path_or_text: str, *, geom_col: str | None = None,
             fid += 1
             if g is None:
                 cols["wkb"].append(None)
-                for c in ("minx", "miny", "maxx", "maxy"):
+                for c in ENVELOPE:
                     cols[c].append(None)
             else:
                 env = g.envelope()
@@ -126,7 +127,7 @@ def read_csv(path_or_text: str, *, geom_col: str | None = None,
 
 def write_csv(table: pa.Table, path: str, *, wkb_col: str = "wkb") -> None:
     """Arrow table with a WKB column → CSV with a WKT geometry column."""
-    skip = {wkb_col, "minx", "miny", "maxx", "maxy"}
+    skip = {wkb_col, *ENVELOPE}
     attr = [c for c in table.column_names if c not in skip]
     with open(path, "w", newline="") as f:
         wtr = csv.writer(f)
@@ -138,8 +139,3 @@ def write_csv(table: pa.Table, path: str, *, wkb_col: str = "wkb") -> None:
             g = wkbs[i]
             row.append(WT.dumps_wkt(W.loads(g)) if g is not None else "")
             wtr.writerow(row)
-
-
-def read_csv_dataset(path: str, **kw):
-    import ray.data as rd
-    return rd.from_arrow(read_csv(path, **kw))

@@ -36,6 +36,7 @@ import pyarrow as pa
 
 from ..core import wkb as W
 from ..codecs.vicar import _vax_d
+from .vector import with_geometry
 
 __all__ = ["read_dgn_table"]
 
@@ -177,25 +178,8 @@ def read_dgn_table(path: str) -> pa.Table:
 
     names = ["Type", "Level", "GraphicGroup", "ColorIndex", "Weight",
              "Style", "Text"]
-    fids, wkbs, envs = [], [], []
-    cols = {k: [] for k in names}
-    for i, (row, g) in enumerate(rows):
-        fids.append(i)
-        for k in names:
-            cols[k].append(row[k])
-        if g is not None:
-            wkbs.append(W.dumps(g))
-            envs.append(g.envelope())
-        else:
-            wkbs.append(None)
-            envs.append((float("nan"),) * 4)
-    env = np.asarray(envs, np.float64) if envs else np.empty((0, 4))
-    t = pa.table({"fid": pa.array(fids, pa.int64()),
-                  **{k: pa.array(cols[k],
+    t = pa.table({"fid": pa.array(range(len(rows)), pa.int64()),
+                  **{k: pa.array([row[k] for row, _g in rows],
                                  pa.string() if k == "Text"
                                  else pa.int32()) for k in names}})
-    t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-    for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(nm, pa.array(
-            env[:, j] if len(env) else [], pa.float64()))
-    return t
+    return with_geometry(t, [g for _row, g in rows])

@@ -64,6 +64,15 @@ def _first_layer(ref: str, model: bool = False, each: str | None = None):
     return open_
 
 
+def _zip_names(p) -> list[str]:
+    """Member base names of a zip archive probe, [] for anything else."""
+    import zipfile
+    if p.ext != "zip" or p.isdir:
+        return []
+    with zipfile.ZipFile(p.path) as zf:
+        return [os.path.basename(n) for n in zf.namelist()]
+
+
 def _nitf(p):
     raise ValueError(f"{p.path} is a NITF raster, not an NTF volume — "
                      "use read_raster")
@@ -164,9 +173,9 @@ _VECTOR = (
     ("AVCE00", _ext("e00"), _path(".avce00:read_e00_table")),
     ("AVCBin", lambda p: p.has_in_dir(*_AVC_COVER) or p.name in _AVC_COVER,
      _path(".avcbin:read_avcbin_table")),
-    # a feed directory (a feed .zip goes to the zip front end first)
-    ("GTFS", lambda p: p.has_in_dir("stops.txt"),
-     _path(".gtfs:read_gtfs_table")),
+    # a feed directory, or a bare feed .zip the zip front end hands on
+    ("GTFS", lambda p: p.has_in_dir("stops.txt")
+     or "stops.txt" in _zip_names(p), _path(".gtfs:read_gtfs_table")),
     ("VDV", _ext("idf", "x10"), _path(".vdv:read_vdv_table")),
     ("S101", lambda p: p.ext == "000" and b"DSID" in p.head(2048)
      and _S101_DSID in p.head(2048), _path(".s101:read_s101_table")),
@@ -248,7 +257,9 @@ def _resolve_zip(path: str) -> str:
     like ``archive.zip/inner/layer.shp`` (or ``/vsizip/archive.zip/…``)
     extracts the member AND its sidecar siblings (same stem: .dbf/.shx/
     .prj/.mid/...) as archive twins and reads from there. A bare
-    ``archive.zip`` picks the single vector member inside."""
+    ``archive.zip`` is read as it stands when a table entry identifies
+    the archive itself (a GTFS feed), else as its single vector
+    member."""
     import zipfile
 
     if path.startswith("/vsizip/"):
@@ -264,6 +275,9 @@ def _resolve_zip(path: str) -> str:
     with zipfile.ZipFile(zpath) as zf:
         names = zf.namelist()
         if not inner:
+            whole = _Probe(zpath)
+            if any(identify(whole) for _, identify, _ in _table()):
+                return zpath
             exts = set(list_drivers())
             cands = [n for n in names
                      if os.path.splitext(n)[1].lower().lstrip(".") in exts]

@@ -27,6 +27,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from .vector import with_geometry
 
 _FIELDS = ("Layer", "SubClasses", "Linetype", "EntityHandle", "Text",
            "PaperSpace")
@@ -387,22 +388,10 @@ def read_dxf_table(path: str) -> pa.Table:
     for e in entities:
         emit(e)
 
-    env = np.array([g.envelope() for g in geoms], np.float64) \
-        if geoms else np.empty((0, 4))
     cols = {"fid": pa.array(range(len(rows)), pa.int64())}
     for k in _FIELDS:
         cols[k] = pa.array([r[k] for r in rows], pa.string())
-    t = pa.table(cols)
-    t = t.append_column("wkb", pa.array([W.dumps(g) for g in geoms],
-                                        pa.binary()))
-    for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(nm, pa.array(env[:, j], pa.float64()))
-    return t
-
-
-def read_dxf(path: str):
-    import ray.data as rd
-    return rd.from_arrow(read_dxf_table(path))
+    return with_geometry(pa.table(cols), geoms)
 
 
 # ---------------------------------------------------------------------------

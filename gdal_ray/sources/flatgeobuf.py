@@ -31,6 +31,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from .vector import ENVELOPE, with_geometry
 
 MAGIC = b"fgb\x03fgb"
 
@@ -361,20 +362,15 @@ def read_fgb(path: str, bbox=None) -> pa.Table:
             offsets = _rtree_search(nodes, n_feat, node_size, bbox)
         feat0 += isz
 
-    fids, wkbs, envs = [], [], []
+    fids, geoms = [], []
     attrs: dict[str, list] = {name: [] for name, _ in cols}
 
     def decode_feature(pos: int, fid: int):
         (fsize,) = struct.unpack_from("<I", mv, pos)
         f = _root(mv, pos + 4)
         gt = f.table(4)                            # VT_GEOMETRY
-        if gt is not None:
-            g = _decode_geom(gt, geom_type)
-            wkbs.append(W.dumps(g))
-            envs.append(g.envelope())
-        else:
-            wkbs.append(None)
-            envs.append((np.nan,) * 4)
+        geoms.append(_decode_geom(gt, geom_type) if gt is not None
+                     else None)
         props = f.vec_bytes(6)                     # VT_PROPERTIES
         seen = set()
         if props is not None and len(props):
@@ -410,15 +406,11 @@ def read_fgb(path: str, bbox=None) -> pa.Table:
             pos = decode_feature(pos, fid)
             fid += 1
 
-    env = np.array(envs, dtype=np.float64).reshape(-1, 4)
-    out = {"fid": pa.array(fids, pa.int64()),
-           "wkb": pa.array(wkbs, pa.binary()),
-           "minx": pa.array(env[:, 0]), "miny": pa.array(env[:, 1]),
-           "maxx": pa.array(env[:, 2]), "maxy": pa.array(env[:, 3])}
+    t = with_geometry(pa.table({"fid": pa.array(fids, pa.int64())}), geoms)
     for name, ctype in cols:
-        key = name if name not in out else f"attr_{name}"
-        out[key] = pa.array(attrs[name], _COL_PA[ctype])
-    return pa.table(out)
+        key = name if name not in t.column_names else f"attr_{name}"
+        t = t.append_column(key, pa.array(attrs[name], _COL_PA[ctype]))
+    return t
 
 
 def fgb_crs(path: str) -> dict:
@@ -575,7 +567,7 @@ def write_fgb(table: pa.Table, path: str, *, name: str = "layer",
     and a packed R-tree is written between header and features; the
     unindexed variant (index_node_size=0) otherwise. Attribute columns
     are every column except the geometry / fid / envelope ones."""
-    skip = {geometry_col, "fid", "minx", "miny", "maxx", "maxy"}
+    skip = {geometry_col, "fid", *ENVELOPE}
     attr_cols = [(n, _pa_coltype(table.schema.field(n).type))
                  for n in table.column_names if n not in skip]
 
@@ -720,8 +712,3 @@ def _pa_coltype(t: pa.DataType) -> int:
     if pa.types.is_binary(t) or pa.types.is_large_binary(t):
         return 14
     raise ValueError(f"unsupported attribute type {t}")
-
-
-def read_fgb_dataset(path: str, bbox=None):
-    import ray.data as rd
-    return rd.from_arrow(read_fgb(path, bbox=bbox))

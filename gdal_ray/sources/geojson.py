@@ -17,6 +17,7 @@ import pyarrow as pa
 
 from ..core import wkb as W
 from ..core.wkt import from_geojson, to_geojson
+from .vector import ENVELOPE
 
 
 _GEOM_TYPES = {"Point", "MultiPoint", "LineString", "MultiLineString",
@@ -115,17 +116,10 @@ def _features_to_table(feats) -> pa.Table:
     return t
 
 
-def read_geojson(path: str):
-    """GeoJSON file → ray.data.Dataset (single file = single block;
-    shard many files with ray.data.from_items + map_batches at scale)."""
-    import ray.data as rd
-    return rd.from_arrow(read_geojson_table(path))
-
-
 def write_geojson(table: pa.Table, path: str, *,
                   wkb_col: str = "wkb") -> None:
     """Arrow table with a WKB column → FeatureCollection file."""
-    skip = {wkb_col, "minx", "miny", "maxx", "maxy"}
+    skip = {wkb_col, *ENVELOPE}
     prop_cols = [c for c in table.column_names if c not in skip and c != "fid"]
     fids = table["fid"].to_pylist() if "fid" in table.column_names \
         else list(range(table.num_rows))
@@ -163,7 +157,7 @@ def write_geojsonseq(table: pa.Table, path: str, *,
     """Write one Feature per line (RS-prefixed when rs=True)."""
     from ..core.wkb import loads as wkb_loads
     n = 0
-    skip = {wkb_col, "minx", "miny", "maxx", "maxy"}
+    skip = {wkb_col, *ENVELOPE}
     with open(path, "w") as f:
         for row in table.to_pylist():
             geom = to_geojson(wkb_loads(row[wkb_col]))

@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from .vector import ENVELOPE, with_geometry
 
 __all__ = ["read_georss_table", "write_georss"]
 
@@ -135,30 +136,17 @@ def read_georss_table(path: str) -> pa.Table:
         [f for f in order if f not in base_fields]
     cols = {k: [r.get(k) for r in rows] for k in ordered}
     fids = list(range(len(rows)))
-    wkbs, envs = [], []
-    for g in geoms:
-        if g is None:
-            wkbs.append(None)
-            envs.append((float("nan"),) * 4)
-        else:
-            wkbs.append(W.dumps(g))
-            envs.append(g.envelope())
-    env = np.asarray(envs, np.float64) if envs else np.empty((0, 4))
     t = pa.table({"fid": pa.array(fids, pa.int64()),
                   **{k: pa.array(cols[k], pa.string())
                      for k in ordered}})
-    t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-    for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(nm, pa.array(
-            env[:, j] if len(env) else [], pa.float64()))
-    return t.replace_schema_metadata({b"crs": b"EPSG:4326"})
+    return with_geometry(t, geoms).replace_schema_metadata({b"crs": b"EPSG:4326"})
 
 
 def write_georss(table: pa.Table, path: str,
                  wkb_col: str = "wkb") -> int:
     """Write an RSS 2.0 GeoRSS-simple document (the reference's
     default FORMAT=RSS GEOM_DIALECT=SIMPLE)."""
-    skip = {wkb_col, "fid", "minx", "miny", "maxx", "maxy"}
+    skip = {wkb_col, "fid", *ENVELOPE}
     names = [c for c in table.column_names if c not in skip]
     out = ['<?xml version="1.0"?>',
            f'<rss version="2.0" xmlns:georss="{_GEORSS_NS}">',

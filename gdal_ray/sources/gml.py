@@ -29,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from .vector import ENVELOPE, with_geometry
 
 _GEOM_NAMES = {
     "Point", "LineString", "LinearRing", "Polygon", "Box", "Envelope",
@@ -339,21 +340,7 @@ def read_gml_table(path: str, layer: str | None = None) -> pa.Table:
             "layer": pa.array(layers, pa.string())}
     for k in keys:
         cols[k] = _col([r.get(k) for r in rows])
-    env = np.array([(g.envelope() if g is not None
-                     else (np.nan,) * 4) for g in geoms], np.float64) \
-        if geoms else np.empty((0, 4))
-    t = pa.table(cols)
-    t = t.append_column("wkb", pa.array(
-        [W.dumps(g) if g is not None else None for g in geoms],
-        pa.binary()))
-    for j, name in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(name, pa.array(env[:, j], pa.float64()))
-    return t
-
-
-def read_gml(path: str, layer: str | None = None):
-    import ray.data as rd
-    return rd.from_arrow(read_gml_table(path, layer))
+    return with_geometry(pa.table(cols), geoms)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +491,7 @@ def write_gml(table: pa.Table, path: str, *, layer_name: str = "layer",
     """Layer table → GML2 FeatureCollection (the reference's classic
     ogr2ogr -f GML output shape). Coordinates are repr()-exact, so the
     roundtrip through read_gml_table is lossless."""
-    skip = {wkb_col, "minx", "miny", "maxx", "maxy", "gml_id", "layer"}
+    skip = {wkb_col, *ENVELOPE, "gml_id", "layer"}
     fields = [c for c in table.column_names if c not in skip]
     rows = table.to_pylist()
     out = ['<?xml version="1.0" encoding="utf-8" ?>',

@@ -22,6 +22,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from .vector import ENVELOPE, with_geometry
 
 __all__ = ["read_gmt_table", "write_gmt"]
 
@@ -139,9 +140,7 @@ def read_gmt_table(path: str) -> pa.Table:
         rows.append((attrs or [], g))
 
     cols: dict[str, list] = {n: [] for n in names}
-    fids, wkbs, envs = [], [], []
-    for i, (attrs, g) in enumerate(rows):
-        fids.append(i)
+    for attrs, _g in rows:
         for j, n in enumerate(names):
             v = attrs[j] if j < len(attrs) else None
             t = types[j] if j < len(types) else "string"
@@ -153,18 +152,12 @@ def read_gmt_table(path: str) -> pa.Table:
             else:
                 v = None
             cols[n].append(v)
-        wkbs.append(W.dumps(g))
-        envs.append(g.envelope())
-    env = np.asarray(envs, np.float64) if envs else np.empty((0, 4))
-    t = pa.table({"fid": pa.array(fids, pa.int64()),
+    t = pa.table({"fid": pa.array(range(len(rows)), pa.int64()),
                   **{n: pa.array(cols[n],
                                  _TYPES.get(types[j] if j < len(types)
                                             else "string", pa.string()))
                      for j, n in enumerate(names)}})
-    t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-    for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(nm, pa.array(
-            env[:, j] if len(env) else [], pa.float64()))
+    t = with_geometry(t, [g for _attrs, g in rows])
     if crs:
         t = t.replace_schema_metadata({b"crs": crs.encode()})
     return t
@@ -177,7 +170,7 @@ def _fmt(v: float) -> str:
 def write_gmt(table: pa.Table, path: str, wkb_col: str = "wkb") -> int:
     """Write a layer table to GMT ASCII (geometry type from the first
     feature, attribute columns minus the envelope/wkb plumbing)."""
-    skip = {wkb_col, "minx", "miny", "maxx", "maxy", "fid"}
+    skip = {wkb_col, *ENVELOPE, "fid"}
     names = [c for c in table.column_names if c not in skip]
     geoms = [W.loads(b) for b in table[wkb_col].to_pylist()]
     gtype = geoms[0].type_name.upper() if geoms else "LINESTRING"

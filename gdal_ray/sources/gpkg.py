@@ -15,6 +15,7 @@ import struct
 import pyarrow as pa
 
 from ..core import wkb as W
+from .vector import ENVELOPE
 
 _ENV_SIZE = {0: 0, 1: 32, 2: 48, 3: 48, 4: 64}
 
@@ -84,7 +85,7 @@ def read_gpkg(path: str, table: str | None = None) -> pa.Table:
             fid_auto += 1
             if g is None:
                 cols["wkb"].append(None)
-                for k in ("minx", "miny", "maxx", "maxy"):
+                for k in ENVELOPE:
                     cols[k].append(None)
             else:
                 env = g.envelope()
@@ -95,7 +96,7 @@ def read_gpkg(path: str, table: str | None = None) -> pa.Table:
                 cols["maxy"].append(float(env[3]))
             for n in attr_names:
                 key = n if n in cols and n not in (
-                    "fid", "wkb", "minx", "miny", "maxx", "maxy") \
+                    "fid", "wkb", *ENVELOPE) \
                     else f"attr_{n}"
                 if key not in cols:
                     key = n
@@ -103,11 +104,6 @@ def read_gpkg(path: str, table: str | None = None) -> pa.Table:
         return pa.Table.from_pydict(cols)
     finally:
         con.close()
-
-
-def read_gpkg_dataset(path: str, table: str | None = None):
-    import ray.data as rd
-    return rd.from_arrow(read_gpkg(path, table))
 
 
 def write_gpkg(table: pa.Table, path: str, *, layer: str = "layer",
@@ -141,7 +137,7 @@ def write_gpkg(table: pa.Table, path: str, *, layer: str = "layer",
             geometry_type_name TEXT NOT NULL, srs_id INTEGER NOT NULL,
             z TINYINT NOT NULL, m TINYINT NOT NULL,
             CONSTRAINT pk_geom_cols PRIMARY KEY (table_name, column_name))""")
-        skip = {wkb_col, "minx", "miny", "maxx", "maxy"}
+        skip = {wkb_col, *ENVELOPE}
         attrs = [c for c in table.column_names if c not in skip and c != "fid"]
 
         def sql_type(col):

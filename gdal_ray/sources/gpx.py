@@ -25,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from .vector import ENVELOPE, with_geometry
 
 LAYERS = ("waypoints", "routes", "tracks", "route_points", "track_points")
 
@@ -145,19 +146,7 @@ def read_gpx_table(path: str, layer: str = "waypoints") -> pa.Table:
         else:
             cols[k] = pa.array([None if v is None else str(v) for v in vals],
                                pa.string())
-    env = (np.array([g.envelope() for g in geoms], np.float64)
-           if geoms else np.empty((0, 4)))
-    t = pa.table(cols)
-    t = t.append_column("wkb", pa.array([W.dumps(g) for g in geoms],
-                                        pa.binary()))
-    for j, name in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(name, pa.array(env[:, j], pa.float64()))
-    return t
-
-
-def read_gpx(path: str, layer: str = "waypoints"):
-    import ray.data as rd
-    return rd.from_arrow(read_gpx_table(path, layer))
+    return with_geometry(pa.table(cols), geoms)
 
 
 def _esc(s) -> str:
@@ -193,7 +182,7 @@ def write_gpx(table: pa.Table, path: str, *, wkb_col: str = "wkb") -> int:
     OGR writer's layer mapping. Attribute columns matching the GPX
     schema are emitted; others are skipped (the reference behaves the
     same without GPX_USE_EXTENSIONS)."""
-    skip = {wkb_col, "fid", "minx", "miny", "maxx", "maxy"}
+    skip = {wkb_col, "fid", *ENVELOPE}
     keys = [c for c in table.column_names if c not in skip]
     pt_keys = [k for k in keys if k in _PT_FIELDS or k.startswith("link")]
     seq_keys = [k for k in keys if k in _SEQ_FIELDS or k.startswith("link")]

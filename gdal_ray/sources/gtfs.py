@@ -23,10 +23,10 @@ import io
 import os
 import zipfile
 
-import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from .vector import with_geometry
 
 __all__ = ["read_gtfs_layers", "read_gtfs_table"]
 
@@ -56,12 +56,13 @@ def _read_tables(path: str) -> dict[str, tuple[list[str], list[list]]]:
     if os.path.isdir(path):
         for f in sorted(os.listdir(path)):
             if f.endswith(".txt"):
-                load(f, open(os.path.join(path, f), "rb").read())
+                with open(os.path.join(path, f), "rb") as fh:
+                    load(f, fh.read())
     else:
-        zf = zipfile.ZipFile(path)
-        for n in zf.namelist():
-            if n.endswith(".txt"):
-                load(n, zf.read(n))
+        with zipfile.ZipFile(path) as zf:
+            for n in zf.namelist():
+                if n.endswith(".txt"):
+                    load(n, zf.read(n))
     return out
 
 
@@ -150,21 +151,7 @@ def read_gtfs_layers(path: str) -> dict[str, pa.Table]:
                        trip_stops.get(r[i_t], []) if s in stops_map]
                 geoms.append(W.linestring(pts) if len(pts) >= 2
                              else None)
-        if geoms is not None:
-            wkbs, envs = [], []
-            for g in geoms:
-                if g is None:
-                    wkbs.append(None)
-                    envs.append((float("nan"),) * 4)
-                else:
-                    wkbs.append(W.dumps(g))
-                    envs.append(g.envelope())
-            env = np.asarray(envs, np.float64)
-            t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-            for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-                t = t.append_column(nm, pa.array(env[:, j],
-                                                 pa.float64()))
-        out[name] = t
+        out[name] = t if geoms is None else with_geometry(t, geoms)
 
     # synthesized shapes_geom layer
     if "shapes" in tables:
@@ -181,22 +168,14 @@ def read_gtfs_layers(path: str) -> dict[str, pa.Table]:
                         (int(r[i_sq]), float(r[i_lo]), float(r[i_la])))
                 except (ValueError, IndexError):
                     pass
-            ids, wkbs, envs = [], [], []
+            ids, geoms = [], []
             for sid, pts in by_shape.items():
                 pts.sort()
-                g = W.linestring([(x, y) for _q, x, y in pts])
                 ids.append(sid)
-                wkbs.append(W.dumps(g))
-                envs.append(g.envelope())
-            env = np.asarray(envs, np.float64) if envs else \
-                np.empty((0, 4))
+                geoms.append(W.linestring([(x, y) for _q, x, y in pts]))
             t = pa.table({"fid": pa.array(range(len(ids)), pa.int64()),
                           "shape_id": pa.array(ids, pa.string())})
-            t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-            for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-                t = t.append_column(nm, pa.array(
-                    env[:, j] if len(env) else [], pa.float64()))
-            out["shapes_geom"] = t
+            out["shapes_geom"] = with_geometry(t, geoms)
         except ValueError:
             pass
     return out

@@ -17,10 +17,9 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pyarrow as pa
 
-from ..core import wkb as W
+from .vector import with_geometry
 
 __all__ = ["read_jml_table"]
 
@@ -135,23 +134,9 @@ def read_jml_table(path: str) -> pa.Table:
 
     names = [c[0] for c in columns]
     types = {c[0]: c[1] for c in columns}
-    fids, wkbs, envs = [], [], []
-    for i, g in enumerate(geoms):
-        fids.append(i)
-        if g is None:
-            wkbs.append(None)
-            envs.append((float("nan"),) * 4)
-        else:
-            wkbs.append(W.dumps(g))
-            envs.append(g.envelope())
-    env = np.asarray(envs, np.float64) if envs else np.empty((0, 4))
     patype = {"INTEGER": pa.int32(), "DOUBLE": pa.float64()}
-    t = pa.table({"fid": pa.array(fids, pa.int64()),
+    t = pa.table({"fid": pa.array(range(len(geoms)), pa.int64()),
                   **{n: pa.array([r.get(n) for r in rows],
                                  patype.get(types[n], pa.string()))
                      for n in names}})
-    t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-    for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(nm, pa.array(
-            env[:, j] if len(env) else [], pa.float64()))
-    return t
+    return with_geometry(t, geoms)

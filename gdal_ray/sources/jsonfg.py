@@ -24,6 +24,7 @@ import pyarrow as pa
 
 from ..core import wkb as W
 from ..core.wkt import from_geojson
+from .vector import with_geometry
 
 __all__ = ["read_jsonfg_table", "parse_coordrefsys"]
 
@@ -101,7 +102,7 @@ def read_jsonfg_table(path: str) -> pa.Table:
             if k not in keys:
                 keys.append(k)
     cols: dict[str, list] = {k: [] for k in keys}
-    fids, wkbs, envs = [], [], []
+    fids, geoms = [], []
     times, tstarts, tends = [], [], []
     crs = coll_crs
     for i, f in enumerate(feats):
@@ -114,13 +115,7 @@ def read_jsonfg_table(path: str) -> pa.Table:
         for k in keys:
             cols[k].append(props.get(k))
         gobj = f.get("place") or f.get("geometry")
-        if gobj:
-            g = _fg_geometry(gobj)
-            wkbs.append(W.dumps(g))
-            envs.append(g.envelope())
-        else:
-            wkbs.append(None)
-            envs.append((float("nan"),) * 4)
+        geoms.append(_fg_geometry(gobj) if gobj else None)
         t = f.get("time")
         if isinstance(t, dict):
             times.append(t.get("date") or t.get("timestamp"))
@@ -131,7 +126,6 @@ def read_jsonfg_table(path: str) -> pa.Table:
             times.append(t if isinstance(t, str) else None)
             tstarts.append(None)
             tends.append(None)
-    env = np.asarray(envs, np.float64) if envs else np.empty((0, 4))
     tbl = {"fid": pa.array(fids, pa.int64()),
            **{k: pa.array(cols[k]) for k in keys}}
     if has_time:
@@ -139,11 +133,7 @@ def read_jsonfg_table(path: str) -> pa.Table:
         if any(v is not None for v in tstarts + tends):
             tbl["time_start"] = pa.array(tstarts, pa.string())
             tbl["time_end"] = pa.array(tends, pa.string())
-    t = pa.table(tbl)
-    t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-    for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(nm, pa.array(
-            env[:, j] if len(env) else [], pa.float64()))
+    t = with_geometry(pa.table(tbl), geoms)
     if crs:
         t = t.replace_schema_metadata({b"crs": crs.encode()})
     return t

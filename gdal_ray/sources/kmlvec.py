@@ -22,6 +22,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from .vector import ENVELOPE, with_geometry
 
 _NS = "{http://www.opengis.net/kml/2.2}"
 
@@ -106,7 +107,7 @@ def read_kml_table(path: str) -> pa.Table:
 
     keys: list[str] = []
     rows: list[dict] = []
-    wkbs, envs = [], []
+    geoms = []
     for i, pm in enumerate(placemarks):
         fields: dict[str, object] = {}
         nm = _find(pm, "name")
@@ -132,23 +133,12 @@ def read_kml_table(path: str) -> pa.Table:
             if k not in keys:
                 keys.append(k)
         rows.append(fields)
-        wkbs.append(W.dumps(g))
-        envs.append(g.envelope())
+        geoms.append(g)
 
-    env = np.array(envs, np.float64) if envs else np.empty((0, 4))
     t = pa.table({"fid": pa.array(range(len(rows)), pa.int64()),
                   **{k: pa.array([r.get(k) for r in rows], pa.string())
                      for k in keys}})
-    t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-    for j, name in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(name, pa.array(env[:, j], pa.float64()))
-    return t
-
-
-def read_kml(path: str):
-    """KML file → ray.data.Dataset."""
-    import ray.data as rd
-    return rd.from_arrow(read_kml_table(path))
+    return with_geometry(t, geoms)
 
 
 def _coord_str(coords: np.ndarray) -> str:
@@ -189,7 +179,7 @@ def write_kml(table: pa.Table, path: str, *, wkb_col: str = "wkb",
     """Arrow table with a WKB column → KML Document of Placemarks.
     Non-geometry, non-envelope columns become ExtendedData fields
     (Name goes to <name>)."""
-    skip = {wkb_col, "minx", "miny", "maxx", "maxy", "fid", name_col}
+    skip = {wkb_col, *ENVELOPE, "fid", name_col}
     prop_cols = [c for c in table.column_names if c not in skip]
     parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
              '<kml xmlns="http://www.opengis.net/kml/2.2">\n<Document>\n']

@@ -20,6 +20,7 @@ import pyarrow as pa
 
 from ..core import wkb as W
 from . import pick_layer
+from .vector import with_geometry
 
 __all__ = ["read_mapml_layers", "read_mapml_table"]
 
@@ -116,22 +117,11 @@ def read_mapml_layers(path: str) -> dict[str, pa.Table]:
                 return pa.array([v or None for v in vals], pa.string())
         cols = {k: conv([p.get(k, "") for _i, p, _g in feats])
                 for k in names}
-        wkbs, envs = [], []
-        for _i, _p, g in feats:
-            if g is None:
-                wkbs.append(None)
-                envs.append((float("nan"),) * 4)
-            else:
-                wkbs.append(W.dumps(g))
-                envs.append(g.envelope())
-        env = np.asarray(envs, np.float64)
         t = pa.table({"fid": pa.array(range(len(feats)), pa.int64()),
                       "mapml_id": pa.array([i for i, _p, _g in feats],
                                            pa.string()),
                       **cols})
-        t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-        for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-            t = t.append_column(nm, pa.array(env[:, j], pa.float64()))
+        t = with_geometry(t, [g for _i, _p, g in feats])
         out[cls] = t.replace_schema_metadata({b"crs": b"EPSG:4326"})
     return out
 

@@ -29,10 +29,6 @@ import sqlite3
 import pyarrow as pa
 
 
-def _connect(path: str):
-    return sqlite3.connect(path)
-
-
 def write_mbtiles(levels: dict, path: str, *, name: str = "gdal_ray",
                   fmt: str = "png", bounds=None, batch_size: int = 1024):
     """Write pyramid ``levels`` ({zoom: Dataset with z,x,y,png}) to an

@@ -23,6 +23,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from .vector import ENVELOPE, with_geometry
 
 _STYLE_WORDS = ("pen", "brush", "symbol", "font", "smooth", "center",
                 "spacing", "justify", "angle", "label")
@@ -295,21 +296,7 @@ def read_mif_table(path: str) -> pa.Table:
         vals = [mid_rows[r][ci] if r < len(mid_rows) and
                 ci < len(mid_rows[r]) else None for r in range(n)]
         cols[name] = _typed_column(vals, ftype)
-    env = np.array([(g.envelope() if g is not None else (np.nan,) * 4)
-                    for g in geoms], np.float64) if geoms \
-        else np.empty((0, 4))
-    t = pa.table(cols)
-    t = t.append_column("wkb", pa.array(
-        [W.dumps(g) if g is not None else None for g in geoms],
-        pa.binary()))
-    for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(nm, pa.array(env[:, j], pa.float64()))
-    return t
-
-
-def read_mif(path: str):
-    import ray.data as rd
-    return rd.from_arrow(read_mif_table(path))
+    return with_geometry(pa.table(cols), geoms)
 
 
 def _fmt(v: float) -> str:
@@ -359,7 +346,7 @@ def write_mif(table: pa.Table, path: str, *, wkb_col: str = "wkb") -> int:
     Column types map back: int64→Integer, float64→Float, bool→Logical,
     else Char(254)."""
     import os
-    skip = {wkb_col, "fid", "minx", "miny", "maxx", "maxy"}
+    skip = {wkb_col, "fid", *ENVELOPE}
     fields = [(c, table.schema.field(c).type) for c in table.column_names
               if c not in skip]
 

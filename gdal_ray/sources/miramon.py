@@ -24,6 +24,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from .vector import with_geometry
 
 __all__ = ["read_miramon"]
 
@@ -230,11 +231,4 @@ def read_miramon(path: str) -> pa.Table:
             vals = [r.get(nm) for r in rows[:n]]
             vals += [None] * (n - len(vals))
             t = t.append_column(nm, pa.array(vals))
-    t = t.append_column("wkb", pa.array(geoms, pa.binary()))
-    env = np.full((n, 4), np.nan)
-    have = [i for i, g in enumerate(geoms) if g is not None]
-    if have:
-        env[have] = W.envelopes_of_wkb([geoms[i] for i in have])
-    for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(nm, pa.array(env[:, j], pa.float64()))
-    return t
+    return with_geometry(t, geoms)

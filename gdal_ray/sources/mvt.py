@@ -22,8 +22,6 @@ tile pipeline's vector sink.
 from __future__ import annotations
 
 import gzip
-import json
-import math
 import os
 import struct
 
@@ -31,6 +29,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from .vector import with_geometry
 
 __all__ = ["decode_mvt", "encode_mvt", "read_mvt_table", "read_mvt",
            "tile_to_mercator"]
@@ -290,7 +289,7 @@ def decode_mvt(buf: bytes, z: int | None = None, x: int | None = None,
                 if k not in order:
                     order.append(k)
         data: dict[str, list] = {k: [] for k in order}
-        fids, mvt_ids, wkbs, envs = [], [], [], []
+        fids, mvt_ids = [], []
         for i, (fid, props, g) in enumerate(rows):
             fids.append(i)
             mvt_ids.append(fid)
@@ -306,12 +305,6 @@ def decode_mvt(buf: bytes, z: int | None = None, x: int | None = None,
                             not isinstance(v, str):
                         v = float(v)
                 data[k].append(v)
-            if g is not None:
-                wkbs.append(W.dumps(g))
-                envs.append(g.envelope())
-            else:
-                wkbs.append(None)
-                envs.append((math.nan,) * 4)
         # the reference layer schema always carries mvt_id (null when
         # a feature has no id)
         del has_id
@@ -326,14 +319,8 @@ def decode_mvt(buf: bytes, z: int | None = None, x: int | None = None,
                 patype = pa.int64() if any(
                     not -2**31 <= v < 2**31 for v in vals) else pa.int32()
             tbl[k] = pa.array(data[k], patype)
-        env = np.asarray(envs, np.float64) if envs \
-            else np.empty((0, 4))
-        t = pa.table(tbl)
-        t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-        for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-            t = t.append_column(nm, pa.array(
-                env[:, j] if len(env) else [], pa.float64()))
-        out[name] = t
+        out[name] = with_geometry(pa.table(tbl),
+                                  [g for _fid, _props, g in rows])
     return out
 
 

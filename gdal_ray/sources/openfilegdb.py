@@ -41,9 +41,9 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from .vector import ENVELOPE
 
-__all__ = ["read_gdb", "read_gdb_layer", "list_gdb_layers",
-           "read_gdb_dataset"]
+__all__ = ["read_gdb", "read_gdb_layer", "list_gdb_layers"]
 
 # field type codes (filegdbtable.h FGFT_*)
 _FT_INT16, _FT_INT32, _FT_F32, _FT_F64, _FT_STRING, _FT_DATETIME = \
@@ -475,7 +475,7 @@ def read_gdb_layer(gdb_dir: str, layer: str) -> pa.Table:
     cols: dict[str, list] = {"fid": []}
     has_geom = tbl.geom_field >= 0
     if has_geom:
-        for k in ("wkb", "minx", "miny", "maxx", "maxy"):
+        for k in ("wkb", *ENVELOPE):
             cols[k] = []
     geom_name = tbl.fields[tbl.geom_field].name if has_geom else None
     for f in tbl.fields:
@@ -488,7 +488,7 @@ def read_gdb_layer(gdb_dir: str, layer: str) -> pa.Table:
             g = _decode_geometry(blob, tbl.geom) if blob else None
             if g is None:
                 cols["wkb"].append(None)
-                for k in ("minx", "miny", "maxx", "maxy"):
+                for k in ENVELOPE:
                     cols[k].append(None)
             else:
                 env = g.envelope()
@@ -508,8 +508,3 @@ def read_gdb(gdb_dir: str) -> dict[str, pa.Table]:
     """All user layers → {name: Arrow table}."""
     return {name: read_gdb_layer(gdb_dir, name)
             for name in list_gdb_layers(gdb_dir)}
-
-
-def read_gdb_dataset(gdb_dir: str, layer: str):
-    import ray.data as rd
-    return rd.from_arrow(read_gdb_layer(gdb_dir, layer))

@@ -41,8 +41,9 @@ import pyarrow as pa
 
 from ..core import wkb as W
 from .mvt import _fields, _packed_varints, _zigzag
+from .vector import with_geometry
 
-__all__ = ["read_osm_table", "read_osm_layers", "read_osm"]
+__all__ = ["read_osm_table", "read_osm_layers"]
 
 _UNSIGNIFICANT = {"created_by", "converted_by", "source", "time",
                   "ele", "attribution"}
@@ -492,19 +493,10 @@ def read_osm_layers(path: str) -> dict[str, pa.Table]:
 def _to_table(rows, names, types=None) -> pa.Table:
     types = types or {}
     cols = {n: [r.get(n) for r, _g in rows] for n in names}
-    wkbs, envs = [], []
-    for _r, g in rows:
-        wkbs.append(W.dumps(g))
-        envs.append(g.envelope())
-    env = np.asarray(envs, np.float64) if envs else np.empty((0, 4))
     t = pa.table({"fid": pa.array(range(len(rows)), pa.int64()),
                   **{n: pa.array(cols[n], types.get(n, pa.string()))
                      for n in names}})
-    t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-    for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(nm, pa.array(
-            env[:, j] if len(env) else [], pa.float64()))
-    return t.replace_schema_metadata({b"crs": b"EPSG:4326"})
+    return with_geometry(t, [g for _r, g in rows]).replace_schema_metadata({b"crs": b"EPSG:4326"})
 
 
 def read_osm_table(path: str, layer: str = "points") -> pa.Table:
@@ -513,8 +505,3 @@ def read_osm_table(path: str, layer: str = "points") -> pa.Table:
         raise ValueError(f"no OSM layer {layer!r} "
                          f"(have {sorted(layers)})")
     return layers[layer]
-
-
-def read_osm(path: str, layer: str = "points"):
-    import ray.data as rd
-    return rd.from_arrow(read_osm_table(path, layer))

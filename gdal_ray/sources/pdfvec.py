@@ -29,6 +29,7 @@ import pyarrow as pa
 from ..codecs.pdf import PdfFile, Stream, decode_stream, read_pdf
 from ..core import wkb as W
 from . import pick_layer
+from .vector import ENVELOPE, with_geometry
 
 __all__ = ["read_pdf_layers", "read_pdf_vector_table",
            "write_pdf_vector"]
@@ -570,18 +571,7 @@ def _finish_table(rows) -> pa.Table:
             cols[nm] = pa.array(
                 [str(v) if v is not None else None for v in vals],
                 pa.string())
-    wkbs, envs = [], []
-    for g, attrs in rows:
-        wkbs.append(W.dumps(g) if g is not None else None)
-        envs.append(g.envelope() if g is not None else
-                    (float("nan"),) * 4)
-    env = np.asarray(envs, np.float64) if envs else np.empty((0, 4))
-    t = pa.table(cols)
-    t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-    for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(nm, pa.array(
-            env[:, j] if len(env) else [], pa.float64()))
-    return t
+    return with_geometry(pa.table(cols), [g for g, _attrs in rows])
 
 
 def read_pdf_vector_table(path, layer: str | None = None,
@@ -614,9 +604,7 @@ def write_pdf_vector(layers: dict[str, pa.Table], path: str, *,
     # page transform: fit union envelope (or gt grid) onto the page
     all_env = []
     for t in layers.values():
-        for col, agg in (("minx", min), ("maxx", max)):
-            pass
-        e = [t["minx"], t["miny"], t["maxx"], t["maxy"]]
+        e = [t[c] for c in ENVELOPE]
         vals = [np.asarray(c.to_numpy(zero_copy_only=False), np.float64)
                 for c in e]
         if len(vals[0]):
@@ -651,8 +639,7 @@ def write_pdf_vector(layers: dict[str, pa.Table], path: str, *,
     for li, (lname, t) in enumerate(layers.items()):
         content.append(f"/OC /Lyr{li} BDC\n")
         field_cols = [c for c in t.column_names
-                      if c not in ("fid", "wkb", "minx", "miny", "maxx",
-                                   "maxy")]
+                      if c not in ("fid", "wkb", *ENVELOPE)]
         for r in range(t.num_rows):
             b = t["wkb"][r].as_py()
             if b is None:

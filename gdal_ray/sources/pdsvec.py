@@ -21,6 +21,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
+from .vector import with_geometry
 
 __all__ = ["read_pds_table"]
 
@@ -193,11 +194,7 @@ def read_pds_table(path: str) -> pa.Table:
     if lon_col and lat_col:
         lons = np.asarray(out[lon_col], np.float64)
         lats = np.asarray(out[lat_col], np.float64)
-        wkbs = [W.dumps(W.point(float(x), float(y)))
-                for x, y in zip(lons, lats)]
-        t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-        for cname, arr in (("minx", lons), ("miny", lats),
-                           ("maxx", lons), ("maxy", lats)):
-            t = t.append_column(cname, pa.array(arr, type=pa.float64()))
+        t = with_geometry(t, [W.point(float(x), float(y))
+                              for x, y in zip(lons, lats)])
     t = t.replace_schema_metadata({b"pds_table_name": name.encode()})
     return t

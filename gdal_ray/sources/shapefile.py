@@ -20,6 +20,7 @@ import pyarrow as pa
 
 from ..core import geom as _geom
 from ..core import wkb as W
+from .vector import ENVELOPE
 
 _Z = {11: 1, 13: 3, 15: 5, 18: 8}   # Z-type → base
 _M = {21: 1, 23: 3, 25: 5, 28: 8}   # M-type → base
@@ -222,7 +223,7 @@ def read_shapefile(path: str) -> pa.Table:
         cols["fid"].append(i)
         if g is None:
             cols["wkb"].append(None)
-            for k in ("minx", "miny", "maxx", "maxy"):
+            for k in ENVELOPE:
                 cols[k].append(None)
         else:
             env = g.envelope()
@@ -235,11 +236,6 @@ def read_shapefile(path: str) -> pa.Table:
         for nm in names:
             cols[nm].append(attrs.get(nm))
     return pa.Table.from_pydict(cols)
-
-
-def read_shapefile_dataset(path: str):
-    import ray.data as rd
-    return rd.from_arrow(read_shapefile(path))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +340,7 @@ def write_shapefile(table: pa.Table, path: str, *,
 
     # DBF — fid is positional in this engine (like OGR's implicit FID),
     # so it is not materialized as a field
-    skip = {wkb_col, "fid", "minx", "miny", "maxx", "maxy"}
+    skip = {wkb_col, "fid", *ENVELOPE}
     fields = [(n, table.schema.field(n).type) for n in table.column_names
               if n not in skip]
     descs, widths, kinds = [], [], []

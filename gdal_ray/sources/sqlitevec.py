@@ -22,7 +22,7 @@ import struct
 import numpy as np
 import pyarrow as pa
 
-from ..core.wkb import envelopes_of_wkb
+from .vector import ENVELOPE, with_geometry
 
 __all__ = ["read_sqlite", "read_sqlite_layers", "spatialite_to_wkb"]
 
@@ -190,15 +190,7 @@ def read_sqlite(path: str, table: str | None = None) -> pa.Table:
         if n == fid_col:
             continue
         t = t.append_column(n, pa.array(data[n], patype(decls[n])))
-    t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-    env = np.full((len(wkbs), 4), np.nan)
-    have = [i for i, b in enumerate(wkbs) if b is not None]
-    if have:
-        env[have] = envelopes_of_wkb([wkbs[i] for i in have])
-    for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(nm, pa.array(
-            env[:, j] if len(env) else [], pa.float64()))
-    return t
+    return with_geometry(t, wkbs)
 
 
 def write_sqlite(table: pa.Table, path: str, *, layer: str = "layer",
@@ -219,7 +211,7 @@ def write_sqlite(table: pa.Table, path: str, *, layer: str = "layer",
             "INSERT INTO geometry_columns VALUES (?,?,?,?,?,0)",
             (layer, "GEOMETRY", geom_type, "XY", srid))
         attr_cols = [c for c in table.column_names
-                     if c not in ("wkb", "minx", "miny", "maxx", "maxy")]
+                     if c not in ("wkb", *ENVELOPE)]
         decls = []
         for c in attr_cols:
             t = table.schema.field(c).type

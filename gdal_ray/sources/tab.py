@@ -24,6 +24,7 @@ import pyarrow as pa
 
 from ..core import wkb as W
 from .mif import assemble_rings  # noqa: F401  (shared layer model)
+from .vector import with_geometry
 
 HDR_MAGIC = 42424242
 
@@ -863,16 +864,7 @@ def read_tab_table(path: str) -> pa.Table:
 
     out_cols = {"fid": pa.array(range(nrec), pa.int64())}
     out_cols.update(cols)
-    env = np.array([(g.envelope() if g is not None else (np.nan,) * 4)
-                    for g in geoms], np.float64) if geoms \
-        else np.empty((0, 4))
-    t = pa.table(out_cols)
-    t = t.append_column("wkb", pa.array(
-        [W.dumps(g) if g is not None else None for g in geoms],
-        pa.binary()))
-    for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(nm, pa.array(
-            env[:, j] if len(env) else [], pa.float64()))
+    t = with_geometry(pa.table(out_cols), geoms)
     md = {b"mitab_charset": meta["charset"].encode()}
     if mapf is not None:
         pj = coordsys_proj4(mapf.hdr)
@@ -885,8 +877,3 @@ def read_tab_table(path: str) -> pa.Table:
     if any(v is not None for v in texts):
         t = t.append_column("mitab_text", pa.array(texts, pa.string()))
     return t.replace_schema_metadata(md)
-
-
-def read_tab(path: str):
-    import ray.data as rd
-    return rd.from_arrow(read_tab_table(path))

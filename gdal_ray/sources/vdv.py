@@ -16,11 +16,11 @@ node POINT (2 49), link LINESTRING (2 49,2.5 49.5,2.7 49.7,3 50)).
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
 from . import pick_layer
+from .vector import with_geometry
 
 __all__ = ["read_vdv_layers", "read_vdv_table"]
 
@@ -137,23 +137,10 @@ def read_vdv_layers(path: str) -> dict[str, pa.Table]:
                 patype[c] = pa.int64()
             else:
                 patype[c] = pa.string()
-        wkbs, envs = [], []
-        for g in geoms:
-            if g is None:
-                wkbs.append(None)
-                envs.append((float("nan"),) * 4)
-            else:
-                wkbs.append(W.dumps(g))
-                envs.append(g.envelope())
-        env = np.asarray(envs, np.float64) if envs else np.empty((0, 4))
         t = pa.table({"fid": pa.array(range(len(rows)), pa.int64()),
                       **{c: pa.array([r.get(c) for r in rows],
                                      patype[c]) for c in cols}})
-        t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-        for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-            t = t.append_column(nm, pa.array(
-                env[:, j] if len(env) else [], pa.float64()))
-        out[tname] = t
+        out[tname] = with_geometry(t, geoms)
     return out
 
 

@@ -34,7 +34,39 @@ POINT_SCHEMA = pa.schema([
     ("value", pa.float64()),
 ])
 
+# the denormalized envelope columns, in the order every layer carries them
+ENVELOPE = ("minx", "miny", "maxx", "maxy")
+
 _CATS = ("a", "b", "c")
+
+
+def with_geometry(table: pa.Table, geoms) -> pa.Table:
+    """``table`` with the layer's geometry columns appended: ``wkb``
+    (binary), then the float64 ``ENVELOPE`` columns. ``geoms`` holds
+    one entry per row: a ``wkb.Geometry``, a WKB buffer, or None (a
+    null WKB and a NaN envelope). The schema metadata of ``table`` is
+    kept. The vector readers and the stages that rewrite a layer's WKB
+    build their geometry columns here; ``tests/test_layer_geometry.py``
+    lists the few readers that keep a layout of their own."""
+    env = np.full((len(geoms), 4), np.nan)
+    wkbs, held = [], []
+    for i, g in enumerate(geoms):
+        if g is None:
+            wkbs.append(None)
+        elif isinstance(g, wkb.Geometry):
+            wkbs.append(wkb.dumps(g))
+            env[i] = g.envelope()
+        else:
+            wkbs.append(g)
+            held.append(i)
+    if held:
+        env[held] = wkb.envelopes_of_wkb([wkbs[i] for i in held])
+    schema = pa.schema([*table.schema, pa.field("wkb", pa.binary()),
+                        *(pa.field(n, pa.float64()) for n in ENVELOPE)],
+                       metadata=table.schema.metadata)
+    return pa.Table.from_arrays(
+        [*table.columns, pa.array(wkbs, pa.binary()),
+         *(pa.array(env[:, j]) for j in range(4))], schema=schema)
 
 
 def make_polygon(j: int) -> wkb.Geometry:

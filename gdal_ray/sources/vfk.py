@@ -22,6 +22,7 @@ import pyarrow as pa
 
 from ..core import wkb as W
 from . import pick_layer
+from .vector import with_geometry
 
 __all__ = ["read_vfk", "read_vfk_table"]
 
@@ -236,15 +237,7 @@ def read_vfk(path: str) -> dict:
                     geoms[j] = W.dumps(W.polygon(
                         np.asarray(rings[0]),
                         [np.asarray(rg) for rg in rings[1:]]))
-        t = pa.table({**cols, **arrays})
-        t = t.append_column("wkb", pa.array(geoms, pa.binary()))
-        env = np.full((len(geoms), 4), np.nan)
-        have = [i for i, g in enumerate(geoms) if g is not None]
-        if have:
-            env[have] = W.envelopes_of_wkb([geoms[i] for i in have])
-        for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-            t = t.append_column(nm, pa.array(env[:, j], pa.float64()))
-        out[name] = t
+        out[name] = with_geometry(pa.table({**cols, **arrays}), geoms)
     return out
 
 

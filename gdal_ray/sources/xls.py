@@ -22,7 +22,6 @@ From-scratch pieces (no external libs):
 
 from __future__ import annotations
 
-import datetime
 import struct
 
 import pyarrow as pa
@@ -454,12 +453,6 @@ def _promote_mixed_datetime(rows):
                 r[c] = ("datetime", v[1] + " 00:00:00")
             elif v[0] == "time":
                 r[c] = ("datetime", "0000/00/00 " + v[1])
-
-
-def _as_str(v):
-    if v is None:
-        return None
-    return ("str", str(v[1]))
 
 
 def _assemble_no_header(rows):

@@ -51,10 +51,6 @@ _BROKEN_SPACE = 6.0  # 6 m gap
 
 
 # ------------------------------------------------------------ poly eval
-def _poly3(a, b, c, d):
-    return np.poly1d([d, c, b, a][::-1]) if False else (a, b, c, d)
-
-
 def _peval(coefs, x):
     a, b, c, d = coefs
     return a + x * (b + x * (c + x * d))

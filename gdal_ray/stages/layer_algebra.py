@@ -24,6 +24,7 @@ import pyarrow as pa
 from ..core import geom
 from ..core import wkb as wkb_mod
 from ..core.overlay import intersection_area
+from ..sources.vector import ENVELOPE, with_geometry
 from .exchange import bucket_groups, split_sides
 from .join import overlap_pairs, reference_cell, with_cells
 
@@ -120,19 +121,16 @@ def layer_clip_rect(layer, minx, miny, maxx, maxy):
     def clip_batch(t: pa.Table) -> pa.Table:
         keep, wkbs = [], []
         for buf in t["wkb"].to_pylist():
-            g = wkb_mod.loads(buf)
-            c = geom.clip_to_rect(g, minx, miny, maxx, maxy)
-            ok = c is not None
-            keep.append(ok)
-            wkbs.append(wkb_mod.dumps(c) if ok else None)
-        t = t.set_column(t.schema.get_field_index("wkb"), "wkb",
-                         pa.array(wkbs, pa.binary()))
+            c = geom.clip_to_rect(wkb_mod.loads(buf), minx, miny, maxx, maxy)
+            keep.append(c is not None)
+            if c is not None:
+                wkbs.append(wkb_mod.dumps(c))
         t = t.filter(pa.array(keep))
-        env = wkb_mod.envelopes_of_wkb(t["wkb"].to_pylist())
-        for k, name in enumerate(["minx", "miny", "maxx", "maxy"]):
+        new = with_geometry(pa.table({}), wkbs)
+        for name in ("wkb", *ENVELOPE):
             if name in t.column_names:
                 t = t.set_column(t.schema.get_field_index(name), name,
-                                 pa.array(env[:, k], pa.float64()))
+                                 new[name])
         return t
 
     return layer.map_batches(clip_batch, batch_format="pyarrow")

@@ -14,6 +14,7 @@ import pyarrow as pa
 
 from ..core import geom
 from ..core import wkb as W
+from ..sources.vector import ENVELOPE, with_geometry
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +242,14 @@ def wkb_map(fn, wkb_col: str = "wkb", refresh_envelope: bool = True):
     WKB column (and the denormalized envelope columns if present)."""
 
     def batch_fn(t: pa.Table) -> pa.Table:
-        out_wkb, envs = [], []
-        for b in t[wkb_col].to_pylist():
-            g2 = fn(W.loads(b))
-            out_wkb.append(W.dumps(g2))
-            envs.append(g2.envelope())
+        new = with_geometry(pa.table({}), [
+            fn(W.loads(b)) for b in t[wkb_col].to_pylist()])
         t = t.set_column(t.schema.get_field_index(wkb_col), wkb_col,
-                         pa.array(out_wkb, pa.binary()))
+                         new["wkb"])
         if refresh_envelope and "minx" in t.schema.names:
-            env = (np.asarray(envs, dtype=np.float64) if envs
-                   else np.empty((0, 4), np.float64))
-            for i, name in enumerate(["minx", "miny", "maxx", "maxy"]):
+            for name in ENVELOPE:
                 t = t.set_column(t.schema.get_field_index(name), name,
-                                 pa.array(env[:, i], pa.float64()))
+                                 new[name])
         return t
 
     return batch_fn

@@ -254,6 +254,17 @@ def test_rik_lzw_fuzz_only_valueerror(cut, flips):
     _only_valueerror(lambda: _LZW(buf, 16, 12).decode())
 
 
+def test_rik_lzw_max_bits_below_code_width_is_valueerror():
+    # a header claiming 5-bit codes once indexed the 32-slot table with
+    # a 9-bit code (IndexError; the fuzz test above found it)
+    from gdal_ray.codecs.rik import _LZW
+    from test_rik import _lzw_encode_literals
+    px = np.random.default_rng(5).integers(0, 256, 16 * 12)
+    buf = _mangle(_lzw_encode_literals(px), 52, [297275])
+    with pytest.raises(ValueError, match="max bits"):
+        _LZW(buf, 16, 12).decode()
+
+
 # ------------------------------------------------------------ DWG codes
 def test_dwg_bytes_at_a_bit_offset():
     from gdal_ray.sources.cad import DwgReader

@@ -861,6 +861,30 @@ def test_zip_member_pick_reads_the_table(tmp_path, probe_dir):
     assert read_vector(zp).num_rows == 3
 
 
+def test_gtfs_feed_zip_is_read_as_the_archive(tmp_path):
+    # a bare feed .zip holds no member of a vector extension; the GTFS
+    # entry identifies the archive itself and reads the same table as
+    # the feed directory probe
+    zp = str(tmp_path / "feed.zip")
+    with zipfile.ZipFile(zp, "w") as z:
+        z.writestr("stops.txt", _GTFS_STOPS)
+        z.writestr("agency.txt", "agency_id,agency_name\nA1,Agency\n")
+    assert vector_driver(zp) == "GTFS"
+    t = read_vector(zp)
+    assert (t.num_rows, digest(t)) == (2, "f0b11b832a8b9266")
+
+
+@pytest.mark.parametrize("members", [["readme.txt"], ["a.csv", "b.csv"]])
+def test_bare_zip_without_one_vector_member_names_the_candidates(
+        tmp_path, members):
+    zp = str(tmp_path / "bundle.zip")
+    with zipfile.ZipFile(zp, "w") as z:
+        for name in members:
+            z.writestr(name, "x\n")
+    with pytest.raises(ValueError, match="specify the member to read"):
+        read_vector(zp)
+
+
 def test_archive_front_end_before_routing(tmp_path, probe_dir):
     src = os.path.join(probe_dir, "topology.json")
     gz = str(tmp_path / "topology.json.gz")

@@ -73,9 +73,8 @@ class TestGeoJson:
 
 class TestGeoJsonDriver:
     def test_file_round_trip(self, tmp_path, ray_session):
-        from gdal_ray.sources.geojson import (read_geojson,
-                                              read_geojson_table,
-                                              write_geojson)
+        from gdal_ray.sources.drivers import read_vector_dataset
+        from gdal_ray.sources.geojson import read_geojson_table, write_geojson
         from gdal_ray.sources.vector import polygons_table
         src = polygons_table(10)
         p = str(tmp_path / "layer.geojson")
@@ -90,7 +89,7 @@ class TestGeoJsonDriver:
         # property schema inferred
         assert set(back.column_names) >= {"name", "category"}
         # and as a Dataset
-        ds = read_geojson(p)
+        ds = read_vector_dataset(p)
         assert ds.count() == 10
 
     def test_bad_file(self, tmp_path):
