@@ -10,6 +10,10 @@ the top 6 bits, below it the bit-interleaved (x, y) Morton code of the
 XYZ tile address. Morton order is hilbert-ish space-filling (locality:
 reference ogr/ogrsf_frmts/flatgeobuf/packedrtree.h:78-112 uses the same
 idea for feature locality) and makes parent/child derivation a shift.
+
+The engine keys features to cells only through this module: a batch of
+envelopes with ``cover_envelopes`` (flat ``(row, cell)`` arrays), points
+with ``point_tiles`` / ``point_cells``.
 """
 
 from __future__ import annotations
@@ -182,31 +186,62 @@ def cell_parent(cid):
     return cell_id(np.maximum(z - 1, 0), x >> 1, y >> 1)
 
 
-def cells_for_envelope(minx, miny, maxx, maxy, zoom, tile_size: int = TILE_SIZE,
-                       max_cells: int = 4096):
-    """All cell ids (XYZ convention) whose tiles intersect the mercator
-    envelope, as a 1-D uint64 array. Scalar envelope only (use inside a
-    loop / flat_map for many geometries). Clamps to world bounds."""
-    minx = max(float(minx), -ORIGIN_SHIFT)
-    miny = max(float(miny), -ORIGIN_SHIFT)
-    maxx = min(float(maxx), ORIGIN_SHIFT)
-    maxy = min(float(maxy), ORIGIN_SHIFT)
-    if minx > maxx or miny > maxy:
-        return np.empty(0, dtype=np.uint64)
-    eps = resolution(zoom, tile_size) * 1e-6
-    tx0, ty0 = meters_to_tile(minx + eps, miny + eps, zoom, tile_size)
-    tx1, ty1 = meters_to_tile(maxx - eps, maxy - eps, zoom, tile_size)
-    n = 2**int(zoom)
-    tx0 = int(np.clip(tx0, 0, n - 1)); tx1 = int(np.clip(tx1, 0, n - 1))
-    ty0 = int(np.clip(ty0, 0, n - 1)); ty1 = int(np.clip(ty1, 0, n - 1))
-    # degenerate / sub-eps envelopes on a tile boundary: the +/-eps
-    # nudges can invert the range — every feature still covers the cell
-    # of its (nudged) min corner, never zero cells
-    tx1 = max(tx1, tx0)
-    ty1 = max(ty1, ty0)
-    count = (tx1 - tx0 + 1) * (ty1 - ty0 + 1)
-    if count > max_cells:
-        raise ValueError(f"envelope covers {count} cells at z{zoom} > max_cells={max_cells}")
-    txs, tys = np.meshgrid(np.arange(tx0, tx1 + 1), np.arange(ty0, ty1 + 1))
-    ty_xyz = tms_to_xyz(tys.ravel(), zoom)
-    return cell_id(zoom, txs.ravel(), ty_xyz)
+def point_tiles(x, y, zoom):
+    """XYZ tile address (x, y_xyz) of each mercator point at ``zoom``,
+    clipped to the grid so points on or past the world edge land in an
+    edge tile. ``zoom`` may be a scalar or one zoom per point."""
+    n = 2 ** np.asarray(zoom, dtype=np.int64)
+    tx, ty = meters_to_tile(x, y, zoom)
+    return np.clip(tx, 0, n - 1), tms_to_xyz(np.clip(ty, 0, n - 1), zoom)
+
+
+def point_cells(x, y, zoom):
+    """Cell id of the tile holding each mercator point (point_tiles)."""
+    return cell_id(zoom, *point_tiles(x, y, zoom))
+
+
+def cover_envelopes(minx, miny, maxx, maxy, zoom, max_cells: int = 4096):
+    """Every cell (XYZ convention) whose tile intersects each mercator
+    envelope, as two flat arrays ``(row, cell)``: ``row`` indexes the
+    input envelope, ascending. A row's cells start at its south-west
+    tile and run west to east, then south to north. ``zoom`` is a
+    scalar or one zoom per envelope. Envelopes clamp to the world
+    bounds; an inverted or NaN envelope (a missing geometry) covers no
+    cell. Raises ValueError when one envelope covers more than
+    ``max_cells`` cells."""
+    x0, y0, x1, y1 = (np.atleast_1d(np.asarray(a, dtype=np.float64))
+                      for a in (minx, miny, maxx, maxy))
+    x0 = np.maximum(x0, -ORIGIN_SHIFT); y0 = np.maximum(y0, -ORIGIN_SHIFT)
+    x1 = np.minimum(x1, ORIGIN_SHIFT); y1 = np.minimum(y1, ORIGIN_SHIFT)
+    rows = np.flatnonzero((x0 <= x1) & (y0 <= y1))
+    z = np.broadcast_to(np.asarray(zoom, dtype=np.int64), x0.shape)[rows]
+    # nudge the corners inward so an edge on a tile boundary does not
+    # pull in the neighbouring tile
+    eps = resolution(z) * 1e-6
+    n = 2 ** z
+    tx0, ty0 = (np.clip(t, 0, n - 1) for t in
+                meters_to_tile(x0[rows] + eps, y0[rows] + eps, z))
+    tx1, ty1 = (np.clip(t, 0, n - 1) for t in
+                meters_to_tile(x1[rows] - eps, y1[rows] - eps, z))
+    # degenerate / sub-eps envelopes on a tile boundary: the nudges can
+    # invert the range — every feature still covers the cell of its
+    # (nudged) min corner, never zero cells
+    nx = np.maximum(tx1, tx0) - tx0 + 1
+    count = nx * (np.maximum(ty1, ty0) - ty0 + 1)
+    over = np.flatnonzero(count > max_cells)
+    if len(over):
+        i = over[0]
+        raise ValueError(f"envelope covers {count[i]} cells at z{z[i]} "
+                         f"> max_cells={max_cells}")
+    row = np.repeat(rows, count)
+    k = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    nx, z = np.repeat(nx, count), np.repeat(z, count)
+    tx = np.repeat(tx0, count) + k % nx
+    ty = np.repeat(ty0, count) + k // nx
+    return row, cell_id(z, tx, tms_to_xyz(ty, z))
+
+
+def cells_for_envelope(minx, miny, maxx, maxy, zoom, max_cells: int = 4096):
+    """All cell ids whose tiles intersect one mercator envelope, as a
+    1-D uint64 array: cover_envelopes of a single row."""
+    return cover_envelopes(minx, miny, maxx, maxy, zoom, max_cells)[1]

@@ -580,7 +580,7 @@ FROM k GROUP BY 1
 
 def sql_raster_index(n: int = 128, zoom: int = 6) -> str:
     """Per-cell manifest: covering z6 cells per image envelope
-    (mercator.cells_for_envelope semantics: eps-nudged corner tiles,
+    (mercator.cover_envelopes semantics: eps-nudged corner tiles,
     inclusive tile range, degenerate ranges collapse to the min
     corner's tile), aggregated per cell."""
     from ..core import mercator as M
@@ -622,7 +622,7 @@ FROM cov GROUP BY 1
 
 def _sql_cover_base_cte(n: int, zoom: int) -> str:
     """Shared WITH-body ending in ``base`` = the DISTINCT covering XYZ
-    tiles at `zoom` over the n-image corpus (cells_for_envelope
+    tiles at `zoom` over the n-image corpus (cover_envelopes
     semantics, as sql_raster_index)."""
     from ..core import mercator as M
     OS = M.ORIGIN_SHIFT

@@ -324,9 +324,7 @@ def q_tile_assignment(sf_dir: str):
 
     def tiles(t: pa.Table) -> pa.Table:
         i = t["event_id"].to_numpy()
-        x, y = geo.point_xy(i)
-        tx, ty = merc.meters_to_tile(x, y, JOIN_ZOOM)
-        ty_xyz = merc.tms_to_xyz(ty, JOIN_ZOOM)
+        tx, ty_xyz = merc.point_tiles(*geo.point_xy(i), JOIN_ZOOM)
         return pa.table({"tile_x": pa.array(tx, pa.int64()),
                          "tile_y": pa.array(ty_xyz, pa.int64())})
 
@@ -400,9 +398,7 @@ def q_zonal_stats(sf_dir: str):
 
     def zone(t: pa.Table) -> pa.Table:
         i = t["event_id"].to_numpy()
-        x, y = geo.point_xy(i)
-        tx, ty = merc.meters_to_tile(x, y, Z)
-        ty_xyz = merc.tms_to_xyz(ty, Z)
+        tx, ty_xyz = merc.point_tiles(*geo.point_xy(i), Z)
         # value has exactly 3 decimals: sum it as an exact integer so the
         # parallel aggregation is associativity-proof, then divide once
         v1000 = np.round(t["value"].to_numpy() * 1000.0).astype(np.int64)
@@ -2290,9 +2286,7 @@ def q_spatial_sort(sf_dir: str):
 
     def cellify(t: pa.Table) -> pa.Table:
         i = t["event_id"].to_numpy()
-        x, y = geo.point_xy(i)
-        tx, ty = merc.meters_to_tile(x, y, Z)
-        cells = merc.cell_id(Z, tx, merc.tms_to_xyz(ty, Z))
+        cells = merc.point_cells(*geo.point_xy(i), Z)
         return pa.table({"event_id": t["event_id"],
                          "cell": pa.array(cells.view(np.int64), pa.int64())})
 

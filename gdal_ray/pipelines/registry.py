@@ -187,12 +187,7 @@ def _spatial_sort(ds, z: int = 8, **kw):
     def rep_cell(b: pa.Table) -> pa.Table:
         cx = (b["minx"].to_numpy() + b["maxx"].to_numpy()) * 0.5
         cy = (b["miny"].to_numpy() + b["maxy"].to_numpy()) * 0.5
-        zz = int(z)
-        n = 2 ** zz
-        tx, ty = merc.meters_to_tile(cx, cy, zz)
-        tx = np.clip(tx, 0, n - 1)
-        ty = np.clip(ty, 0, n - 1)
-        cells = merc.cell_id(zz, tx, merc.tms_to_xyz(ty, zz))
+        cells = merc.point_cells(cx, cy, int(z))
         return b.append_column("cell", pa.array(cells.view(np.int64),
                                                 pa.int64()))
 

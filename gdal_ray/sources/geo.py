@@ -90,7 +90,7 @@ def sql_point_xy(expr: str) -> tuple[str, str]:
 
 def sql_tile_xy(x_expr: str, y_expr: str, zoom: int) -> tuple[str, str]:
     """SQL for the XYZ tile address of a mercator point at `zoom`,
-    matching mercator.meters_to_tile + tms_to_xyz exactly:
+    matching mercator.point_tiles exactly (no clip: the points lie inside):
     tx = ceil(px/256) - 1 with px = (mx + OS)/res."""
     res = (2 * np.pi * 6378137 / 256) / (2.0**zoom)
     n = 2**zoom

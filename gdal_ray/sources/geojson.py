@@ -116,6 +116,11 @@ def _features_to_table(feats) -> pa.Table:
     return t
 
 
+def _geometry(b: bytes | None) -> dict | None:
+    """A GeoJSON geometry member; null for a missing geometry."""
+    return None if b is None else to_geojson(W.loads(b))
+
+
 def write_geojson(table: pa.Table, path: str, *,
                   wkb_col: str = "wkb") -> None:
     """Arrow table with a WKB column → FeatureCollection file."""
@@ -125,10 +130,10 @@ def write_geojson(table: pa.Table, path: str, *,
         else list(range(table.num_rows))
     feats = []
     for i in range(table.num_rows):
-        g = W.loads(table[wkb_col][i].as_py())
         props = {c: table[c][i].as_py() for c in prop_cols}
         feats.append({"type": "Feature", "id": fids[i],
-                      "properties": props, "geometry": to_geojson(g)})
+                      "properties": props,
+                      "geometry": _geometry(table[wkb_col][i].as_py())})
     with open(path, "w") as f:
         json.dump({"type": "FeatureCollection", "features": feats}, f)
 
@@ -155,12 +160,11 @@ def read_geojsonseq_table(path: str) -> pa.Table:
 def write_geojsonseq(table: pa.Table, path: str, *,
                      wkb_col: str = "wkb", rs: bool = False) -> int:
     """Write one Feature per line (RS-prefixed when rs=True)."""
-    from ..core.wkb import loads as wkb_loads
     n = 0
     skip = {wkb_col, *ENVELOPE}
     with open(path, "w") as f:
         for row in table.to_pylist():
-            geom = to_geojson(wkb_loads(row[wkb_col]))
+            geom = _geometry(row[wkb_col])
             props = {k: v for k, v in row.items()
                      if k not in skip and k != "fid"}
             ft = {"type": "Feature", "id": row.get("fid"),

@@ -172,7 +172,11 @@ def write_gmt(table: pa.Table, path: str, wkb_col: str = "wkb") -> int:
     feature, attribute columns minus the envelope/wkb plumbing)."""
     skip = {wkb_col, *ENVELOPE, "fid"}
     names = [c for c in table.column_names if c not in skip]
-    geoms = [W.loads(b) for b in table[wkb_col].to_pylist()]
+    wkbs = table[wkb_col].to_pylist()
+    if None in wkbs:
+        raise ValueError("GMT cannot store a null geometry "
+                         f"(row {wkbs.index(None)})")
+    geoms = [W.loads(b) for b in wkbs]
     gtype = geoms[0].type_name.upper() if geoms else "LINESTRING"
 
     def tname(f):

@@ -191,7 +191,9 @@ def write_gpx(table: pa.Table, path: str, *, wkb_col: str = "wkb") -> int:
              '<gpx version="1.1" creator="gdal_ray" '
              'xmlns="http://www.topografix.com/GPX/1/1">']
     n = 0
-    for row in rows:
+    for i, row in enumerate(rows):
+        if row[wkb_col] is None:
+            raise ValueError(f"GPX cannot store a null geometry (row {i})")
         g = W.loads(row[wkb_col])
         if g.geom_type == W.POINT:
             x, y = float(g.coords[0, 0]), float(g.coords[0, 1])

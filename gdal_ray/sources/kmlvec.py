@@ -178,7 +178,8 @@ def write_kml(table: pa.Table, path: str, *, wkb_col: str = "wkb",
               name_col: str = "Name") -> None:
     """Arrow table with a WKB column → KML Document of Placemarks.
     Non-geometry, non-envelope columns become ExtendedData fields
-    (Name goes to <name>)."""
+    (Name goes to <name>); a null geometry leaves its Placemark without
+    one."""
     skip = {wkb_col, *ENVELOPE, "fid", name_col}
     prop_cols = [c for c in table.column_names if c not in skip]
     parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -186,7 +187,7 @@ def write_kml(table: pa.Table, path: str, *, wkb_col: str = "wkb",
     names = table[name_col].to_pylist() \
         if name_col in table.column_names else [None] * table.num_rows
     for i in range(table.num_rows):
-        g = W.loads(table[wkb_col][i].as_py())
+        b = table[wkb_col][i].as_py()
         parts.append("<Placemark>")
         if names[i] is not None:
             parts.append(f"<name>{_esc(str(names[i]))}</name>")
@@ -198,7 +199,8 @@ def write_kml(table: pa.Table, path: str, *, wkb_col: str = "wkb",
                            "</value></Data>")
         if ext:
             parts.append("<ExtendedData>" + "".join(ext) + "</ExtendedData>")
-        parts.append(_geom_kml(g))
+        if b is not None:
+            parts.append(_geom_kml(W.loads(b)))
         parts.append("</Placemark>\n")
     parts.append("</Document>\n</kml>\n")
     with open(path, "w") as f:

@@ -303,21 +303,25 @@ def write_shapefile(table: pa.Table, path: str, *,
     """Write a layer as .shp/.shx/.dbf (ESRI whitepaper layout; the
     reference's write side is ogr/ogrsf_frmts/shape/shpopen.c). All
     geometries must share one shape class (point / line / polygon,
-    multi allowed). Attribute columns become DBF fields: floats N
+    multi allowed); a null geometry is written as a null shape
+    (type 0). Attribute columns become DBF fields: floats N
     19.8, ints N 18.0, everything else C 64. Returns feature count."""
     import os
 
-    geoms = [W.loads(b) for b in table.column(wkb_col).to_pylist()]
+    geoms = [None if b is None else W.loads(b)
+             for b in table.column(wkb_col).to_pylist()]
     if not geoms:
         raise ValueError("empty layer")
-    records = [_shape_record(g) for g in geoms]
-    stypes = {s for s, _ in records}
+    records = [(0, struct.pack("<i", 0)) if g is None else _shape_record(g)
+               for g in geoms]
+    stypes = {s for s, _ in records if s} or {0}
     if len(stypes) != 1:
         raise ValueError(f"mixed shape types {stypes}")
     stype = stypes.pop()
-    envs = np.array([g.envelope() for g in geoms], np.float64)
-    bbox = (envs[:, 0].min(), envs[:, 1].min(),
-            envs[:, 2].max(), envs[:, 3].max())
+    envs = np.array([g.envelope() for g in geoms if g is not None],
+                    np.float64).reshape(-1, 4)
+    bbox = ((envs[:, 0].min(), envs[:, 1].min(),
+             envs[:, 2].max(), envs[:, 3].max()) if len(envs) else (0.0,) * 4)
 
     def header(total_words: int) -> bytes:
         return struct.pack(">7i", 9994, 0, 0, 0, 0, 0, total_words) \

@@ -148,18 +148,12 @@ def tile_rects_table(zoom: int, minx: float, miny: float,
     areas against this layer must sum to the feature's area."""
     from ..core import mercator as merc
 
-    cells = merc.cells_for_envelope(minx, miny, maxx, maxy, zoom,
+    _, cells = merc.cover_envelopes(minx, miny, maxx, maxy, zoom,
                                     max_cells=1 << 20)
-    zz, xx, yy = merc.cell_decode(cells)
-    rows = []
-    for c, x, y in zip(cells.tolist(), xx.tolist(), yy.tolist()):
-        ty = int(merc.xyz_to_tms(y, zoom))
-        bx0, by0, bx1, by1 = merc.tile_bounds(int(x), ty, zoom)
-        g = wkb.box(bx0, by0, bx1, by1)
-        e = g.envelope()
-        rows.append({"fid": int(c), "wkb": wkb.dumps(g),
-                     "minx": e[0], "miny": e[1], "maxx": e[2], "maxy": e[3]})
-    return pa.Table.from_pylist(rows)
+    _, xx, yy = merc.cell_decode(cells)
+    bounds = merc.tile_bounds(xx, merc.xyz_to_tms(yy, zoom), zoom)
+    return with_geometry(pa.table({"fid": cells.astype(np.int64)}),
+                         [wkb.box(*b) for b in zip(*bounds)])
 
 
 def tile_rects_dataset(zoom: int, minx: float, miny: float,

@@ -7,10 +7,12 @@ reject → rectangle-contains fast accept → exact Intersects; and the
 layer-algebra candidate-pair pattern (ogrlayer.cpp:5386+).
 
 Partitioning: both sides flat-map to covering quadkey cells at a join
-zoom and meet in the group exchange (stages/exchange.py, keyed on the
-cell); one Arrow kernel per bucket expands every same-cell row pair at
-once (same_cell_pairs), runs the envelope test, the PBSM reference-point
-dedup rule (reference_cell) and the exact predicate on flat arrays.
+zoom (with_cells: one merc.cover_envelopes call per block; a point
+takes the cell of its tile, merc.point_cells) and meet in the group
+exchange (stages/exchange.py, keyed on the cell); one Arrow kernel
+per bucket expands every same-cell row pair at once (same_cell_pairs),
+runs the envelope test, the PBSM reference-point dedup rule
+(reference_cell) and the exact predicate on flat arrays.
 
 Scale note: join zoom picks the partition granularity; higher zoom →
 more, smaller cells (better balance, more duplication of large
@@ -25,30 +27,19 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import geom, mercator as merc, wkb as wkb_mod
+from ..sources.vector import ENVELOPE
 from .exchange import bucket_groups, split_sides, topk_rows
 # importable from here too: the benchmark's join layer metrics use them
 from .exchange import N_JOIN_BUCKETS, salted_bucket  # noqa: F401
 
 
-def _cover_cells_batch(batch: pa.Table, zoom: int, keep: list[str],
-                       max_cells: int = 65536) -> pa.Table:
+def _cover_cells_batch(batch: pa.Table, zoom: int,
+                       keep: list[str]) -> pa.Table:
     """Envelope columns → one output row per covering cell (flat-map)."""
-    minx = batch["minx"].to_numpy(); miny = batch["miny"].to_numpy()
-    maxx = batch["maxx"].to_numpy(); maxy = batch["maxy"].to_numpy()
-    cells_out, idx_out = [], []
-    for i in range(batch.num_rows):
-        cells = merc.cells_for_envelope(minx[i], miny[i], maxx[i], maxy[i],
-                                        zoom, max_cells=max_cells)
-        cells_out.append(cells)
-        idx_out.append(np.full(len(cells), i, dtype=np.int64))
-    if cells_out:
-        cells_all = np.concatenate(cells_out)
-        idx_all = np.concatenate(idx_out)
-    else:
-        cells_all = np.empty(0, dtype=np.uint64)
-        idx_all = np.empty(0, dtype=np.int64)
-    taken = batch.select(keep).take(pa.array(idx_all))
-    return taken.append_column("cell", pa.array(cells_all, pa.uint64()))
+    row, cells = merc.cover_envelopes(*(batch[c].to_numpy() for c in ENVELOPE),
+                                      zoom, max_cells=65536)
+    taken = batch.select(keep).take(pa.array(row))
+    return taken.append_column("cell", pa.array(cells, pa.uint64()))
 
 
 def with_cells(ds, zoom: int, keep: list[str]):
@@ -63,7 +54,7 @@ def reference_cell(minx_a, miny_a, minx_b, miny_b, zoom: int):
     """Cell of the envelope-intersection bottom-left reference point
     (PBSM dedup rule). Vectorized.
 
-    The same +eps nudge as cells_for_envelope: a reference point landing
+    The same +eps nudge as merc.cover_envelopes: a reference point landing
     exactly on a tile boundary must resolve to the same cell that the
     envelope cover listed, or the pair is silently dropped.
 
@@ -74,13 +65,8 @@ def reference_cell(minx_a, miny_a, minx_b, miny_b, zoom: int):
     intersection has measure zero and every area-based consumer
     (zonal, layer_intersection with min_area) is unaffected."""
     eps = merc.resolution(zoom) * 1e-6
-    rx = np.maximum(minx_a, minx_b) + eps
-    ry = np.maximum(miny_a, miny_b) + eps
-    tx, ty = merc.meters_to_tile(rx, ry, zoom)
-    n = 2**zoom
-    tx = np.clip(tx, 0, n - 1)
-    ty = np.clip(ty, 0, n - 1)
-    return merc.cell_id(zoom, tx, merc.tms_to_xyz(ty, zoom))
+    return merc.point_cells(np.maximum(minx_a, minx_b) + eps,
+                            np.maximum(miny_a, miny_b) + eps, zoom)
 
 
 def same_cell_pairs(a_cells: np.ndarray, b_cells: np.ndarray):
@@ -98,8 +84,7 @@ def same_cell_pairs(a_cells: np.ndarray, b_cells: np.ndarray):
 
 
 def _envelopes(t: pa.Table) -> np.ndarray:
-    return np.column_stack([t[c].to_numpy()
-                            for c in ("minx", "miny", "maxx", "maxy")])
+    return np.column_stack([t[c].to_numpy() for c in ENVELOPE])
 
 
 def overlap_pairs(a: pa.Table, b: pa.Table):
@@ -283,10 +268,7 @@ def pip_join(points, polygons, zoom: int = 7, emit: str = "inner"):
 
     def pts_prep(b: pa.Table) -> pa.Table:
         x = b["x"].to_numpy(); y = b["y"].to_numpy()
-        tx, ty = merc.meters_to_tile(x, y, zoom)
-        n = 2**zoom
-        tx = np.clip(tx, 0, n - 1); ty = np.clip(ty, 0, n - 1)
-        cells = merc.cell_id(zoom, tx, merc.tms_to_xyz(ty, zoom))
+        cells = merc.point_cells(x, y, zoom)
         return pa.table({
             "cell": pa.array(cells, pa.uint64()),
             "side": pa.array(["I"] * b.num_rows),
@@ -370,14 +352,8 @@ def knn_join(points, queries, k: int = 3, zoom: int = 6):
     points/queries: Datasets with fid/x/y columns. Returns
     (qid, fid, dist) rows, k per query. Candidates are generated
     per-cell with a ring-1 halo and merged with a groupby(qid) top-k."""
-    def cell_of(x, y):
-        tx, ty = merc.meters_to_tile(x, y, zoom)
-        n = 2**zoom
-        tx = np.clip(tx, 0, n - 1); ty = np.clip(ty, 0, n - 1)
-        return merc.cell_id(zoom, tx, merc.tms_to_xyz(ty, zoom))
-
     def pts_prep(b: pa.Table) -> pa.Table:
-        cells = cell_of(b["x"].to_numpy(), b["y"].to_numpy())
+        cells = merc.point_cells(b["x"].to_numpy(), b["y"].to_numpy(), zoom)
         return pa.table({
             "cell": pa.array(cells, pa.uint64()),
             "side": pa.array(["P"] * b.num_rows),
@@ -393,17 +369,15 @@ def knn_join(points, queries, k: int = 3, zoom: int = 6):
         fid = b["fid"].to_numpy()
         nq = len(x)
         n = 2**zoom
-        tx, ty = merc.meters_to_tile(x, y, zoom)
-        tx = np.clip(tx, 0, n - 1).astype(np.int64)
-        ty = np.clip(ty, 0, n - 1).astype(np.int64)
+        tx, ty = merc.point_tiles(x, y, zoom)
+        # the neighbours in TMS order (south first): y_xyz grows
+        # southward, so its offsets are the TMS ones negated
         dx = np.tile(np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1]), nq)
-        dy = np.tile(np.array([-1, 0, 1, -1, 0, 1, -1, 0, 1]), nq)
+        dy = np.tile(np.array([1, 0, -1, 1, 0, -1, 1, 0, -1]), nq)
         cx = np.repeat(tx, 9) + dx
         cy = np.repeat(ty, 9) + dy
         ok = (cx >= 0) & (cx < n) & (cy >= 0) & (cy < n)
-        cx, cy = cx[ok], cy[ok]
-        cells = merc.cell_id(zoom, cx.astype(np.uint64),
-                             merc.tms_to_xyz(cy, zoom).astype(np.uint64))
+        cells = merc.cell_id(zoom, cx[ok], cy[ok])
         m = int(ok.sum())
         return pa.table({
             "cell": pa.array(cells, pa.uint64()),

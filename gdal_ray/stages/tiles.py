@@ -4,13 +4,15 @@ Ray-Data-first re-expression of gdal2tiles / `gdal raster tile`
 semantics (reference: swig/python/gdal-utils/osgeo_utils/gdal2tiles.py
 lifecycle; apps/gdalalg_raster_tile.cpp:642-700 per-tile work unit):
 
-  Stage A (max zoom): the map side decodes each image once and warps
-  one ≤256² RGBA-PNG fragment per covering (z, x, y) tile
-  (warp_fragments_batch); fragments are salted into buckets by cell,
-  and a map_groups callable (RenderFragments) composites each cell's
+  Stage A (max zoom): the map side covers a whole batch of image
+  footprints with one merc.cover_envelopes call, decodes each image
+  once and warps one ≤256² RGBA-PNG fragment per covering (z, x, y)
+  tile (warp_fragments_batch); fragments are salted into buckets by
+  cell, and a bucket kernel (RenderFragments) composites each cell's
   fragments in image_id order and encodes the tile PNG. The exchange
   carries pre-warped fragments (≈1× the corpus), not the source bytes
-  once per covering cell (wide-row rule, SURVEY §7.5.6).
+  once per covering cell (wide-row rule, SURVEY §7.5.6). Tiles are
+  TILE_SIZE² pixels throughout, and a blank tile is never emitted.
 
   Stage B (overviews): zoom-descending 4→1 combine
   (create_overview_tile semantics, gdal2tiles.py:1466-1494) with a
@@ -37,6 +39,7 @@ from ..core import geotransform as gtr
 from ..core import mercator as merc
 from ..core import resample as rs
 from ..core.checksum import checksum_multiband
+from ..sources.vector import ENVELOPE
 from .exchange import key_slices
 
 TILE_SIZE = 256
@@ -61,49 +64,34 @@ TILE_SCHEMA = pa.schema([
 ])
 
 
-def cover_batch(batch: pa.Table, zoom: int | None = None,
-                max_cells_per_image: int = 4096) -> pa.Table:
+def _cover(batch: pa.Table, zoom: int | None):
+    """(row, cell) cover of image rows at ``zoom``, or at each image's
+    native_z when zoom is None."""
+    z = batch["native_z"].to_numpy() if zoom is None else zoom
+    return merc.cover_envelopes(*(batch[c].to_numpy() for c in ENVELOPE), z)
+
+
+def cover_batch(batch: pa.Table, zoom: int | None = None) -> pa.Table:
     """Image rows (with georef cols) → one row per covering tile at
     `zoom` (or each image's native_z when zoom is None). Metadata-only:
     carries encoded bytes through to the render stage."""
-    n = batch.num_rows
-    minx = batch["minx"].to_numpy(); miny = batch["miny"].to_numpy()
-    maxx = batch["maxx"].to_numpy(); maxy = batch["maxy"].to_numpy()
-    native = batch["native_z"].to_numpy()
-    out_rows: dict[str, list] = {k.name: [] for k in COVER_SCHEMA}
-    ids = batch["image_id"].to_pylist()
-    bys = batch["bytes"].to_pylist()
-    fmts = batch["fmt"].to_pylist()
-    gts = [batch[f"gt{k}"].to_numpy() for k in range(6)]
-    ws = batch["w"].to_numpy(); hs = batch["h"].to_numpy()
-    for i in range(n):
-        z = int(zoom if zoom is not None else native[i])
-        cells = merc.cells_for_envelope(minx[i], miny[i], maxx[i], maxy[i], z,
-                                        max_cells=max_cells_per_image)
-        if len(cells) == 0:
-            continue
-        zz, xx, yy = merc.cell_decode(cells)
-        k = len(cells)
-        out_rows["cell"].extend(cells.tolist())
-        out_rows["z"].extend([z] * k)
-        out_rows["x"].extend(xx.tolist())
-        out_rows["y"].extend(yy.tolist())
-        out_rows["image_id"].extend([ids[i]] * k)
-        out_rows["bytes"].extend([bys[i]] * k)
-        out_rows["fmt"].extend([fmts[i]] * k)
-        for g in range(6):
-            out_rows[f"gt{g}"].extend([float(gts[g][i])] * k)
-        out_rows["img_w"].extend([int(ws[i])] * k)
-        out_rows["img_h"].extend([int(hs[i])] * k)
-    return pa.Table.from_pydict(out_rows, schema=COVER_SCHEMA)
+    row, cells = _cover(batch, zoom)
+    src = batch.take(pa.array(row))
+    cols = [cells, *merc.cell_decode(cells),
+            *(src[c] for c in ("image_id", "bytes", "fmt")),
+            *(src[f"gt{k}"] for k in range(6)), src["w"], src["h"]]
+    return pa.Table.from_arrays(
+        [c.cast(f.type) if isinstance(c, pa.ChunkedArray)
+         else pa.array(c, f.type) for c, f in zip(cols, COVER_SCHEMA)],
+        schema=COVER_SCHEMA)
 
 
-def tile_geotransform(z: int, x: int, y_xyz: int, tile_size: int = TILE_SIZE):
+def tile_geotransform(z: int, x: int, y_xyz: int):
     """North-up geotransform of an XYZ tile's pixel grid."""
     ty_tms = int(merc.xyz_to_tms(y_xyz, z))
-    minx, miny, maxx, maxy = merc.tile_bounds(x, ty_tms, z, tile_size)
+    minx, miny, maxx, maxy = merc.tile_bounds(x, ty_tms, z)
     return gtr.from_bounds(float(minx), float(miny), float(maxx), float(maxy),
-                           tile_size, tile_size)
+                           TILE_SIZE, TILE_SIZE)
 
 
 FRAGMENT_SCHEMA = pa.schema([
@@ -118,7 +106,7 @@ _KERNEL_RADIUS = {"near": 1, "bilinear": 1, "cubic": 2,
                   "cubicspline": 2, "lanczos": 3}
 
 
-def _footprint_window(src_gt, w, h, dst_gt, ts, resampling):
+def _footprint_window(src_gt, w, h, dst_gt, resampling):
     """dst sub-window (c0, r0, c1, r1) covered by a source footprint,
     padded by the resampling kernel's reach (ComputeSourceWindow's dual,
     alg/gdalwarpoperation.cpp:134)."""
@@ -131,47 +119,39 @@ def _footprint_window(src_gt, w, h, dst_gt, ts, resampling):
     radius = _KERNEL_RADIUS.get(resampling, 2)
     pad = int(np.ceil(radius * abs(src_gt[1]) / abs(dst_gt[1]))) + 1
     return (max(c0 - pad, 0), max(r0 - pad, 0),
-            min(c1 + pad, ts), min(r1 + pad, ts))
+            min(c1 + pad, TILE_SIZE), min(r1 + pad, TILE_SIZE))
 
 
 def warp_fragments_batch(batch: pa.Table, zoom: int | None = None,
-                         *, resampling: str = "bilinear",
-                         tile_size: int = TILE_SIZE,
-                         max_cells_per_image: int = 4096) -> pa.Table:
+                         *, resampling: str = "bilinear") -> pa.Table:
     """Image rows (with georef cols) → one PRE-WARPED tile fragment per
-    covering tile: decode once in the map stage, warp each covering
-    tile's sub-window, re-encode the fragment as RGBA PNG (alpha =
-    validity).
+    covering tile: decode each image once, warp each covering tile's
+    sub-window, re-encode the fragment as RGBA PNG (alpha = validity).
 
     This is the scale fix for the render shuffle: the exchange carries
-    ≤tile_size² encoded fragments totalling ≈1× the corpus, instead of
+    ≤256² encoded fragments totalling ≈1× the corpus, instead of
     the full source bytes duplicated once per covering cell
     (cover-factor×). Per-pixel results are IDENTICAL to warping inside
     the render group: to_uint8 is elementwise and compositing is
     later-id-wins either way (checksum-verified in tests)."""
-    n = batch.num_rows
-    minx = batch["minx"].to_numpy(); miny = batch["miny"].to_numpy()
-    maxx = batch["maxx"].to_numpy(); maxy = batch["maxy"].to_numpy()
-    native = batch["native_z"].to_numpy()
+    row, cells = _cover(batch, zoom)
+    zs, xs, ys = (v.tolist() for v in merc.cell_decode(cells))
+    cells = cells.tolist()
     ids = batch["image_id"].to_pylist()
     bys = batch["bytes"].to_pylist()
     fmts = batch["fmt"].to_pylist()
     gts = [batch[f"gt{k}"].to_numpy() for k in range(6)]
-    ts = tile_size
     out: dict[str, list] = {k.name: [] for k in FRAGMENT_SCHEMA}
-    for i in range(n):
-        z = int(zoom if zoom is not None else native[i])
-        cells = merc.cells_for_envelope(minx[i], miny[i], maxx[i], maxy[i], z,
-                                        max_cells=max_cells_per_image)
-        if len(cells) == 0:
-            continue
+    # cover_envelopes lists each image's cells as one run of rows
+    for i, lo, k in zip(*np.unique(row, return_index=True,
+                                   return_counts=True)):
         src_gt = tuple(float(g[i]) for g in gts)
         px = codec_decode(bys[i], fmts[i])
         h, w = px.shape[:2]
-        zz, xx, yy = merc.cell_decode(cells)
-        for cell, tx, ty in zip(cells.tolist(), xx.tolist(), yy.tolist()):
-            dst_gt = tile_geotransform(z, int(tx), int(ty), ts)
-            c0, r0, c1, r1 = _footprint_window(src_gt, w, h, dst_gt, ts,
+        for j in range(lo, lo + k):
+            z, tx, ty = zs[j], xs[j], ys[j]
+            dst_gt = tile_geotransform(z, tx, ty)
+            c0, r0, c1, r1 = _footprint_window(src_gt, w, h, dst_gt,
                                                resampling)
             if c0 >= c1 or r0 >= r1:
                 continue
@@ -183,8 +163,8 @@ def warp_fragments_batch(batch: pa.Table, zoom: int | None = None,
                 continue
             rgb = rs.to_uint8(np.where(valid[:, :, None], warped, 0.0))
             rgba = np.dstack([rgb, (valid * 255).astype(np.uint8)])
-            out["cell"].append(np.uint64(cell))
-            out["z"].append(z); out["x"].append(int(tx)); out["y"].append(int(ty))
+            out["cell"].append(cells[j])
+            out["z"].append(z); out["x"].append(tx); out["y"].append(ty)
             out["image_id"].append(ids[i])
             out["r0"].append(r0); out["c0"].append(c0)
             # level-1 deflate: fragments live only through one exchange,
@@ -241,12 +221,8 @@ class RenderFragments:
     ascending image_id, later wins on valid pixels — identical to
     RenderTile."""
 
-    def __init__(self, tile_size: int = TILE_SIZE, skip_blank: bool = True):
-        self.tile_size = tile_size
-        self.skip_blank = skip_blank
-
     def _render_one(self, t: pa.Table, out: _TileRows) -> None:
-        ts = self.tile_size
+        ts = TILE_SIZE
         acc = np.zeros((ts, ts, 3), dtype=np.uint8)
         alpha = np.zeros((ts, ts), dtype=bool)
         order = np.argsort(t["image_id"].to_numpy(), kind="stable")
@@ -265,7 +241,7 @@ class RenderFragments:
             win[valid] = rgba[:, :, :3][valid]
             alpha[r0:r0 + fh, c0:c0 + fw] |= valid
             n_src += 1
-        if self.skip_blank and not alpha.any():
+        if not alpha.any():
             return
         rgba_out = np.dstack([acc, (alpha * 255).astype(np.uint8)])
         out.add(_first(t, "cell"), _first(t, "z"), _first(t, "x"),
@@ -284,11 +260,8 @@ class RenderTile:
     gcore/gdalrasterblock.cpp, scoped per worker instead of global).
     """
 
-    def __init__(self, resampling: str = "bilinear", tile_size: int = TILE_SIZE,
-                 skip_blank: bool = True):
+    def __init__(self, resampling: str = "bilinear"):
         self.resampling = resampling
-        self.tile_size = tile_size
-        self.skip_blank = skip_blank
         self._cache: dict[str, np.ndarray] = {}
         self._cache_bytes = 0
         self._cache_limit = 256 * 1024 * 1024
@@ -307,8 +280,8 @@ class RenderTile:
     def _render_one(self, t: pa.Table, out: _TileRows) -> None:
         """Render one tile's contribution group; append it to out."""
         z, x, y = _first(t, "z"), _first(t, "x"), _first(t, "y")
-        ts = self.tile_size
-        dst_gt = tile_geotransform(z, x, y, ts)
+        ts = TILE_SIZE
+        dst_gt = tile_geotransform(z, x, y)
         acc = np.zeros((ts, ts, 3), dtype=np.float64)
         alpha = np.zeros((ts, ts), dtype=bool)
         # deterministic compositing order: ascending image_id, later wins
@@ -326,7 +299,7 @@ class RenderTile:
             # only it makes hot tiles (hundreds of small images) linear
             # in footprint area, not in tile area × images
             c0, r0, c1, r1 = _footprint_window(
-                src_gt, ws[ridx], hs[ridx], dst_gt, ts, self.resampling)
+                src_gt, ws[ridx], hs[ridx], dst_gt, self.resampling)
             if c0 >= c1 or r0 >= r1:
                 continue
             sub_gt = (dst_gt[0] + c0 * dst_gt[1], dst_gt[1], 0.0,
@@ -339,7 +312,7 @@ class RenderTile:
             acc[r0:r1, c0:c1][valid] = warped[valid]
             alpha[r0:r1, c0:c1] |= valid
             n_src += 1
-        if self.skip_blank and not alpha.any():
+        if not alpha.any():
             return
         rgb = rs.to_uint8(acc)
         rgba = np.dstack([rgb, (alpha * 255).astype(np.uint8)])
@@ -354,12 +327,8 @@ class CombineChildren:
     tiles into a 2×2 mosaic and box-downsamples (gdal2tiles
     create_overview_tile semantics)."""
 
-    def __init__(self, tile_size: int = TILE_SIZE, alg: str = "average"):
-        self.tile_size = tile_size
-        self.alg = alg
-
     def _combine_one(self, t: pa.Table, out: _TileRows) -> None:
-        ts = self.tile_size
+        ts = TILE_SIZE
         pz = _first(t, "z") - 1
         px_ = _first(t, "x") >> 1
         py_ = _first(t, "y") >> 1
@@ -371,7 +340,7 @@ class CombineChildren:
             dx = (int(xs[i]) & 1) * ts
             dy = (int(ys[i]) & 1) * ts  # XYZ y grows downward
             mosaic[dy:dy + ts, dx:dx + ts] = child
-        down = rs.downsample2x(mosaic, self.alg)
+        down = rs.downsample2x(mosaic, "average")
         # de-premultiply-free alpha: average alpha independently; the
         # uint8 "average" comes back rounded already
         rgba = down if down.dtype == np.uint8 else rs.to_uint8(down)
