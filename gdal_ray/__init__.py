@@ -22,7 +22,7 @@ Layout:
   pipelines/  end-to-end composed pipelines (flagship tile+join);
               ``write_pyramid``'s resume manifest carries per-level
               lineage + metrics (tile counts, source fan-in, checksum
-              digest, wall time).
+              digest), byte-identical for the same levels.
 
 Nothing in this package calls ray.init()/ray.shutdown(); sessions are
 owned by bench.py / tests / the driver.

@@ -180,10 +180,12 @@ def cell_decode(cid):
     return z, x, y
 
 
-def cell_parent(cid):
-    """Parent cell one zoom up: shift the Morton code down 2 bits."""
-    z, x, y = cell_decode(cid)
-    return cell_id(np.maximum(z - 1, 0), x >> 1, y >> 1)
+def cell_parent(zoom, tx, ty_xyz):
+    """Cell id of the parent (one zoom up) of each XYZ tile; a zoom-0
+    tile is its own parent. Vectorized like cell_id."""
+    z = np.asarray(zoom)
+    return cell_id(np.maximum(z - 1, 0), np.asarray(tx) >> 1,
+                   np.asarray(ty_xyz) >> 1)
 
 
 def point_tiles(x, y, zoom):

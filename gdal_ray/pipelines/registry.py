@@ -134,6 +134,10 @@ def _reproject(ds, src: str = "EPSG:3857", dst: str = "EPSG:4326",
 
 @register_step("tiles")
 def _tiles(ds, z: int | None = None, resampling: str = "bilinear", **kw):
+    """Georeferenced images → base-zoom tiles at ``z`` (each image's
+    native zoom when unset): one row per rendered tile in TILE_SCHEMA,
+    z, x, y (int32, the XYZ address), png (RGBA), n_src, cs_r, cs_g,
+    cs_b."""
     from .tiles import build_base_tiles
     return build_base_tiles(ds, None if z is None else int(z),
                             resampling=resampling)

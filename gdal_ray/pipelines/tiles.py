@@ -14,12 +14,17 @@ Composition (all lazy; the streaming executor pipelines the stages):
 
 Both exchanges are the engine's group exchange (stages/exchange.py) at
 N_RENDER_BUCKETS salted buckets: the callables get Arrow groups and give
-TILE_SCHEMA tables back, with no pandas round trip.
+TILE_SCHEMA tables back, with no pandas round trip. The render exchange
+keys on the fragments' cell; the overview exchange on the parent cell
+that add_parent_cell derives from each tile's (z, x, y).
 
-Every tile-store Parquet file (each z=K/ level file, and the tiles and
-cells files of render_base_resumable) is written with one profile,
-TILE_PARQUET: zstd, no dictionary pages, min/max statistics only on the
-tile keys (cell, x, y) and no ARROW:schema footer key — Parquet's own
+A stored tile is addressed by (z, x, y) alone, as a gdal2tiles tile is
+by {z}/{x}/{y}: a level file holds TILE_SCHEMA's z, x, y (int32), png,
+n_src, cs_r, cs_g, cs_b. Every tile-store Parquet file (each z=K/ level
+file, and the tiles and cells files of render_base_resumable) is written
+with one profile, TILE_PARQUET: zstd, no dictionary pages, min/max
+statistics only on the tile keys a file has (x and y in a tile file,
+cell in a cells file) and no ARROW:schema footer key — Parquet's own
 schema already round-trips TILE_SCHEMA's types. Every overview level is
 one small file, so this per-file framing is paid once per level.
 
@@ -36,19 +41,22 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 from ray.data.datasource import BlockBasedFileDatasink
 
+from ..core import mercator as merc
 from ..sources.images import images_dataset
 from ..stages.exchange import bucket_groups
 from ..stages.georef import with_georef
 from ..stages.tiles import (CombineChildren, RenderFragments,
-                            add_parent_cell, warp_fragments_batch)
+                            add_parent_cell, tile_address,
+                            warp_fragments_batch)
 
 
 N_RENDER_BUCKETS = 128
 
 # The tile store's one Parquet writer profile. Statistics only on the
-# tile keys a reader prunes on; the PNG blobs, n_src and the checksums
-# are never filtered on, so their min/max (and a dictionary page per
-# column) would only pad every file.
+# tile keys a reader prunes on (x and y of a tile file, cell of a cells
+# file; pyarrow skips a listed column a file does not have); the PNG
+# blobs, n_src and the checksums are never filtered on, so their min/max
+# (and a dictionary page per column) would only pad every file.
 TILE_PARQUET = dict(compression="zstd", use_dictionary=False,
                     write_statistics=["cell", "x", "y"], store_schema=False)
 
@@ -131,7 +139,9 @@ def write_pyramid(levels: dict, out_dir: str):
     """Write each level to out_dir/z=K/ (one directory per zoom) and
     record it in out_dir/manifest.json.
 
-    Each level is one Ray Write through TileSink: one Parquet file per
+    A level file holds the TILE_SCHEMA columns z, x, y, png, n_src,
+    cs_r, cs_g, cs_b: a tile's address is its (z, x, y). Each level is
+    one Ray Write through TileSink: one Parquet file per
     level up to Ray's block-size target (DataContext.
     target_max_block_size), one row group per file, every file in the
     TILE_PARQUET profile. The level lands in a temporary sibling
@@ -142,11 +152,12 @@ def write_pyramid(levels: dict, out_dir: str):
     a level whose directory is already recorded in manifest.json is
     skipped on restart; the manifest is written only AFTER the level's
     directory is in place, so a killed run re-does at most one level.
-    Returns the manifest dict."""
+    The manifest records per level its tile count, source fan-in and
+    checksum digest, and nothing run-dependent: the same levels give
+    the same manifest.json bytes. Returns the manifest dict."""
     import json
     import os
     import shutil
-    import time
 
     from ray.data import DataContext
 
@@ -162,7 +173,6 @@ def write_pyramid(levels: dict, out_dir: str):
         path = os.path.join(out_dir, key)
         if key in manifest:
             continue
-        t0 = time.time()
         drop = [c for c in ("parent", "bucket") if c in ds.schema().names]
         out = (ds.drop_columns(drop) if drop else ds).materialize()
         # count()/size_bytes() on the materialized handle are block
@@ -183,7 +193,7 @@ def write_pyramid(levels: dict, out_dir: str):
             os.replace(tmp, path)
         # per-partition LINEAGE + METRICS row (north rule): counts,
         # source fan-in, a checksum digest of the level's tile
-        # checksums (order-free XOR — parallel-safe), wall time.
+        # checksums (order-free XOR — parallel-safe).
         digest = 0
         n_src_total = 0
         for b in out.iter_batches(batch_format="pyarrow", batch_size=4096):
@@ -194,8 +204,7 @@ def write_pyramid(levels: dict, out_dir: str):
             n_src_total += int(np.sum(b["n_src"].to_numpy()))
         manifest[key] = {"n_tiles": n,
                          "n_source_contributions": n_src_total,
-                         "checksum_digest": digest,
-                         "wall_sec": round(time.time() - t0, 3)}
+                         "checksum_digest": digest}
         with open(mpath, "w") as f:
             json.dump(manifest, f, separators=(",", ":"))
     return manifest
@@ -210,7 +219,8 @@ def render_base_resumable(images, zoom: int, out_dir: str, *,
 
     Commit unit = one rendered block: each block writes
     ``out_dir/tiles/<name>.parquet`` and THEN its manifest twin
-    ``out_dir/cells/<name>.parquet`` (cell ids only). A kill between
+    ``out_dir/cells/<name>.parquet`` (cell ids only, each the
+    merc.cell_id of a tile's (z, x, y)). A kill between
     the two leaves an orphan tiles file that no manifest names — it is
     ignored on read and its cells re-render on resume, so the pyramid
     is always exactly the manifest's cells, no duplicates.
@@ -267,7 +277,7 @@ def render_base_resumable(images, zoom: int, out_dir: str, *,
     def commit_block(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return pa.table({"n": pa.array([0], pa.int64())})
-        cells = np.sort(t["cell"].to_numpy())
+        cells = np.sort(merc.cell_id(*tile_address(t)))
         name = hashlib.sha1(cells.tobytes()).hexdigest()[:16]
         drop = [c for c in ("parent", "bucket") if c in t.column_names]
         t = t.drop_columns(drop) if drop else t

@@ -96,7 +96,8 @@ def _parse_geom(el) -> W.Geometry | None:
 def read_kml_table(path: str) -> pa.Table:
     """KML file → Arrow table (fid, Name, Description, fields...,
     wkb, minx, miny, maxx, maxy). Placemarks anywhere in the Document/
-    Folder tree are features (the OGR KML driver's flattening)."""
+    Folder tree are features (the OGR KML driver's flattening); a
+    Placemark without a geometry is a row with a null ``wkb``."""
     try:
         root = ET.parse(path).getroot()
     except ET.ParseError as e:
@@ -127,8 +128,6 @@ def read_kml_table(path: str) -> pa.Table:
             g = _parse_geom(ch)
             if g is not None:
                 break
-        if g is None:
-            continue
         for k in fields:
             if k not in keys:
                 keys.append(k)

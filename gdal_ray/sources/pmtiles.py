@@ -154,17 +154,14 @@ def tileid_to_zxy(tid: int) -> tuple[int, int, int]:
     return z, x, y
 
 
-def pmtiles_tiles(path: str, zoom: int | None = None):
-    """Enumerate tiles -> [(z, x, y, raw_tile_bytes)]. Walks the root
-    directory (descending into leaf directories), expands run-length
-    entries, optionally filtering by zoom."""
-    buf = open(path, "rb").read()
-    h = read_pmtiles_header(buf)
-    root = _decompress(
-        buf[h["root_off"]:h["root_off"] + h["root_len"]],
-        h["internal_compression"])
-
-    out = []
+def _runs(buf: bytes, h: dict, zoom: int | None):
+    """Yield each tile-data run as (lo, hi, payload): its tile-id span
+    [lo, hi), intersected with ``zoom``'s id range when a zoom is given,
+    and its still-compressed tile bytes. Walks the root directory,
+    descending into leaf directories; empty spans are skipped."""
+    if zoom is not None:
+        zlo = sum(1 << (2 * i) for i in range(zoom))
+        zhi = zlo + (1 << (2 * zoom))
 
     def walk(entries):
         for tid, off, ln, run in entries:
@@ -172,33 +169,56 @@ def pmtiles_tiles(path: str, zoom: int | None = None):
                 leaf = _decompress(
                     buf[h["leaf_off"] + off:h["leaf_off"] + off + ln],
                     h["internal_compression"])
-                walk(_parse_directory(leaf))
-            else:
-                lo, hi = tid, tid + run
-                if zoom is not None:
-                    # intersect the run's tile-id span with the
-                    # requested zoom's id range instead of walking a
-                    # potentially 2^32-long run (run_length_max.pmtiles)
-                    zlo = sum(1 << (2 * i) for i in range(zoom))
-                    zhi = zlo + (1 << (2 * zoom))
-                    lo, hi = max(lo, zlo), min(hi, zhi)
-                if hi - lo > (1 << 22):
-                    # a run can legally span billions of tile ids
-                    # (run_length_max.pmtiles: 2^32); this eager
-                    # reader materializes tiles, so refuse fast with
-                    # a named bound instead of expanding
-                    raise ValueError(
-                        f"pmtiles: run of {hi - lo} tiles exceeds "
-                        "the 4M expansion cap")
-                data = buf[h["data_off"] + off:
-                           h["data_off"] + off + ln]
-                if hi > lo:
-                    dec = _decompress(data, h["tile_compression"])
-                for k in range(lo, hi):
-                    z, x, y = tileid_to_zxy(k)
-                    out.append((z, x, y, dec))
-    walk(_parse_directory(root))
-    return out
+                yield from walk(_parse_directory(leaf))
+                continue
+            lo, hi = tid, tid + run
+            if zoom is not None:
+                lo, hi = max(lo, zlo), min(hi, zhi)
+            if hi > lo:
+                yield lo, hi, buf[h["data_off"] + off:
+                                  h["data_off"] + off + ln]
+
+    root = _decompress(buf[h["root_off"]:h["root_off"] + h["root_len"]],
+                       h["internal_compression"])
+    yield from walk(_parse_directory(root))
+
+
+def _expand(runs, tile_comp: int):
+    """(z, x, y, tile bytes) of every tile id of every run, lazily; a
+    run's payload is decompressed once and shared by all its tiles."""
+    for lo, hi, data in runs:
+        dec = _decompress(data, tile_comp)
+        for k in range(lo, hi):
+            z, x, y = tileid_to_zxy(k)
+            yield z, x, y, dec
+
+
+# Memory backstop of the readers that keep every tile of a zoom.
+_MAX_TILES = 1 << 22
+
+
+def pmtiles_tiles(path: str, zoom: int | None = None, *,
+                  max_tiles: int | None = None):
+    """Iterate the archive's tiles as (z, x, y, raw_tile_bytes), lazily,
+    optionally only those at ``zoom``. A run-length entry can legally
+    span billions of tile ids (run_length_max.pmtiles: 2^32); its tiles
+    are produced one at a time and share the run's one payload.
+
+    The header is checked before the iterator is returned. With
+    ``max_tiles``, more tiles than that raise a ValueError before any
+    run is expanded: the readers that keep every tile they read pass
+    ``_MAX_TILES``."""
+    with open(path, "rb") as f:
+        buf = f.read()
+    h = read_pmtiles_header(buf)
+    runs = _runs(buf, h, zoom)
+    if max_tiles is not None:
+        runs = list(runs)
+        n = sum(hi - lo for lo, hi, _ in runs)
+        if n > max_tiles:
+            raise ValueError(f"pmtiles: {n} tiles exceed the expansion "
+                             f"cap of {max_tiles}")
+    return _expand(runs, h["tile_compression"])
 
 
 def read_pmtiles_metadata(path: str) -> dict:
@@ -221,7 +241,7 @@ def read_pmtiles_table(path: str, zoom: int | None = None) -> pa.Table:
     if not h["min_zoom"] <= zoom <= h["max_zoom"]:
         raise ValueError(f"Invalid zoom level {zoom}")
     parts = []
-    for z, x, y, data in pmtiles_tiles(path, zoom):
+    for z, x, y, data in pmtiles_tiles(path, zoom, max_tiles=_MAX_TILES):
         layers = decode_mvt(data, z, x, y)
         for name, t in layers.items():
             t = t.append_column("layer",
@@ -244,7 +264,8 @@ def read_pmtiles(path: str, zoom: int | None = None):
     h = read_pmtiles_header(buf_header)
     if zoom is None:
         zoom = h["max_zoom"]
-    tiles = [(z, x, y) for z, x, y, _ in pmtiles_tiles(path, zoom)]
+    tiles = [(z, x, y) for z, x, y, _ in
+             pmtiles_tiles(path, zoom, max_tiles=_MAX_TILES)]
 
     def _load(batch):
         outs = []
@@ -252,7 +273,7 @@ def read_pmtiles(path: str, zoom: int | None = None):
                 for z, x, y in zip(batch["z"].to_pylist(),
                                    batch["x"].to_pylist(),
                                    batch["y"].to_pylist())}
-        for z, x, y, data in pmtiles_tiles(path, zoom):
+        for z, x, y, data in pmtiles_tiles(path, zoom, max_tiles=_MAX_TILES):
             if (z, x, y) not in want:
                 continue
             for name, t in decode_mvt(data, z, x, y).items():
@@ -307,7 +328,7 @@ def read_pmtiles_raster(path: str, zoom: int | None = None):
     if w <= 0 or hgt <= 0 or w * hgt > (1 << 30):
         raise ValueError("pmtiles: bad raster window")
 
-    tiles = pmtiles_tiles(path, zoom)
+    tiles = pmtiles_tiles(path, zoom, max_tiles=_MAX_TILES)
     nb = 0
     out = None
     for z, x, y, data in tiles:

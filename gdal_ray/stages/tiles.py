@@ -22,6 +22,12 @@ Both exchanges run on Arrow: a bucket arrives as a pa.Table, is split
 into cells (or parents) by exchange.key_slices,
 and comes back as one TILE_SCHEMA table with no pandas schema metadata.
 
+A rendered tile is addressed by (z, x, y) alone, as gdal2tiles
+addresses it ({z}/{x}/{y}). The uint64 cell id (merc.cell_id, a Morton
+packing of the same address) keys the exchanges: it is a column of the
+cover and fragment rows, and is derived from a tile's (z, x, y)
+(merc.cell_id, merc.cell_parent) where a later step needs it.
+
 Skew: contributions for hot cells can be range-salted by image rank so
 salt buckets composite disjoint image_id ranges; merging buckets in
 salt order preserves global compositing order (PBSM-style).
@@ -55,9 +61,11 @@ COVER_SCHEMA = pa.schema([
     ("img_w", pa.int32()), ("img_h", pa.int32()),
 ])
 
+# A rendered tile: its XYZ address, the RGBA PNG, the number of source
+# images composited into it and its band checksums. x and y are int32
+# like z: zoom <= 29 keeps both below 2**29.
 TILE_SCHEMA = pa.schema([
-    ("cell", pa.uint64()),
-    ("z", pa.int32()), ("x", pa.int64()), ("y", pa.int64()),
+    ("z", pa.int32()), ("x", pa.int32()), ("y", pa.int32()),
     ("png", pa.binary()),
     ("n_src", pa.int32()),
     ("cs_r", pa.int32()), ("cs_g", pa.int32()), ("cs_b", pa.int32()),
@@ -191,12 +199,12 @@ class _TileRows:
     def __init__(self):
         self.cols: dict[str, list] = {f.name: [] for f in TILE_SCHEMA}
 
-    def add(self, cell: int, z: int, x: int, y: int, rgb: np.ndarray,
+    def add(self, z: int, x: int, y: int, rgb: np.ndarray,
             rgba: np.ndarray, n_src: int) -> None:
         """rgba is encoded as the tile PNG; rgb gives the band
         checksums."""
         cs = checksum_multiband(rgb)
-        for k, v in (("cell", int(cell)), ("z", z), ("x", x), ("y", y),
+        for k, v in (("z", z), ("x", x), ("y", y),
                      ("png", codec_encode(rgba, "png")), ("n_src", n_src),
                      ("cs_r", int(cs[0])), ("cs_g", int(cs[1])),
                      ("cs_b", int(cs[2]))):
@@ -244,8 +252,8 @@ class RenderFragments:
         if not alpha.any():
             return
         rgba_out = np.dstack([acc, (alpha * 255).astype(np.uint8)])
-        out.add(_first(t, "cell"), _first(t, "z"), _first(t, "x"),
-                _first(t, "y"), acc, rgba_out, n_src)
+        out.add(_first(t, "z"), _first(t, "x"), _first(t, "y"), acc,
+                rgba_out, n_src)
 
     def __call__(self, group: pa.Table | pd.DataFrame) -> pa.Table:
         return _render_by_cell(self._render_one, group)
@@ -316,7 +324,7 @@ class RenderTile:
             return
         rgb = rs.to_uint8(acc)
         rgba = np.dstack([rgb, (alpha * 255).astype(np.uint8)])
-        out.add(_first(t, "cell"), z, x, y, rgb, rgba, n_src)
+        out.add(z, x, y, rgb, rgba, n_src)
 
     def __call__(self, group: pa.Table | pd.DataFrame) -> pa.Table:
         return _render_by_cell(self._render_one, group)
@@ -344,20 +352,26 @@ class CombineChildren:
         # de-premultiply-free alpha: average alpha independently; the
         # uint8 "average" comes back rounded already
         rgba = down if down.dtype == np.uint8 else rs.to_uint8(down)
-        out.add(merc.cell_id(pz, px_, py_), pz, px_, py_, rgba[:, :, :3],
-                rgba, int(np.sum(t["n_src"].to_numpy())))
+        out.add(pz, px_, py_, rgba[:, :, :3], rgba,
+                int(np.sum(t["n_src"].to_numpy())))
 
     def __call__(self, group: pa.Table | pd.DataFrame) -> pa.Table:
         t = _as_table(group)
         out = _TileRows()
         if t.num_rows:
             parent = (t["parent"].to_numpy() if "parent" in t.column_names
-                      else merc.cell_parent(t["cell"].to_numpy()))
+                      else merc.cell_parent(*tile_address(t)))
             for sub in key_slices(t, parent):
                 self._combine_one(sub, out)
         return out.table()
 
 
+def tile_address(t: pa.Table):
+    """The (z, x, y) columns of tile rows as numpy arrays."""
+    return tuple(t[c].to_numpy() for c in ("z", "x", "y"))
+
+
 def add_parent_cell(batch: pa.Table) -> pa.Table:
-    parent = merc.cell_parent(batch["cell"].to_numpy())
+    """Tile rows + the ``parent`` cell the overview exchange keys on."""
+    parent = merc.cell_parent(*tile_address(batch))
     return batch.append_column("parent", pa.array(parent, pa.uint64()))

@@ -77,8 +77,7 @@ class TestMercator:
         assert (int(zz), int(xx), int(yy)) == (z, x, y)
 
     def test_cell_parent(self):
-        cid = merc.cell_id(5, 13, 21)
-        z, x, y = merc.cell_decode(merc.cell_parent(cid))
+        z, x, y = merc.cell_decode(merc.cell_parent(5, 13, 21))
         assert (int(z), int(x), int(y)) == (4, 6, 10)
 
     def test_quadkey_str(self):

@@ -202,6 +202,80 @@ class TestPmtiles:
         assert set(df["PRFEDEA"]).issuperset({"35043411", "35043423"})
 
 
+def _varint(v: int) -> bytes:
+    out = bytearray()
+    while True:
+        b, v = v & 0x7F, v >> 7
+        out.append(b | (0x80 if v else 0))
+        if not v:
+            return bytes(out)
+
+
+def _one_run_archive(path, payload: bytes, run: int, max_zoom: int):
+    """PMTiles v3 file whose root directory holds one entry: tile ids
+    0 .. run-1 all point at ``payload`` (no compression anywhere)."""
+    import struct
+    root = b"".join(map(_varint, (1, 0, run, len(payload), 1)))
+    hdr = bytearray(127)
+    hdr[:8] = b"PMTiles\x03"
+    struct.pack_into("<8q", hdr, 8, 127, len(root), 0, 0, 0, 0,
+                     127 + len(root), len(payload))
+    struct.pack_into("<3q", hdr, 72, run, 1, 1)
+    hdr[96:102] = bytes([0, 1, 1, 1, 0, max_zoom])
+    struct.pack_into("<4i", hdr, 102, -1800000000, -850000000,
+                     1800000000, 850000000)
+    with open(path, "wb") as f:
+        f.write(bytes(hdr) + root + payload)
+
+
+class TestPmtilesRuns:
+    """A run-length entry expands lazily: a 2^24-tile run yields its
+    first tiles at once, every tile shares the run's payload, and only
+    a reader that keeps every tile refuses it (by count, unexpanded)."""
+
+    @pytest.fixture()
+    def archive(self, tmp_path):
+        payload = encode_mvt([(W.point(100.0, 200.0), {"k": 1}, None)],
+                             layer="pts")
+        path = str(tmp_path / "run.pmtiles")
+        _one_run_archive(path, payload, 1 << 24, 12)
+        return path, payload
+
+    def test_first_tiles_without_a_cap(self, archive):
+        import itertools
+        path, payload = archive
+        first = list(itertools.islice(PM.pmtiles_tiles(path), 6))
+        assert [t[:3] for t in first] == [
+            PM.tileid_to_zxy(k) for k in range(6)]
+        assert first[0][:3] == (0, 0, 0)
+        assert all(t[3] == payload for t in first)
+        assert len({id(t[3]) for t in first}) == 1   # one shared payload
+
+    def test_zoom_filter_stays_lazy(self, archive):
+        import itertools
+        path, _ = archive
+        z12 = itertools.islice(PM.pmtiles_tiles(path, 12), 3)
+        assert [t[0] for t in z12] == [12, 12, 12]
+        assert [t[:3] for t in PM.pmtiles_tiles(path, 1)] == [
+            PM.tileid_to_zxy(k) for k in range(1, 5)]
+
+    def test_materializing_readers_keep_the_cap(self, archive):
+        path, _ = archive
+        with pytest.raises(ValueError, match="expansion cap"):
+            PM.read_pmtiles_table(path, zoom=12)
+        t = PM.read_pmtiles_table(path, zoom=2)
+        assert len(t) == 16
+        assert sorted(zip(t["tile_x"].to_pylist(),
+                          t["tile_y"].to_pylist())) == [
+            (x, y) for x in range(4) for y in range(4)]
+
+    def test_bad_header_raises_on_call(self, tmp_path):
+        path = tmp_path / "bad.pmtiles"
+        path.write_bytes(b"\0" * 127)
+        with pytest.raises(ValueError, match="not a PMTiles v3"):
+            PM.pmtiles_tiles(str(path))
+
+
 def test_pmtiles_raster_png():
     # raster PMTiles (tile_type 2): maxzoom mosaic cropped to the
     # header bounds in WebMercator; reference pmtiles.py

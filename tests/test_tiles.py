@@ -124,7 +124,6 @@ class TestOverview:
                 img[:, :, 3] = 255
                 imgs[(dx, dy)] = img
                 children.append({
-                    "cell": np.uint64(merc.cell_id(z, 10 + dx, 20 + dy)),
                     "z": z, "x": 10 + dx, "y": 20 + dy,
                     "png": encode(img, "png"), "n_src": 1,
                     "cs_r": 0, "cs_g": 0, "cs_b": 0,
@@ -366,7 +365,7 @@ class TestTileStoreLayout:
     def _tile_rows(files):
         import pyarrow.parquet as pq
         t = pa.concat_tables([pq.read_table(f) for f in files])
-        cols = ["cell", "png", "n_src", "cs_r", "cs_g", "cs_b"]
+        cols = ["z", "x", "y", "png", "n_src", "cs_r", "cs_g", "cs_b"]
         return sorted(zip(*(t[c].to_pylist() for c in cols)))
 
     @staticmethod
@@ -386,16 +385,16 @@ class TestTileStoreLayout:
             assert len(rows) == manifest[f"z={z}"]["n_tiles"]
             # the manifest digest is the XOR of the per-tile checksums
             digest = 0
-            for _, _, _, r, g, b in rows:
+            for *_, r, g, b in rows:
                 digest ^= r ^ (g << 16) ^ (b << 32)
             assert manifest[f"z={z}"]["checksum_digest"] == digest
 
     @staticmethod
-    def _assert_profile(f, schema):
+    def _assert_profile(f, schema, keys):
         """The TILE_PARQUET profile, as read back from one file's footer:
         one row group, no key-value metadata (no ARROW:schema, no pandas
         key), zstd and no dictionary page on every column chunk, and
-        statistics on exactly the tile keys."""
+        statistics on exactly the tile keys ``keys``."""
         import pyarrow.parquet as pq
 
         pf = pq.ParquetFile(f)
@@ -408,8 +407,7 @@ class TestTileStoreLayout:
             col = rg.column(i)
             assert col.compression == "ZSTD", (f, col.path_in_schema)
             assert not col.has_dictionary_page, (f, col.path_in_schema)
-            assert col.is_stats_set == (
-                col.path_in_schema in ("cell", "x", "y")), (
+            assert col.is_stats_set == (col.path_in_schema in keys), (
                 f, col.path_in_schema)
 
     def test_no_statistics_on_png(self, pyramid):
@@ -419,7 +417,8 @@ class TestTileStoreLayout:
             for f in self._files(os.path.join(out, f"z={z}")):
                 stats = self._stats(f)
                 assert not stats["png"]
-                assert stats["cell"] and stats["x"] and stats["y"]
+                assert "cell" not in stats
+                assert stats["x"] and stats["y"]
 
     def test_write_pyramid_profile(self, pyramid):
         import os
@@ -428,7 +427,7 @@ class TestTileStoreLayout:
         levels, out, _ = pyramid
         for z in levels:
             for f in self._files(os.path.join(out, f"z={z}")):
-                self._assert_profile(f, TILE_SCHEMA)
+                self._assert_profile(f, TILE_SCHEMA, {"x", "y"})
 
     def test_render_base_resumable_profile(self, ray_session, tmp_path):
         import os
@@ -443,9 +442,10 @@ class TestTileStoreLayout:
         cells = self._files(os.path.join(out, "cells"))
         assert tiles and len(tiles) == len(cells)
         for f in tiles:
-            self._assert_profile(f, TILE_SCHEMA)
+            self._assert_profile(f, TILE_SCHEMA, {"x", "y"})
         for f in cells:
-            self._assert_profile(f, pa.schema([("cell", pa.uint64())]))
+            self._assert_profile(f, pa.schema([("cell", pa.uint64())]),
+                                 {"cell"})
 
     def test_level_splits_below_block_target(self, pyramid, tmp_path):
         import os
@@ -470,7 +470,34 @@ class TestTileStoreLayout:
         assert self._tile_rows(files) == self._tile_rows(
             self._files(os.path.join(out, f"z={z}")))
         for f in files:
-            self._assert_profile(f, TILE_SCHEMA)
+            self._assert_profile(f, TILE_SCHEMA, {"x", "y"})
+
+
+    def test_manifest_bytes_reproducible(self, pyramid, tmp_path):
+        """The same levels written twice give the same manifest.json
+        bytes (no run-dependent field such as a wall time) and the same
+        rows per level."""
+        import os
+        import pyarrow.parquet as pq
+        from gdal_ray.pipelines.tiles import write_pyramid
+
+        levels, out, manifest = pyramid
+        again = str(tmp_path / "again")
+        assert write_pyramid(levels, again) == manifest
+        assert all(set(v) == {"n_tiles", "n_source_contributions",
+                              "checksum_digest"} for v in manifest.values())
+
+        def manifest_bytes(d):
+            with open(os.path.join(d, "manifest.json"), "rb") as f:
+                return f.read()
+
+        assert manifest_bytes(again) == manifest_bytes(out)
+        for z in levels:
+            a, b = (pq.read_table(os.path.join(d, f"z={z}"))
+                    .sort_by([("x", "ascending"), ("y", "ascending")])
+                    for d in (out, again))
+            assert a.num_rows == manifest[f"z={z}"]["n_tiles"]
+            assert a.equals(b)
 
 
 class TestFragmentParity:
@@ -510,9 +537,10 @@ class TestFragmentParity:
         new_tiles = pa.concat_tables(
             [rf(g) for _, g in frags.groupby("cell")]).to_pandas()
 
-        cols = ["cell", "z", "x", "y", "n_src", "cs_r", "cs_g", "cs_b"]
-        o = old_tiles[cols].sort_values("cell").reset_index(drop=True)
-        n = new_tiles[cols].sort_values("cell").reset_index(drop=True)
+        cols = ["z", "x", "y", "n_src", "cs_r", "cs_g", "cs_b"]
+        key = ["z", "x", "y"]
+        o = old_tiles[cols].sort_values(key).reset_index(drop=True)
+        n = new_tiles[cols].sort_values(key).reset_index(drop=True)
         assert len(o) == len(n) and len(o) > 0
         pd.testing.assert_frame_equal(o, n)
 
@@ -550,8 +578,10 @@ class TestTileGranularResume:
     @staticmethod
     def _cs_map(ds):
         df = ds.to_pandas()
-        return {int(c): (int(r), int(g), int(b)) for c, r, g, b in
-                zip(df["cell"], df["cs_r"], df["cs_g"], df["cs_b"])}
+        return {(int(z), int(x), int(y)): (int(r), int(g), int(b))
+                for z, x, y, r, g, b in
+                zip(df["z"], df["x"], df["y"], df["cs_r"], df["cs_g"],
+                    df["cs_b"])}
 
     def test_kill_and_resume_renders_only_missing(self, ray_session,
                                                   tmp_path):
@@ -592,3 +622,86 @@ class TestTileGranularResume:
         # parity with the non-resumable pipeline
         ref = build_base_tiles(images_dataset(40), 7)
         assert self._cs_map(ref) == want
+
+
+def _level_digest(t: pa.Table) -> str:
+    """sha256 of a level's rows sorted by (z, x, y): address, n_src,
+    band checksums and the PNG bytes."""
+    import hashlib
+    cols = ["z", "x", "y", "png", "n_src", "cs_r", "cs_g", "cs_b"]
+    h = hashlib.sha256()
+    for z, x, y, png, n, r, g, b in sorted(
+            zip(*(t[c].to_pylist() for c in cols))):
+        h.update(f"{z},{x},{y},{n},{r},{g},{b}:".encode())
+        h.update(png)
+    return h.hexdigest()
+
+
+class TestSeed1Store:
+    """The tile store of the benchmark's seed-1 pyramid input (32 corpus
+    images from row 5187864, base z8, overviews to z6) against a dump
+    of the store written while every tile row also carried its uint64
+    cell and int64 x/y: the same tiles, byte for byte, and the same
+    manifest counts and digests."""
+
+    # z → (n_tiles, n_source_contributions, checksum_digest, digest of
+    # the sorted rows, sha256 of the sorted little-endian cell ids)
+    DUMP = {
+        6: (20, 21, 163209019511,
+            "a9e24ce0e6e6688e9e84fd975473ea2242f6d31dac06d7f8acfb60e0bc036c68",
+            "4d3cf0e174468eb0ee035b70395867c1b044046856206188ebaad7500cdb7c06"),
+        7: (20, 21, 1035092689072,
+            "0a82e9946cf8909f353aa6a8b7c1c753623789ec71958de55229605f1f2ee1b1",
+            "3fb73b5efd3f1f298e1b4e75bda67971146f365ab5ad23ba5a244638e702f05d"),
+        8: (20, 21, 9732636151806,
+            "c14106636006faf3b5bcec917bf53c34ddbd5ef611c5522fc8e77de004394806",
+            "05ec6a0fbb1631482d99b4acb2cc522268f036340e0581f1d71586bf12acf007"),
+    }
+
+    @pytest.fixture(scope="class")
+    def store(self, ray_session, tmp_path_factory):
+        import os
+        import pyarrow.parquet as pq
+        import ray.data as rd
+        from gdal_ray.pipelines.tiles import (build_base_tiles,
+                                              build_overviews, write_pyramid)
+
+        imgs = make_image_batch(np.arange(5187864, 5187864 + 32))
+        base = build_base_tiles(rd.from_arrow(imgs), 8).materialize()
+        out = str(tmp_path_factory.mktemp("seed1") / "pyr")
+        manifest = write_pyramid(build_overviews(base, 6, 8), out)
+        return manifest, {z: pq.read_table(os.path.join(out, f"z={z}"))
+                          for z in self.DUMP}
+
+    def test_levels_equal_the_dump(self, store):
+        from gdal_ray.stages.tiles import TILE_SCHEMA
+
+        manifest, tables = store
+        for z, (n, n_src, digest, rows, _) in self.DUMP.items():
+            assert manifest[f"z={z}"] == {
+                "n_tiles": n, "n_source_contributions": n_src,
+                "checksum_digest": digest}
+            assert tables[z].schema.equals(TILE_SCHEMA)
+            assert tables[z].num_rows == n
+            assert _level_digest(tables[z]) == rows, z
+
+    def test_parent_cells_from_the_stored_address(self, store):
+        """add_parent_cell on a level read back from the store gives the
+        parent of each row's old cell id: the Morton code shifted down
+        two bits, one zoom up."""
+        import hashlib
+        from gdal_ray.stages.tiles import add_parent_cell
+
+        _, tables = store
+        for z, (*_, cells_digest) in self.DUMP.items():
+            t = tables[z]
+            old = merc.cell_id(t["z"].to_numpy(), t["x"].to_numpy(),
+                               t["y"].to_numpy())
+            assert hashlib.sha256(np.sort(old).astype("<u8").tobytes()) \
+                .hexdigest() == cells_digest, z
+            morton = old & np.uint64((1 << 58) - 1)
+            want = (np.uint64(z - 1) << np.uint64(58)) \
+                | (morton >> np.uint64(2))
+            got = add_parent_cell(t)["parent"].to_numpy()
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, want), z
