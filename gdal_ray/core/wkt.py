@@ -223,21 +223,38 @@ def to_geojson(g: Geometry) -> dict:
     raise ValueError(f"unsupported geometry type {t}")
 
 
+def _xy(positions) -> np.ndarray:
+    """GeoJSON positions → an (n, 2) float64 array. A Z or M ordinate is
+    dropped (the geometry model is 2-D, as in ``wkb._read``); a position
+    without x and y, or a nested one, raises ValueError."""
+    a = np.asarray(positions, dtype=np.float64)
+    if a.size == 0:
+        return np.empty((0, 2))
+    if a.ndim != 2 or a.shape[1] < 2:
+        raise ValueError("a GeoJSON position needs an x and a y")
+    return a[:, :2]
+
+
+def _polygon(rings) -> Geometry:
+    return polygon(_xy(rings[0]), holes=[_xy(h) for h in rings[1:]])
+
+
 def from_geojson(obj: dict) -> Geometry:
     t = obj["type"]
     c = obj.get("coordinates")
     if t == "Point":
-        return point(c[0], c[1])
+        return point(*_xy([c])[0])
     if t == "LineString":
-        return linestring(c)
+        return linestring(_xy(c))
     if t == "Polygon":
-        return polygon(c[0], holes=c[1:])
+        return _polygon(c)
     if t == "MultiPoint":
-        return Geometry(MULTIPOINT, parts=[point(x, y) for x, y in c])
+        return Geometry(MULTIPOINT, parts=[point(x, y) for x, y in _xy(c)])
     if t == "MultiLineString":
-        return Geometry(MULTILINESTRING, parts=[linestring(ls) for ls in c])
+        return Geometry(MULTILINESTRING,
+                        parts=[linestring(_xy(ls)) for ls in c])
     if t == "MultiPolygon":
-        return multipolygon([polygon(pp[0], holes=pp[1:]) for pp in c])
+        return multipolygon([_polygon(pp) for pp in c])
     if t == "GeometryCollection":
         return collection([from_geojson(o) for o in obj["geometries"]])
     raise ValueError(f"unknown GeoJSON type {t}")

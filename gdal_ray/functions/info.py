@@ -53,7 +53,7 @@ def raster_info(buf: bytes, fmt: str | None = None, *,
     return info
 
 
-def vector_info(table, *, wkb_col: str = "wkb") -> dict:
+def vector_info(table) -> dict:
     """Summarize a feature table (ogrinfo -so analog): count, extent,
     geometry-type histogram, field schema. Accepts a pyarrow Table or
     a Ray Dataset (small results only — the distributed path is the
@@ -67,11 +67,13 @@ def vector_info(table, *, wkb_col: str = "wkb") -> dict:
             else pa.Table.from_pandas(table)
     n = table.num_rows
     fields = [(f.name, str(f.type)) for f in table.schema
-              if f.name != wkb_col]
+              if f.name != "wkb"]
     ext = [np.inf, np.inf, -np.inf, -np.inf]
     gtypes: dict[str, int] = {}
-    if wkb_col in table.column_names:
-        for b in table.column(wkb_col).to_pylist():
+    if "wkb" in table.column_names:
+        for b in table.column("wkb").to_pylist():
+            if b is None:            # counted, with no type or extent
+                continue
             g = W.loads(b)
             gtypes[g.type_name] = gtypes.get(g.type_name, 0) + 1
             e = g.envelope()

@@ -2544,7 +2544,7 @@ def q_fgb_roundtrip(sf_dir: str):
     src = polygons_table(m).rename_columns(
         ["pid" if c == "fid" else c for c in polygons_table(m).column_names])
     path = os.path.join(_scratch_dir("fgb"), "layer.fgb")
-    write_fgb(src, path, geometry_col="wkb", crs_code=32633)
+    write_fgb(src, path, crs_code=32633)
 
     bbox = fgb_query_bbox(m)
     hit_pids = set(read_fgb(path, bbox=bbox)["pid"].to_pylist())

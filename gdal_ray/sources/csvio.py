@@ -7,11 +7,12 @@ from __future__ import annotations
 import csv
 import io
 
+import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
 from ..core import wkt as WT
-from .vector import ENVELOPE
+from .vector import ENVELOPE, with_geometry
 
 _GEOM_NAMES = ("wkt", "geometry", "geom", "the_geom")
 _X_NAMES = ("x", "lon", "longitude", "easting")
@@ -69,19 +70,19 @@ def read_csv(path_or_text: str, *, geom_col: str | None = None,
         xi = header.index(x_col) if x_col else None
         yi = header.index(y_col) if y_col else None
         attr_idx = [k for k in range(len(header)) if k != gi]
-        cols: dict[str, list] = {"fid": [], "wkb": [], "minx": [],
-                                 "miny": [], "maxx": [], "maxy": []}
-        reserved = set(cols)
+        reserved = {"fid", "wkb", *ENVELOPE}
+        taken = set(reserved)
         keys = {}
         for k in attr_idx:
             nm = header[k].strip()
             if nm.lower() in reserved:
                 nm = f"attr_{nm}"
-            while nm in cols:            # duplicate header names
+            while nm in taken:           # duplicate header names
                 nm = nm + "_"
+            taken.add(nm)
             keys[k] = nm
-            cols[keys[k]] = []
-        fid = 0
+        attrs: dict[str, list] = {nm: [] for nm in keys.values()}
+        geoms = []
         for row in rdr:
             if not row:
                 continue
@@ -96,43 +97,30 @@ def read_csv(path_or_text: str, *, geom_col: str | None = None,
                     g = W.point(float(row[xi]), float(row[yi]))
                 except (ValueError, IndexError):
                     g = None
-            cols["fid"].append(fid)
-            fid += 1
-            if g is None:
-                cols["wkb"].append(None)
-                for c in ENVELOPE:
-                    cols[c].append(None)
-            else:
-                env = g.envelope()
-                cols["wkb"].append(W.dumps(g))
-                cols["minx"].append(float(env[0]))
-                cols["miny"].append(float(env[1]))
-                cols["maxx"].append(float(env[2]))
-                cols["maxy"].append(float(env[3]))
+            geoms.append(g)
             for k in attr_idx:
-                cols[keys[k]].append(_infer(row[k].strip())
-                                     if k < len(row) else None)
+                attrs[keys[k]].append(_infer(row[k].strip())
+                                      if k < len(row) else None)
+        t = with_geometry(pa.table({"fid": np.arange(len(geoms))}), geoms)
         # OGR-style per-column type promotion: int -> real -> string
-        for k in attr_idx:
-            vals = cols[keys[k]]
+        for nm, vals in attrs.items():
             kinds = {type(v) for v in vals if v is not None}
             if str in kinds and len(kinds) > 1:
-                cols[keys[k]] = [None if v is None else str(v)
-                                 for v in vals]
+                vals = [None if v is None else str(v) for v in vals]
             elif kinds == {int, float}:
-                cols[keys[k]] = [None if v is None else float(v)
-                                 for v in vals]
-        return pa.Table.from_pydict(cols)
+                vals = [None if v is None else float(v) for v in vals]
+            t = t.append_column(nm, pa.array(vals))
+        return t
 
 
-def write_csv(table: pa.Table, path: str, *, wkb_col: str = "wkb") -> None:
+def write_csv(table: pa.Table, path: str) -> None:
     """Arrow table with a WKB column → CSV with a WKT geometry column."""
-    skip = {wkb_col, *ENVELOPE}
+    skip = {"wkb", *ENVELOPE}
     attr = [c for c in table.column_names if c not in skip]
     with open(path, "w", newline="") as f:
         wtr = csv.writer(f)
         wtr.writerow(attr + ["WKT"])
-        wkbs = table[wkb_col].to_pylist() if wkb_col in table.column_names \
+        wkbs = table["wkb"].to_pylist() if "wkb" in table.column_names \
             else [None] * table.num_rows
         for i in range(table.num_rows):
             row = [table[c][i].as_py() for c in attr]

@@ -428,7 +428,7 @@ def _dxf_hatch(out: list, polys: list, layer: str):
     out += ["75", "0", "76", "1", "98", "0"]
 
 
-def write_dxf(table: pa.Table, path: str, *, wkb_col: str = "wkb",
+def write_dxf(table: pa.Table, path: str, *,
               layer_col: str | None = None) -> int:
     """Layer table → minimal DXF (ENTITIES section): POINT /
     LWPOLYLINE / HATCH per feature. DXF carries no attribute table —
@@ -439,7 +439,7 @@ def write_dxf(table: pa.Table, path: str, *, wkb_col: str = "wkb",
     out = ["0", "SECTION", "2", "ENTITIES"]
     n = 0
     for row in rows:
-        b = row.get(wkb_col)
+        b = row.get("wkb")
         if b is None:
             continue
         g = W.loads(b)

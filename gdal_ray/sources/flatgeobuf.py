@@ -560,18 +560,18 @@ def _encode_geom(g: W.Geometry) -> tuple[bytes, int]:
 
 
 def write_fgb(table: pa.Table, path: str, *, name: str = "layer",
-              geometry_col: str = "wkb", crs_code: int = 0,
+              crs_code: int = 0,
               index: bool = True, node_size: int = 16) -> int:
     """Standard layer table → FlatGeobuf file. With ``index=True``
     (default, matching the reference driver) features are Hilbert-sorted
     and a packed R-tree is written between header and features; the
     unindexed variant (index_node_size=0) otherwise. Attribute columns
     are every column except the geometry / fid / envelope ones."""
-    skip = {geometry_col, "fid", *ENVELOPE}
+    skip = {"wkb", "fid", *ENVELOPE}
     attr_cols = [(n, _pa_coltype(table.schema.field(n).type))
                  for n in table.column_names if n not in skip]
 
-    wkbs = table[geometry_col].to_pylist()
+    wkbs = table["wkb"].to_pylist()
     geoms = [W.loads(x) if x is not None else None for x in wkbs]
     gts = {g.geom_type for g in geoms if g is not None}
     header_gt = gts.pop() if len(gts) == 1 else _GT_UNKNOWN

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import re
 
-import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
 from ..core.wkt import from_geojson, to_geojson
-from .vector import ENVELOPE
+from .vector import ENVELOPE, with_geometry
 
 
 _GEOM_TYPES = {"Point", "MultiPoint", "LineString", "MultiLineString",
@@ -68,7 +67,7 @@ def _features_to_table(feats) -> pa.Table:
     cols: dict[str, list] = {"fid": []}
     for k in keys:
         cols[k] = []
-    wkbs, envs = [], []
+    geoms = []
     for i, ft in enumerate(feats):
         props = ft.get("properties") or {}
         fid = ft.get("id", i)
@@ -77,22 +76,9 @@ def _features_to_table(feats) -> pa.Table:
             cols[k].append(props.get(k))
         gj = ft.get("geometry")
         try:
-            g = from_geojson(gj) if gj is not None else None
-            enc = W.dumps(g) if g is not None else None
+            geoms.append(from_geojson(gj) if gj is not None else None)
         except (TypeError, IndexError, KeyError, ValueError):
-            g = enc = None               # null/ragged coordinates
-        if enc is None:                  # null-geometry feature
-            wkbs.append(None)
-            envs.append((np.nan, np.nan, np.nan, np.nan))
-        else:
-            wkbs.append(enc)
-            try:
-                e = np.asarray(g.envelope(), dtype=np.float64).ravel()
-            except (IndexError, ValueError):
-                e = np.empty(0)          # empty geometry
-            envs.append(tuple(e[:4]) if e.size >= 4
-                        else (np.nan, np.nan, np.nan, np.nan))
-    env = np.array(envs, np.float64) if envs else np.empty((0, 4))
+            geoms.append(None)           # null/ragged coordinates
     # OGR-style field type promotion: mixed int/real → real, any
     # other mix (or nested lists/objects) → JSON-ish strings
     for k in keys:
@@ -108,12 +94,9 @@ def _features_to_table(feats) -> pa.Table:
                        for v in vals]
         elif kinds == {int, float}:
             cols[k] = [None if v is None else float(v) for v in vals]
-    t = pa.table({"fid": pa.array(cols["fid"], pa.int64()),
-                  **{k: pa.array(cols[k]) for k in keys}})
-    t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-    for j, name in enumerate(["minx", "miny", "maxx", "maxy"]):
-        t = t.append_column(name, pa.array(env[:, j], pa.float64()))
-    return t
+    return with_geometry(pa.table({"fid": pa.array(cols["fid"], pa.int64()),
+                                   **{k: pa.array(cols[k]) for k in keys}}),
+                         geoms)
 
 
 def _geometry(b: bytes | None) -> dict | None:
@@ -121,11 +104,10 @@ def _geometry(b: bytes | None) -> dict | None:
     return None if b is None else to_geojson(W.loads(b))
 
 
-def write_geojson(table: pa.Table, path: str, *,
-                  wkb_col: str = "wkb") -> None:
+def write_geojson(table: pa.Table, path: str) -> None:
     """Arrow table with a WKB column → FeatureCollection file."""
-    skip = {wkb_col, *ENVELOPE}
-    prop_cols = [c for c in table.column_names if c not in skip and c != "fid"]
+    skip = {"wkb", "fid", *ENVELOPE}
+    prop_cols = [c for c in table.column_names if c not in skip]
     fids = table["fid"].to_pylist() if "fid" in table.column_names \
         else list(range(table.num_rows))
     feats = []
@@ -133,7 +115,7 @@ def write_geojson(table: pa.Table, path: str, *,
         props = {c: table[c][i].as_py() for c in prop_cols}
         feats.append({"type": "Feature", "id": fids[i],
                       "properties": props,
-                      "geometry": _geometry(table[wkb_col][i].as_py())})
+                      "geometry": _geometry(table["wkb"][i].as_py())})
     with open(path, "w") as f:
         json.dump({"type": "FeatureCollection", "features": feats}, f)
 
@@ -158,15 +140,14 @@ def read_geojsonseq_table(path: str) -> pa.Table:
 
 
 def write_geojsonseq(table: pa.Table, path: str, *,
-                     wkb_col: str = "wkb", rs: bool = False) -> int:
+                     rs: bool = False) -> int:
     """Write one Feature per line (RS-prefixed when rs=True)."""
     n = 0
-    skip = {wkb_col, *ENVELOPE}
+    skip = {"wkb", "fid", *ENVELOPE}
     with open(path, "w") as f:
         for row in table.to_pylist():
-            geom = _geometry(row[wkb_col])
-            props = {k: v for k, v in row.items()
-                     if k not in skip and k != "fid"}
+            geom = _geometry(row["wkb"])
+            props = {k: v for k, v in row.items() if k not in skip}
             ft = {"type": "Feature", "id": row.get("fid"),
                   "properties": props, "geometry": geom}
             f.write(("\x1e" if rs else "") + json.dumps(ft) + "\n")

@@ -30,8 +30,8 @@ _GEOM_NAMES = {W.POINT: "Point", W.LINESTRING: "LineString",
                W.GEOMETRYCOLLECTION: "GeometryCollection"}
 
 
-def geo_metadata(geometry_col: str = "wkb", *, geometry_types=(),
-                 bbox=None, crs_code: int | None = None) -> dict:
+def geo_metadata(*, geometry_types=(), bbox=None,
+                 crs_code: int | None = None) -> dict:
     """The ``geo`` metadata dict (GeoParquet 1.1.0)."""
     col: dict = {"encoding": "WKB",
                  "geometry_types": sorted(geometry_types)}
@@ -40,21 +40,20 @@ def geo_metadata(geometry_col: str = "wkb", *, geometry_types=(),
     if crs_code is not None:
         col["crs"] = {"id": {"authority": "EPSG", "code": int(crs_code)}}
     return {"version": GEOPARQUET_VERSION,
-            "primary_column": geometry_col,
-            "columns": {geometry_col: col}}
+            "primary_column": "wkb",
+            "columns": {"wkb": col}}
 
 
 def write_geoparquet(table: pa.Table, path: str, *,
-                     geometry_col: str = "wkb",
                      crs_code: int | None = None, **pq_kwargs) -> int:
     """Write a layer table as GeoParquet: the parquet file plus the
     ``geo`` key so other engines see the geometry column. Geometry
     types and bbox are derived from the data (envelope columns when
     present, else decoded from WKB)."""
-    if geometry_col not in table.column_names:
-        raise ValueError(f"geometry column {geometry_col!r} not in table")
+    if "wkb" not in table.column_names:
+        raise ValueError("geometry column 'wkb' not in table")
     gtypes: set[str] = set()
-    for v in table[geometry_col]:
+    for v in table["wkb"]:
         b = v.as_py()
         if b is None:
             continue
@@ -66,13 +65,12 @@ def write_geoparquet(table: pa.Table, path: str, *,
                 float(np.nanmax(table["maxy"].to_numpy(zero_copy_only=False)))]
     else:
         envs = np.array([W.loads(v.as_py()).envelope()
-                         for v in table[geometry_col]
+                         for v in table["wkb"]
                          if v.as_py() is not None]).reshape(-1, 4)
         bbox = [float(np.nanmin(envs[:, 0])), float(np.nanmin(envs[:, 1])),
                 float(np.nanmax(envs[:, 2])), float(np.nanmax(envs[:, 3]))] \
             if len(envs) else None
-    meta = geo_metadata(geometry_col, geometry_types=gtypes, bbox=bbox,
-                        crs_code=crs_code)
+    meta = geo_metadata(geometry_types=gtypes, bbox=bbox, crs_code=crs_code)
     existing = table.schema.metadata or {}
     schema_meta = {**existing, b"geo": json.dumps(meta).encode("utf-8")}
     pq.write_table(table.replace_schema_metadata(schema_meta), path,

@@ -142,11 +142,10 @@ def read_georss_table(path: str) -> pa.Table:
     return with_geometry(t, geoms).replace_schema_metadata({b"crs": b"EPSG:4326"})
 
 
-def write_georss(table: pa.Table, path: str,
-                 wkb_col: str = "wkb") -> int:
+def write_georss(table: pa.Table, path: str) -> int:
     """Write an RSS 2.0 GeoRSS-simple document (the reference's
     default FORMAT=RSS GEOM_DIALECT=SIMPLE)."""
-    skip = {wkb_col, "fid", *ENVELOPE}
+    skip = {"wkb", "fid", *ENVELOPE}
     names = [c for c in table.column_names if c not in skip]
     out = ['<?xml version="1.0"?>',
            f'<rss version="2.0" xmlns:georss="{_GEORSS_NS}">',
@@ -160,7 +159,7 @@ def write_georss(table: pa.Table, path: str,
                 continue
             from xml.sax.saxutils import escape
             out.append(f"      <{n}>{escape(str(v))}</{n}>")
-        b = table[wkb_col][i].as_py()
+        b = table["wkb"][i].as_py()
         if b:
             g = W.loads(b)
             if g.geom_type == W.POINT:

@@ -486,12 +486,12 @@ def _gml_geom(g: "W.Geometry") -> str:
     raise ValueError(f"unsupported geometry type {t} for GML write")
 
 
-def write_gml(table: pa.Table, path: str, *, layer_name: str = "layer",
-              wkb_col: str = "wkb") -> int:
+def write_gml(table: pa.Table, path: str, *,
+              layer_name: str = "layer") -> int:
     """Layer table → GML2 FeatureCollection (the reference's classic
     ogr2ogr -f GML output shape). Coordinates are repr()-exact, so the
     roundtrip through read_gml_table is lossless."""
-    skip = {wkb_col, *ENVELOPE, "gml_id", "layer"}
+    skip = {"wkb", *ENVELOPE, "gml_id", "layer"}
     fields = [c for c in table.column_names if c not in skip]
     rows = table.to_pylist()
     out = ['<?xml version="1.0" encoding="utf-8" ?>',
@@ -503,7 +503,7 @@ def write_gml(table: pa.Table, path: str, *, layer_name: str = "layer",
     for i, row in enumerate(rows):
         out.append("  <gml:featureMember>")
         out.append(f'    <ogr:{layer_name} fid="{layer_name}.{i}">')
-        b = row.get(wkb_col)
+        b = row.get("wkb")
         if b is not None:
             out.append("      <ogr:geometryProperty>"
                        + _gml_geom(W.loads(b))

@@ -167,12 +167,12 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def write_gmt(table: pa.Table, path: str, wkb_col: str = "wkb") -> int:
+def write_gmt(table: pa.Table, path: str) -> int:
     """Write a layer table to GMT ASCII (geometry type from the first
     feature, attribute columns minus the envelope/wkb plumbing)."""
-    skip = {wkb_col, *ENVELOPE, "fid"}
+    skip = {"wkb", *ENVELOPE, "fid"}
     names = [c for c in table.column_names if c not in skip]
-    wkbs = table[wkb_col].to_pylist()
+    wkbs = table["wkb"].to_pylist()
     if None in wkbs:
         raise ValueError("GMT cannot store a null geometry "
                          f"(row {wkbs.index(None)})")

@@ -15,7 +15,7 @@ import struct
 import pyarrow as pa
 
 from ..core import wkb as W
-from .vector import ENVELOPE
+from .vector import ENVELOPE, with_geometry
 
 _ENV_SIZE = {0: 0, 1: 32, 2: 48, 3: 48, 4: 64}
 
@@ -67,47 +67,38 @@ def read_gpkg(path: str, table: str | None = None) -> pa.Table:
             "WHERE table_name = ?", (table,)).fetchone()
         if row:
             geom_col = row[0]
+        # the INTEGER PRIMARY KEY is the feature id, as in OGR's driver
+        pk = [(r[1], r[2]) for r in con.execute(
+            f'PRAGMA table_info("{table}")') if r[5]]
+        fid_col = pk[0][0] if len(pk) == 1 \
+            and pk[0][1].upper() == "INTEGER" else None
         cur = con.execute(f'SELECT * FROM "{table}"')
         names = [d[0] for d in cur.description]
-        cols: dict[str, list] = {"fid": [], "wkb": [], "minx": [],
-                                 "miny": [], "maxx": [], "maxy": []}
-        attr_names = [n for n in names if n != geom_col]
-        for n in attr_names:
-            key = n if n not in cols else f"attr_{n}"
-            cols[key] = []
-        fid_auto = 0
+        taken = {"fid", "wkb", *ENVELOPE}
+        keys = {}
+        for n in names:
+            if n not in (geom_col, fid_col):
+                keys[n] = n if n not in taken else f"attr_{n}"
+                taken.add(keys[n])
+        fids, geoms = [], []
+        attrs: dict[str, list] = {k: [] for k in keys.values()}
         for rec in cur:
             rowd = dict(zip(names, rec))
-            g = None
-            if geom_col is not None and rowd.get(geom_col) is not None:
-                g = _parse_gpb(rowd[geom_col])
-            cols["fid"].append(fid_auto)
-            fid_auto += 1
-            if g is None:
-                cols["wkb"].append(None)
-                for k in ENVELOPE:
-                    cols[k].append(None)
-            else:
-                env = g.envelope()
-                cols["wkb"].append(W.dumps(g))
-                cols["minx"].append(float(env[0]))
-                cols["miny"].append(float(env[1]))
-                cols["maxx"].append(float(env[2]))
-                cols["maxy"].append(float(env[3]))
-            for n in attr_names:
-                key = n if n in cols and n not in (
-                    "fid", "wkb", *ENVELOPE) \
-                    else f"attr_{n}"
-                if key not in cols:
-                    key = n
-                cols.setdefault(key, []).append(rowd.get(n))
-        return pa.Table.from_pydict(cols)
+            fids.append(len(fids) if fid_col is None else rowd[fid_col])
+            blob = rowd.get(geom_col)
+            geoms.append(None if blob is None else _parse_gpb(blob))
+            for n, k in keys.items():
+                attrs[k].append(rowd[n])
+        t = with_geometry(pa.table({"fid": pa.array(fids, pa.int64())}), geoms)
+        for k, vals in attrs.items():
+            t = t.append_column(k, pa.array(vals))
+        return t
     finally:
         con.close()
 
 
 def write_gpkg(table: pa.Table, path: str, *, layer: str = "layer",
-               srs_id: int = 3857, wkb_col: str = "wkb") -> None:
+               srs_id: int = 3857) -> None:
     """Arrow table with a WKB column → minimal spec-compliant GeoPackage
     (gpkg_spatial_ref_sys / gpkg_contents / gpkg_geometry_columns +
     feature table with GPB-wrapped geometry)."""
@@ -137,8 +128,8 @@ def write_gpkg(table: pa.Table, path: str, *, layer: str = "layer",
             geometry_type_name TEXT NOT NULL, srs_id INTEGER NOT NULL,
             z TINYINT NOT NULL, m TINYINT NOT NULL,
             CONSTRAINT pk_geom_cols PRIMARY KEY (table_name, column_name))""")
-        skip = {wkb_col, *ENVELOPE}
-        attrs = [c for c in table.column_names if c not in skip and c != "fid"]
+        skip = {"wkb", "fid", *ENVELOPE}
+        attrs = [c for c in table.column_names if c not in skip]
 
         def sql_type(col):
             import pyarrow as _pa
@@ -159,7 +150,7 @@ def write_gpkg(table: pa.Table, path: str, *, layer: str = "layer",
                     "(?, 'geom', 'GEOMETRY', ?, 0, 0)", (layer, srs_id))
         fids = table["fid"].to_pylist() if "fid" in table.column_names \
             else list(range(table.num_rows))
-        wkbs = table[wkb_col].to_pylist()
+        wkbs = table["wkb"].to_pylist()
         hdr = b"GP\x00" + bytes([0b00000001]) + struct.pack("<i", srs_id)
         ph = ", ".join(["?"] * (2 + len(attrs)))
         for i in range(table.num_rows):

@@ -176,13 +176,13 @@ def _field_xml(row: dict, keys) -> str:
     return "".join(out)
 
 
-def write_gpx(table: pa.Table, path: str, *, wkb_col: str = "wkb") -> int:
+def write_gpx(table: pa.Table, path: str) -> int:
     """Layer table → GPX file. POINT rows become wpt, LINESTRING rows
     rte (rtept members), MULTILINESTRING rows trk (trkseg/trkpt) — the
     OGR writer's layer mapping. Attribute columns matching the GPX
     schema are emitted; others are skipped (the reference behaves the
     same without GPX_USE_EXTENSIONS)."""
-    skip = {wkb_col, "fid", *ENVELOPE}
+    skip = {"wkb", "fid", *ENVELOPE}
     keys = [c for c in table.column_names if c not in skip]
     pt_keys = [k for k in keys if k in _PT_FIELDS or k.startswith("link")]
     seq_keys = [k for k in keys if k in _SEQ_FIELDS or k.startswith("link")]
@@ -192,9 +192,9 @@ def write_gpx(table: pa.Table, path: str, *, wkb_col: str = "wkb") -> int:
              'xmlns="http://www.topografix.com/GPX/1/1">']
     n = 0
     for i, row in enumerate(rows):
-        if row[wkb_col] is None:
+        if row["wkb"] is None:
             raise ValueError(f"GPX cannot store a null geometry (row {i})")
-        g = W.loads(row[wkb_col])
+        g = W.loads(row["wkb"])
         if g.geom_type == W.POINT:
             x, y = float(g.coords[0, 0]), float(g.coords[0, 1])
             parts.append(f'<wpt lat="{y!r}" lon="{x!r}">'

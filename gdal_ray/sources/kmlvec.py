@@ -173,20 +173,20 @@ def _esc(s: str) -> str:
             .replace(">", "&gt;"))
 
 
-def write_kml(table: pa.Table, path: str, *, wkb_col: str = "wkb",
+def write_kml(table: pa.Table, path: str, *,
               name_col: str = "Name") -> None:
     """Arrow table with a WKB column → KML Document of Placemarks.
     Non-geometry, non-envelope columns become ExtendedData fields
     (Name goes to <name>); a null geometry leaves its Placemark without
     one."""
-    skip = {wkb_col, *ENVELOPE, "fid", name_col}
+    skip = {"wkb", *ENVELOPE, "fid", name_col}
     prop_cols = [c for c in table.column_names if c not in skip]
     parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
              '<kml xmlns="http://www.opengis.net/kml/2.2">\n<Document>\n']
     names = table[name_col].to_pylist() \
         if name_col in table.column_names else [None] * table.num_rows
     for i in range(table.num_rows):
-        b = table[wkb_col][i].as_py()
+        b = table["wkb"][i].as_py()
         parts.append("<Placemark>")
         if names[i] is not None:
             parts.append(f"<name>{_esc(str(names[i]))}</name>")

@@ -341,12 +341,12 @@ def _geom_mif(g: W.Geometry) -> str:
     raise ValueError(f"MIF cannot store {g.type_name}")
 
 
-def write_mif(table: pa.Table, path: str, *, wkb_col: str = "wkb") -> int:
+def write_mif(table: pa.Table, path: str) -> int:
     """Layer table → .mif + .mid pair (Version 300, comma delimiter).
     Column types map back: int64→Integer, float64→Float, bool→Logical,
     else Char(254)."""
     import os
-    skip = {wkb_col, "fid", *ENVELOPE}
+    skip = {"wkb", "fid", *ENVELOPE}
     fields = [(c, table.schema.field(c).type) for c in table.column_names
               if c not in skip]
 
@@ -367,7 +367,7 @@ def write_mif(table: pa.Table, path: str, *, wkb_col: str = "wkb") -> int:
     n = 0
     rows = table.to_pylist()
     for row in rows:
-        b = row.get(wkb_col)
+        b = row.get("wkb")
         body.append(_geom_mif(W.loads(b)) if b is not None else "none")
         cells = []
         for nm, t in fields:

@@ -33,7 +33,6 @@ drop into the same Ray Data pipelines as shapefile/GPKG/GeoJSON.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 
@@ -41,7 +40,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
-from .vector import ENVELOPE
+from .vector import with_geometry
 
 __all__ = ["read_gdb", "read_gdb_layer", "list_gdb_layers"]
 
@@ -472,36 +471,23 @@ def read_gdb_layer(gdb_dir: str, layer: str) -> pa.Table:
         raise ValueError(f"layer {layer!r} not in {gdb_dir} "
                          f"(have: {sorted(cat)})")
     tbl = _GdbTable(os.path.join(gdb_dir, f"a{cat[layer]:08x}"))
-    cols: dict[str, list] = {"fid": []}
-    has_geom = tbl.geom_field >= 0
-    if has_geom:
-        for k in ("wkb", *ENVELOPE):
-            cols[k] = []
-    geom_name = tbl.fields[tbl.geom_field].name if has_geom else None
-    for f in tbl.fields:
-        if f.type not in (_FT_GEOMETRY, _FT_OBJECTID):
-            cols[f.name] = []
+    cols: dict[str, list] = {f.name: [] for f in tbl.fields if f.type
+                             not in (_FT_GEOMETRY, _FT_OBJECTID)}
+    geom_name = tbl.fields[tbl.geom_field].name \
+        if tbl.geom_field >= 0 else None
+    fids, geoms = [], []
     for fid, row in tbl.rows():
-        cols["fid"].append(fid)
-        if has_geom:
-            blob = row.get(geom_name)
-            g = _decode_geometry(blob, tbl.geom) if blob else None
-            if g is None:
-                cols["wkb"].append(None)
-                for k in ENVELOPE:
-                    cols[k].append(None)
-            else:
-                env = g.envelope()
-                cols["wkb"].append(W.dumps(g))
-                good = not math.isnan(env[0])
-                cols["minx"].append(env[0] if good else None)
-                cols["miny"].append(env[1] if good else None)
-                cols["maxx"].append(env[2] if good else None)
-                cols["maxy"].append(env[3] if good else None)
-        for f in tbl.fields:
-            if f.type not in (_FT_GEOMETRY, _FT_OBJECTID):
-                cols[f.name].append(row.get(f.name))
-    return pa.table(cols)
+        fids.append(fid)
+        blob = row.get(geom_name)
+        geoms.append(_decode_geometry(blob, tbl.geom) if blob else None)
+        for n, vals in cols.items():
+            vals.append(row.get(n))
+    t = pa.table({"fid": pa.array(fids, pa.int64())})
+    if geom_name is not None:
+        t = with_geometry(t, geoms)
+    for n, vals in cols.items():
+        t = t.append_column(n, pa.array(vals))
+    return t
 
 
 def read_gdb(gdb_dir: str) -> dict[str, pa.Table]:

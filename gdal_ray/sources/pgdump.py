@@ -159,10 +159,10 @@ def write_pgdump(table: pa.Table, path: str, *, layer: str = "layer",
                  geom_type: str = "GEOMETRY", srid: int | None = None,
                  dim: int = 2, use_copy: bool = False,
                  lineformat: str = "LF", postgis_version: float = 2.2,
-                 wkb_col: str = "wkb", widths: dict | None = None,
+                 widths: dict | None = None,
                  spatial_index: str = "GIST", launder: bool = True,
                  fid: str = "ogc_fid") -> str:
-    """Write ``table`` as a PostgreSQL dump. A ``wkb_col`` binary
+    """Write ``table`` as a PostgreSQL dump. A ``wkb`` binary
     column becomes the EWKB geometry payload; every other column
     becomes an attribute. Statement shapes follow the reference tests
     (autotest/ogr/ogr_pgdump.py test 1-3)."""
@@ -172,8 +172,8 @@ def write_pgdump(table: pa.Table, path: str, *, layer: str = "layer",
     eff_srid = srid if srid is not None else unknown_srid
 
     tbl_sql = f"{_esc_ident(schema)}.{_esc_ident(layer)}"
-    has_geom = wkb_col in table.column_names
-    attr_cols = [c for c in table.column_names if c != wkb_col]
+    has_geom = "wkb" in table.column_names
+    attr_cols = [c for c in table.column_names if c != "wkb"]
     names = {c: (_launder(c) if launder else c) for c in attr_cols}
 
     out = []
@@ -201,7 +201,7 @@ def write_pgdump(table: pa.Table, path: str, *, layer: str = "layer",
 
     data = {c: table[c].to_pylist() for c in attr_cols}
     types = {c: table.schema.field(c).type for c in attr_cols}
-    wkbs = table[wkb_col].to_pylist() if has_geom else None
+    wkbs = table["wkb"].to_pylist() if has_geom else None
 
     if use_copy:
         cols = ([_esc_ident(geom_name)] if has_geom else []) + \

@@ -33,6 +33,7 @@ import pyarrow as pa
 from ..core import wkb as W
 from .iso8211 import UT, read_8211
 from .s57_catalog import ATTRIBUTES, OBJECT_CLASSES
+from .vector import with_geometry
 
 __all__ = ["read_s57_layers", "read_s57_table"]
 
@@ -333,7 +334,7 @@ def read_s57_layers(path: str) -> dict[str, pa.Table]:
             "RVER": [], "AGEN": [], "FIDN": [], "FIDS": [], "LNAM": []}
         for k in attr_names:
             cols[k] = []
-        wkbs, envs, zs = [], [], []
+        geoms, zs = [], []
         for ft in feats:
             for k in ("RCID", "PRIM", "GRUP", "OBJL", "RVER", "AGEN",
                       "FIDN", "FIDS", "LNAM"):
@@ -342,16 +343,9 @@ def read_s57_layers(path: str) -> dict[str, pa.Table]:
                 v = ft["attrs"].get(k)
                 cols[k].append(v)
             g = f.geometry(ft)
-            if g is None:
-                wkbs.append(None)
-                envs.append((float("nan"),) * 4)
-                zs.append(None)
-            else:
-                wkbs.append(W.dumps(g))
-                envs.append(g.envelope())
-                zv = getattr(g, "z", None)
-                zs.append(list(zv) if zv is not None else None)
-        env = np.asarray(envs, np.float64)
+            geoms.append(g)
+            zv = getattr(g, "z", None)
+            zs.append(list(zv) if zv is not None else None)
         tbl: dict = {"fid": pa.array(range(len(feats)), pa.int64())}
         for k, vals in cols.items():
             if k == "LNAM" or all(isinstance(v, str) or v is None
@@ -362,13 +356,10 @@ def read_s57_layers(path: str) -> dict[str, pa.Table]:
                     tbl[k] = pa.array(vals)
             else:
                 tbl[k] = pa.array(vals)
-        t = pa.table(tbl)
-        t = t.append_column("wkb", pa.array(wkbs, pa.binary()))
-        if any(z is not None for z in zs):
-            t = t.append_column("z", pa.array(
-                zs, pa.list_(pa.float64())))
-        for j, nm in enumerate(["minx", "miny", "maxx", "maxy"]):
-            t = t.append_column(nm, pa.array(env[:, j], pa.float64()))
+        t = with_geometry(pa.table(tbl), geoms)
+        if any(z is not None for z in zs):      # z sits right after wkb
+            t = t.add_column(t.schema.get_field_index("wkb") + 1, "z",
+                             pa.array(zs, pa.list_(pa.float64())))
         out[acro] = t.replace_schema_metadata({b"crs": b"EPSG:4326"})
     return out
 

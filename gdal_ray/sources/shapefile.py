@@ -20,7 +20,7 @@ import pyarrow as pa
 
 from ..core import geom as _geom
 from ..core import wkb as W
-from .vector import ENVELOPE
+from .vector import ENVELOPE, with_geometry
 
 _Z = {11: 1, 13: 3, 15: 5, 18: 8}   # Z-type → base
 _M = {21: 1, 23: 3, 25: 5, 28: 8}   # M-type → base
@@ -215,27 +215,12 @@ def read_shapefile(path: str) -> pa.Table:
             names, rows = _read_dbf(f.read())
     except FileNotFoundError:
         pass
-    cols: dict[str, list] = {"fid": [], "wkb": [], "minx": [], "miny": [],
-                             "maxx": [], "maxy": []}
+    t = with_geometry(pa.table({"fid": np.arange(len(geoms))}), geoms)
     for nm in names:
-        cols[nm] = []
-    for i, g in enumerate(geoms):
-        cols["fid"].append(i)
-        if g is None:
-            cols["wkb"].append(None)
-            for k in ENVELOPE:
-                cols[k].append(None)
-        else:
-            env = g.envelope()
-            cols["wkb"].append(W.dumps(g))
-            cols["minx"].append(float(env[0]))
-            cols["miny"].append(float(env[1]))
-            cols["maxx"].append(float(env[2]))
-            cols["maxy"].append(float(env[3]))
-        attrs = rows[i] if i < len(rows) else {}
-        for nm in names:
-            cols[nm].append(attrs.get(nm))
-    return pa.Table.from_pydict(cols)
+        t = t.append_column(nm, pa.array(
+            [rows[i].get(nm) if i < len(rows) else None
+             for i in range(len(geoms))]))
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +283,7 @@ def _poly_content(stype: int, parts: list[np.ndarray]) -> bytes:
     return out
 
 
-def write_shapefile(table: pa.Table, path: str, *,
-                    wkb_col: str = "wkb") -> int:
+def write_shapefile(table: pa.Table, path: str) -> int:
     """Write a layer as .shp/.shx/.dbf (ESRI whitepaper layout; the
     reference's write side is ogr/ogrsf_frmts/shape/shpopen.c). All
     geometries must share one shape class (point / line / polygon,
@@ -309,7 +293,7 @@ def write_shapefile(table: pa.Table, path: str, *,
     import os
 
     geoms = [None if b is None else W.loads(b)
-             for b in table.column(wkb_col).to_pylist()]
+             for b in table.column("wkb").to_pylist()]
     if not geoms:
         raise ValueError("empty layer")
     records = [(0, struct.pack("<i", 0)) if g is None else _shape_record(g)
@@ -344,7 +328,7 @@ def write_shapefile(table: pa.Table, path: str, *,
 
     # DBF — fid is positional in this engine (like OGR's implicit FID),
     # so it is not materialized as a field
-    skip = {wkb_col, "fid", *ENVELOPE}
+    skip = {"wkb", "fid", *ENVELOPE}
     fields = [(n, table.schema.field(n).type) for n in table.column_names
               if n not in skip]
     descs, widths, kinds = [], [], []

@@ -45,9 +45,9 @@ def with_geometry(table: pa.Table, geoms) -> pa.Table:
     (binary), then the float64 ``ENVELOPE`` columns. ``geoms`` holds
     one entry per row: a ``wkb.Geometry``, a WKB buffer, or None (a
     null WKB and a NaN envelope). The schema metadata of ``table`` is
-    kept. The vector readers and the stages that rewrite a layer's WKB
-    build their geometry columns here; ``tests/test_layer_geometry.py``
-    lists the few readers that keep a layout of their own."""
+    kept. Every vector reader and every stage that rewrites a layer's
+    WKB builds its geometry columns here, so this is the one place that
+    knows the layout."""
     env = np.full((len(geoms), 4), np.nan)
     wkbs, held = [], []
     for i, g in enumerate(geoms):

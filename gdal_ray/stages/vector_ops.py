@@ -237,48 +237,51 @@ def segmentize_geometry(g: W.Geometry, max_length: float) -> W.Geometry:
 # map_batches wrappers over WKB columns
 # ---------------------------------------------------------------------------
 
-def wkb_map(fn, wkb_col: str = "wkb", refresh_envelope: bool = True):
+def _set_geometry(t: pa.Table, geoms) -> pa.Table:
+    """``t`` with its ``wkb`` column, and the envelope columns it has,
+    rebuilt from ``geoms`` (one per row, None for a missing geometry)."""
+    new = with_geometry(pa.table({}), geoms)
+    for name in ("wkb", *ENVELOPE):
+        if name in t.column_names:
+            t = t.set_column(t.schema.get_field_index(name), name, new[name])
+    return t
+
+
+def wkb_map(fn):
     """Wrap geometry→geometry fn into a batch transform that rewrites the
-    WKB column (and the denormalized envelope columns if present)."""
+    WKB column and the envelope columns present; a null geometry stays
+    null, with a NaN envelope."""
 
     def batch_fn(t: pa.Table) -> pa.Table:
-        new = with_geometry(pa.table({}), [
-            fn(W.loads(b)) for b in t[wkb_col].to_pylist()])
-        t = t.set_column(t.schema.get_field_index(wkb_col), wkb_col,
-                         new["wkb"])
-        if refresh_envelope and "minx" in t.schema.names:
-            for name in ENVELOPE:
-                t = t.set_column(t.schema.get_field_index(name), name,
-                                 new[name])
-        return t
+        return _set_geometry(t, [None if b is None else fn(W.loads(b))
+                                 for b in t["wkb"].to_pylist()])
 
     return batch_fn
 
 
-def explode_collections(t: pa.Table, wkb_col: str = "wkb") -> pa.Table:
-    """flat-map: multi-geometries → one row per part (vector
-    explode-collections)."""
-    idx, out_wkb, part_no = [], [], []
-    for i, b in enumerate(t[wkb_col].to_pylist()):
-        g = W.loads(b)
-        parts = g.parts if g.parts else [g]
-        for k, p in enumerate(parts):
+def explode_collections(t: pa.Table) -> pa.Table:
+    """flat-map: multi-geometries → one row per part, with the part's
+    envelope (vector explode-collections); a null geometry stays one
+    null row."""
+    idx, parts, part_no = [], [], []
+    for i, b in enumerate(t["wkb"].to_pylist()):
+        g = None if b is None else W.loads(b)
+        for k, p in enumerate(g.parts if g is not None and g.parts else [g]):
             idx.append(i)
-            out_wkb.append(W.dumps(p))
+            parts.append(p)
             part_no.append(k)
-    base = t.remove_column(t.schema.get_field_index(wkb_col)) \
-        .take(pa.array(idx, pa.int64()))
-    return base.append_column(wkb_col, pa.array(out_wkb, pa.binary())) \
+    return _set_geometry(t.take(pa.array(idx, pa.int64())), parts) \
         .append_column("part_index", pa.array(part_no, pa.int64()))
 
 
-def add_geometry_columns(t: pa.Table, wkb_col: str = "wkb") -> pa.Table:
-    """Append area / centroid_x / centroid_y columns."""
+def add_geometry_columns(t: pa.Table) -> pa.Table:
+    """Append area / centroid_x / centroid_y columns, null for a null
+    geometry."""
     areas, cxs, cys = [], [], []
-    for b in t[wkb_col].to_pylist():
-        g = W.loads(b)
-        areas.append(geom.area(g))
-        cx, cy = geom.centroid(g)
+    for b in t["wkb"].to_pylist():
+        g = None if b is None else W.loads(b)
+        areas.append(None if g is None else geom.area(g))
+        cx, cy = (None, None) if g is None else geom.centroid(g)
         cxs.append(cx)
         cys.append(cy)
     return t.append_column("area", pa.array(areas, pa.float64())) \
@@ -357,22 +360,15 @@ def transform_geometry(g, fwd):
     return g
 
 
-def reproject_wkb_batch(t, src_crs: str, dst_crs: str,
-                        wkb_col: str = "wkb"):
-    """map_batches stage: reproject the WKB geometry column
-    (ogr2ogr -t_srs semantics: every vertex through the CRS chain,
-    attributes untouched). The transform resolves through the same
-    registry/4326-hub the raster warp uses
-    (stages/warp.py::get_transform)."""
-    import pyarrow as pa
-
-    from ..core import wkb as W
+def reproject_wkb_batch(t, src_crs: str, dst_crs: str):
+    """map_batches stage: reproject the WKB geometry column and its
+    envelope columns (ogr2ogr -t_srs semantics: every vertex through
+    the CRS chain, attributes untouched, a null geometry stays null).
+    The transform resolves through the same registry/4326-hub the
+    raster warp uses (stages/warp.py::get_transform)."""
     from .warp import get_transform
 
     fwd = get_transform(src_crs, dst_crs)
-    out = []
-    for b in t.column(wkb_col).to_pylist():
-        out.append(W.dumps(transform_geometry(W.loads(b), fwd)))
-    cols = {c: t.column(c) for c in t.column_names}
-    cols[wkb_col] = pa.array(out, pa.binary())
-    return pa.table(cols)
+    # the table's metadata may name the source CRS, which no longer holds
+    return wkb_map(lambda g: transform_geometry(g, fwd))(t) \
+        .replace_schema_metadata(None)

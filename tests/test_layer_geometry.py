@@ -2,10 +2,10 @@
 and an AST ratchet against hand-built envelope columns elsewhere.
 
 Every vector layer table carries a WKB ``wkb`` column and the float64
-``minx/miny/maxx/maxy`` envelope columns (``ENVELOPE``). Readers and the
-stages that write WKB build them through it; the modules in
-``ALLOWED`` keep their own code because their tables differ from the
-layout of ``with_geometry``, each for the reason given."""
+``minx/miny/maxx/maxy`` envelope columns (``ENVELOPE``), with a null
+``wkb`` and a NaN envelope for a missing geometry. Readers and the
+stages that write WKB build them through it, and no function takes the
+geometry column's name as a parameter."""
 
 from __future__ import annotations
 
@@ -64,22 +64,7 @@ def test_table_without_columns_takes_the_row_count_of_geoms():
 # ------------------------------------------------------------ ratchet
 # modules that build the envelope columns by hand, and why; may only
 # shrink
-ALLOWED = {
-    "sources/csvio.py":
-        "a missing geometry gets a null envelope, not NaN, and a file "
-        "with no geometry column gets null-typed wkb/envelope columns",
-    "sources/gpkg.py":
-        "a missing geometry gets a null envelope, not NaN",
-    "sources/shapefile.py":
-        "a null shape gets a null envelope, not NaN",
-    "sources/openfilegdb.py":
-        "a missing or empty geometry gets a null envelope, not NaN",
-    "sources/geojson.py":
-        "a geometry whose envelope() raises (ragged coordinates) keeps "
-        "its WKB with a NaN envelope",
-    "sources/s57.py":
-        "the z column sits between wkb and minx",
-}
+ALLOWED: dict[str, str] = {}
 
 _ENV = set(ENVELOPE)
 
@@ -138,7 +123,28 @@ def test_only_with_geometry_builds_envelope_columns():
 
 
 def test_allow_list_only_shrinks():
-    assert len(ALLOWED) <= 6
+    assert len(ALLOWED) <= 0
+
+
+def _layout_params():
+    """``module:function`` for every parameter that names the layer's
+    geometry column."""
+    found = []
+    for path in sorted(PKG.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs):
+                    if arg.arg in ("wkb_col", "geometry_col"):
+                        found.append(f"{path.relative_to(PKG).as_posix()}:"
+                                     f"{getattr(node, 'name', 'lambda')}")
+    return found
+
+
+def test_no_function_takes_the_geometry_column_name():
+    # the layer layout is fixed: the geometry column is always "wkb"
+    assert _layout_params() == []
 
 
 def test_ratchet_sees_the_hand_built_shapes():

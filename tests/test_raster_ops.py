@@ -256,11 +256,19 @@ class TestVectorOps:
     def test_explode(self):
         import pyarrow as pa
         from gdal_ray.stages.vector_ops import explode_collections
+        from gdal_ray.sources.vector import with_geometry
         g = wkb.multipolygon([wkb.box(0, 0, 1, 1), wkb.box(2, 2, 3, 3)])
         t = pa.table({"fid": [1], "wkb": [wkb.dumps(g)]})
         out = explode_collections(t)
         assert out.num_rows == 2
         assert out["part_index"].to_pylist() == [0, 1]
+        # each part carries its own envelope; the layout keeps its order
+        out = explode_collections(
+            with_geometry(pa.table({"fid": [1], "name": ["a"]}), [g]))
+        assert out.column_names == ["fid", "name", "wkb", "minx", "miny",
+                                    "maxx", "maxy", "part_index"]
+        assert out["minx"].to_pylist() == [0.0, 2.0]
+        assert out["maxy"].to_pylist() == [1.0, 3.0]
 
     def test_geometry_columns(self):
         import pyarrow as pa

@@ -726,7 +726,7 @@ PROBES = {
 # the others).
 EXPECTED = [
     ("layer.shp", "ESRI Shapefile", 3, "31560c1c3b25ecfd"),
-    ("layer.gpkg", "GPKG", 3, "4f7667a3db48d261"),
+    ("layer.gpkg", "GPKG", 3, "6ff311ede80fc0b4"),
     ("layer.csv", "CSV", 3, "4f7667a3db48d261"),
     ("layer.geojson", "GeoJSON", 3, "8f893782a61e44db"),
     ("layer.geojsonl", "GeoJSONSeq", 3, "8f893782a61e44db"),

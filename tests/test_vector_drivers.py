@@ -115,6 +115,72 @@ class TestCSV:
             read_csv("\n")   # header-less text (no file path lookup)
 
 
+def test_gpkg_keeps_the_layer_fid(tmp_path):
+    """The INTEGER PRIMARY KEY ``write_gpkg`` stores the fid in reads
+    back as ``fid`` (OGR's GPKG driver does the same), not as an
+    attribute next to a renumbered fid."""
+    import pyarrow as pa
+    from gdal_ray.sources.gpkg import read_gpkg, write_gpkg
+    from gdal_ray.sources.vector import with_geometry
+    src = with_geometry(pa.table({"fid": pa.array([10, 20], pa.int64()),
+                                  "name": ["a", "b"]}),
+                        [W.point(1.0, 2.0), W.point(3.0, 4.0)])
+    write_gpkg(src, str(tmp_path / "l.gpkg"))
+    back = read_gpkg(str(tmp_path / "l.gpkg"))
+    assert back["fid"].to_pylist() == [10, 20]
+    assert back.column_names == ["fid", "wkb", "minx", "miny", "maxx",
+                                 "maxy", "name"]
+
+
+@pytest.mark.parametrize("geometry, env", [
+    ({"type": "LineString", "coordinates": [[0, 0, 5], [1, 1, 5]]},
+     [0, 0, 1, 1]),
+    ({"type": "MultiLineString",
+      "coordinates": [[[0, 0, 5], [1, 1, 5]], [[2, 2, 5], [3, 4, 5]]]},
+     [0, 0, 3, 4]),
+    ({"type": "MultiPolygon",
+      "coordinates": [[[[0, 0, 1], [2, 0, 1], [2, 2, 1], [0, 0, 1]]],
+                      [[[5, 5, 1], [6, 5, 1], [6, 7, 1], [5, 5, 1]]]]},
+     [0, 0, 6, 7]),
+    ({"type": "Polygon",
+      "coordinates": [[[0, 0], [9, 0], [9, 9], [0, 0]],
+                      [[1, 1, 1], [2, 1, 1], [2, 2, 1], [1, 1, 1]]]},
+     [0, 0, 9, 9]),
+    ({"type": "MultiPoint", "coordinates": [[0, 0, 1], [3, 4, 1]]},
+     [0, 0, 3, 4]),
+], ids=["linestring", "multilinestring", "multipolygon", "mixed_rings",
+        "multipoint"])
+def test_geojson_3d_positions_read_as_xy(tmp_path, geometry, env):
+    """A GeoJSON position's Z is dropped where it is parsed: the WKB is
+    2-D and decodes back to the x/y envelope the layer carries."""
+    import json
+    from gdal_ray.sources.geojson import read_geojson_table
+    p = tmp_path / "z.geojson"
+    p.write_text(json.dumps({"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": {}, "geometry": geometry}]}))
+    t = read_geojson_table(str(p))
+    assert [t[c][0].as_py() for c in ("minx", "miny", "maxx", "maxy")] \
+        == env
+    assert list(W.loads(t["wkb"][0].as_py()).envelope()) == env
+
+
+def test_geojson_nested_point_is_a_null_geometry(tmp_path):
+    """A Point whose coordinates are a list of positions is not a
+    geometry; the feature reads with a null one, the file still reads."""
+    import json
+    from gdal_ray.sources.geojson import read_geojson_table
+    p = tmp_path / "bad.geojson"
+    p.write_text(json.dumps({"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": {},
+         "geometry": {"type": "Point", "coordinates": [[0, 0], [1, 1]]}},
+        {"type": "Feature", "properties": {},
+         "geometry": {"type": "Point", "coordinates": [1, 2]}}]}))
+    t = read_geojson_table(str(p))
+    assert t["wkb"].to_pylist()[0] is None
+    assert np.isnan(t["minx"][0].as_py())
+    assert t["minx"][1].as_py() == 1.0
+
+
 class TestDriverDispatch:
     """§2.12 driver manager analog: extension routing + user hook."""
 

@@ -48,6 +48,17 @@ def test_batch_preserves_attributes():
     assert W.loads(o["wkb"][0].as_py()).envelope()[2] == pytest.approx(90.0)
 
 
+def test_batch_rewrites_the_envelope():
+    import pyarrow as pa
+    from gdal_ray.sources.vector import ENVELOPE, with_geometry
+    t = with_geometry(pa.table({"fid": [7]}), [W.box(0, 0, OS / 2, OS / 2)])
+    o = reproject_wkb_batch(t, "EPSG:3857", "EPSG:4326")
+    assert o.column_names == ["fid", "wkb", *ENVELOPE]
+    assert [o[n][0].as_py() for n in ENVELOPE] == pytest.approx(
+        W.loads(o["wkb"][0].as_py()).envelope())
+    assert o["maxx"][0].as_py() == pytest.approx(90.0)
+
+
 def test_unknown_crs_raises():
     with pytest.raises(ValueError):
         get_transform("EPSG:3857", "EPSG:99999")
