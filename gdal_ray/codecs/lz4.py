@@ -11,7 +11,7 @@ library.
   15 → extended 255-bytes), 2-byte LE match offset, overlapping
   copies byte-exact; the compressor is a greedy 4-byte-hash matcher
   emitting valid (not byte-identical to liblz4) streams.
-- ``numcodecs_lz4_decode/encode`` — the 4-byte LE uncompressed-size
+- ``numcodecs_lz4_decode`` — reads the 4-byte LE uncompressed-size
   prefix numcodecs' LZ4 codec adds around a block.
 - ``blosc_decompress/blosc_compress`` — the 16-byte blosc header
   (version, versionlz, flags with shuffle bits 0/2 and codec id in
@@ -33,8 +33,7 @@ import zlib as _zlib
 
 import numpy as np
 
-__all__ = ["lz4_compress", "lz4_decompress",
-           "numcodecs_lz4_decode", "numcodecs_lz4_encode",
+__all__ = ["lz4_compress", "lz4_decompress", "numcodecs_lz4_decode",
            "blosc_compress", "blosc_decompress"]
 
 
@@ -157,10 +156,6 @@ def _emit_seq(out: bytearray, literals: bytes, offset: int,
 def numcodecs_lz4_decode(data: bytes) -> bytes:
     (size,) = struct.unpack_from("<I", data, 0)
     return lz4_decompress(data[4:], size)
-
-
-def numcodecs_lz4_encode(data: bytes) -> bytes:
-    return struct.pack("<I", len(data)) + lz4_compress(data)
 
 
 # --------------------------------------------------------------- blosc

@@ -208,11 +208,6 @@ class NTv2Grid:
         return glon, glat
 
 
-def ntv2_shift(buf: bytes, lon, lat, grid: int = 0):
-    """One-shot convenience wrapper over NTv2Grid.shift."""
-    return NTv2Grid(buf, grid).shift(lon, lat)
-
-
 def encode_ntv2(px: np.ndarray, *, lat_min: float, lat_max: float,
                 lon_min: float, lon_max: float,
                 name: str = "GRID0") -> bytes:

@@ -51,13 +51,6 @@ def apply_inverse(gt: GT, x, y):
     return apply(inv, x, y)
 
 
-def rescale(gt: GT, x_ratio: float, y_ratio: float) -> GT:
-    """Scale pixel size by ratios — overview-level geotransform
-    (gdal_geotransform.h:218)."""
-    return (gt[0], gt[1] * x_ratio, gt[2] * y_ratio,
-            gt[3], gt[4] * x_ratio, gt[5] * y_ratio)
-
-
 def window_envelope(gt: GT, col0: float, row0: float, ncols: float, nrows: float):
     """Pixel window → world bounding box (minx, miny, maxx, maxy).
 

@@ -2001,8 +2001,7 @@ def q_zonal_raster(sf_dir: str):
     """Per-polygon raster-pixel statistics (alg/zonal.cpp): the zone
     layer is the small side → broadcast it once (ray.put) and emit
     additive partials from a per-image map; the only shuffle is the
-    tiny groupby(fid) combine. The both-sides-huge cell co-shuffle path
-    (zonal_raster_stats, salted) is exercised in tests."""
+    tiny groupby(fid) combine."""
     from ..sources.images import images_dataset
     from ..sources.vector import polygons_table
     from ..stages.georef import with_georef

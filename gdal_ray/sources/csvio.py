@@ -12,7 +12,7 @@ import pyarrow as pa
 
 from ..core import wkb as W
 from ..core import wkt as WT
-from .vector import ENVELOPE, with_geometry
+from .vector import ENVELOPE, attribute_names, with_geometry
 
 _GEOM_NAMES = ("wkt", "geometry", "geom", "the_geom")
 _X_NAMES = ("x", "lon", "longitude", "easting")
@@ -70,17 +70,8 @@ def read_csv(path_or_text: str, *, geom_col: str | None = None,
         xi = header.index(x_col) if x_col else None
         yi = header.index(y_col) if y_col else None
         attr_idx = [k for k in range(len(header)) if k != gi]
-        reserved = {"fid", "wkb", *ENVELOPE}
-        taken = set(reserved)
-        keys = {}
-        for k in attr_idx:
-            nm = header[k].strip()
-            if nm.lower() in reserved:
-                nm = f"attr_{nm}"
-            while nm in taken:           # duplicate header names
-                nm = nm + "_"
-            taken.add(nm)
-            keys[k] = nm
+        keys = dict(zip(attr_idx, attribute_names(
+            header[k].strip() for k in attr_idx)))
         attrs: dict[str, list] = {nm: [] for nm in keys.values()}
         geoms = []
         for row in rdr:

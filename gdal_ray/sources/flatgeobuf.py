@@ -31,7 +31,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
-from .vector import ENVELOPE, with_geometry
+from .vector import ENVELOPE, attribute_names, with_geometry
 
 MAGIC = b"fgb\x03fgb"
 
@@ -407,8 +407,8 @@ def read_fgb(path: str, bbox=None) -> pa.Table:
             fid += 1
 
     t = with_geometry(pa.table({"fid": pa.array(fids, pa.int64())}), geoms)
-    for name, ctype in cols:
-        key = name if name not in t.column_names else f"attr_{name}"
+    for (name, ctype), key in zip(cols,
+                                  attribute_names(n for n, _ in cols)):
         t = t.append_column(key, pa.array(attrs[name], _COL_PA[ctype]))
     return t
 

@@ -16,7 +16,7 @@ import pyarrow as pa
 
 from ..core import wkb as W
 from ..core.wkt import from_geojson, to_geojson
-from .vector import ENVELOPE, with_geometry
+from .vector import ENVELOPE, attribute_names, with_geometry
 
 
 _GEOM_TYPES = {"Point", "MultiPoint", "LineString", "MultiLineString",
@@ -64,14 +64,12 @@ def _features_to_table(feats) -> pa.Table:
         for k in (ft.get("properties") or {}):
             if k not in keys:
                 keys.append(k)
-    cols: dict[str, list] = {"fid": []}
-    for k in keys:
-        cols[k] = []
-    geoms = []
+    cols: dict[str, list] = {k: [] for k in keys}
+    fids, geoms = [], []
     for i, ft in enumerate(feats):
         props = ft.get("properties") or {}
         fid = ft.get("id", i)
-        cols["fid"].append(int(fid) if isinstance(fid, (int, float)) else i)
+        fids.append(int(fid) if isinstance(fid, (int, float)) else i)
         for k in keys:
             cols[k].append(props.get(k))
         gj = ft.get("geometry")
@@ -94,9 +92,10 @@ def _features_to_table(feats) -> pa.Table:
                        for v in vals]
         elif kinds == {int, float}:
             cols[k] = [None if v is None else float(v) for v in vals]
-    return with_geometry(pa.table({"fid": pa.array(cols["fid"], pa.int64()),
-                                   **{k: pa.array(cols[k]) for k in keys}}),
-                         geoms)
+    names = attribute_names(keys)
+    return with_geometry(pa.table({
+        "fid": pa.array(fids, pa.int64()),
+        **{nm: pa.array(cols[k]) for k, nm in zip(keys, names)}}), geoms)
 
 
 def _geometry(b: bytes | None) -> dict | None:

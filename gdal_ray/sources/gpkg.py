@@ -15,7 +15,7 @@ import struct
 import pyarrow as pa
 
 from ..core import wkb as W
-from .vector import ENVELOPE, with_geometry
+from .vector import ENVELOPE, attribute_names, with_geometry
 
 _ENV_SIZE = {0: 0, 1: 32, 2: 48, 3: 48, 4: 64}
 
@@ -74,12 +74,8 @@ def read_gpkg(path: str, table: str | None = None) -> pa.Table:
             and pk[0][1].upper() == "INTEGER" else None
         cur = con.execute(f'SELECT * FROM "{table}"')
         names = [d[0] for d in cur.description]
-        taken = {"fid", "wkb", *ENVELOPE}
-        keys = {}
-        for n in names:
-            if n not in (geom_col, fid_col):
-                keys[n] = n if n not in taken else f"attr_{n}"
-                taken.add(keys[n])
+        fields = [n for n in names if n not in (geom_col, fid_col)]
+        keys = dict(zip(fields, attribute_names(fields)))
         fids, geoms = [], []
         attrs: dict[str, list] = {k: [] for k in keys.values()}
         for rec in cur:

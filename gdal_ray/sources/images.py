@@ -6,7 +6,8 @@ Schema fixed by BASELINE.json input_hint:
 
 The container has no lancedb, so the "Lance table" materializes as
 partitioned Parquet; at query time the corpus is usually *generated
-streaming* — ``ray.data.range(n).map_batches(ImageGen)`` — which is how
+streaming* — ``images_dataset(n)``, a ``ray.data.range(n)`` mapped
+through ``gen_images_batch`` — which is how
 a 10^12-row corpus would be fed from object storage shards in
 production: each block materializes only its own rows.
 
@@ -116,17 +117,9 @@ def make_image_batch(indices) -> pa.Table:
     return pa.Table.from_pylist(rows, schema=IMAGE_SCHEMA)
 
 
-class ImageGen:
-    """map_batches callable: block of {"id": int64} → image rows.
-
-    Used as ``ray.data.range(n).map_batches(ImageGen, batch_format="pyarrow")``
-    — the streaming stand-in for reading the Lance corpus."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return make_image_batch(batch["id"].to_numpy())
-
-
 def gen_images_batch(batch: pa.Table) -> pa.Table:
+    """map_batches function: block of {"id": int64} → image rows, the
+    streaming stand-in for reading the Lance corpus."""
     return make_image_batch(batch["id"].to_numpy())
 
 

@@ -1,5 +1,5 @@
 """Mapbox Vector Tiles (MVT) — protobuf tile decode/encode from the
-public vector-tile spec v2.1, plus z/x/y tree reading.
+public vector-tile spec v2.1, plus reading a tile of a z/x/y tree.
 
 Reference driver: ogr/ogrsf_frmts/mvt/ogrmvtdataset.cpp. Behavior
 parity (autotest/ogr/ogr_mvt.py):
@@ -31,8 +31,7 @@ import pyarrow as pa
 from ..core import wkb as W
 from .vector import with_geometry
 
-__all__ = ["decode_mvt", "encode_mvt", "read_mvt_table", "read_mvt",
-           "tile_to_mercator"]
+__all__ = ["decode_mvt", "encode_mvt", "read_mvt_table", "tile_to_mercator"]
 
 _ORIGIN = 20037508.342789244  # pi * 6378137
 
@@ -387,31 +386,6 @@ def _concat_promote(parts):
                     t = t.set_column(i, nm, t[nm].cast(pa.string()))
             fixed.append(t)
         return pa.concat_tables(fixed, promote_options="permissive")
-
-
-def read_mvt(root: str):
-    """A z/x/y MVT tree (or a single tile) -> ray.data.Dataset; one
-    input tile file per read task, decoded in parallel."""
-    import ray.data as rd
-    if os.path.isfile(root):
-        return rd.from_arrow(read_mvt_table(root))
-    tiles = []
-    for dirpath, _dirs, files in os.walk(root):
-        for f in files:
-            if f.endswith((".pbf", ".mvt")):
-                tiles.append(os.path.join(dirpath, f))
-    tiles.sort()
-
-    def _load(batch):
-        outs = []
-        for p in batch["path"].to_pylist():
-            t = read_mvt_table(p)
-            t = t.append_column("tile_path",
-                                pa.array([p] * len(t), pa.string()))
-            outs.append(t)
-        return _concat_promote(outs)
-    return rd.from_items([{"path": p} for p in tiles]).map_batches(
-        _load, batch_format="pyarrow")
 
 
 # -------------------------------------------------------- tile encode

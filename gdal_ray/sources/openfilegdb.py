@@ -40,7 +40,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..core import wkb as W
-from .vector import with_geometry
+from .vector import attribute_names, with_geometry
 
 __all__ = ["read_gdb", "read_gdb_layer", "list_gdb_layers"]
 
@@ -485,8 +485,8 @@ def read_gdb_layer(gdb_dir: str, layer: str) -> pa.Table:
     t = pa.table({"fid": pa.array(fids, pa.int64())})
     if geom_name is not None:
         t = with_geometry(t, geoms)
-    for n, vals in cols.items():
-        t = t.append_column(n, pa.array(vals))
+    for nm, vals in zip(attribute_names(cols), cols.values()):
+        t = t.append_column(nm, pa.array(vals))
     return t
 
 

@@ -24,15 +24,7 @@ import os
 
 import numpy as np
 
-__all__ = ["read_ozi_map", "is_ozi_map"]
-
-
-def is_ozi_map(path: str) -> bool:
-    try:
-        with open(path, "rb") as fh:
-            return b"OziExplorer Map Data File" in fh.read(256)
-    except OSError:
-        return False
+__all__ = ["read_ozi_map"]
 
 
 def _proj_for(name: str, setup: list[str], datum: str):

@@ -235,6 +235,7 @@ _DRIVERS = (
     ("RRASTER", lambda p: p.ext == "grd" and p.head(1) == b"[",
      _path("rawgrids:decode_rraster")),
     ("AAIGrid", _ext("asc", "grd", "agr"), _text("aaigrid:decode_aaigrid")),
+    ("XYZ", _ext("xyz"), _text(".xyzgrid:decode_xyz")),
     ("TERRAGEN", lambda p: p.ext == "ter" and p.head(8) == b"TERRAGEN",
      _bytes("rawgrids:decode_terragen")),
     ("LEVELLER", _ext("ter"), _bytes("rawgrids:decode_leveller")),

@@ -20,7 +20,7 @@ import pyarrow as pa
 
 from ..core import geom as _geom
 from ..core import wkb as W
-from .vector import ENVELOPE, with_geometry
+from .vector import ENVELOPE, attribute_names, with_geometry
 
 _Z = {11: 1, 13: 3, 15: 5, 18: 8}   # Z-type → base
 _M = {21: 1, 23: 3, 25: 5, 28: 8}   # M-type → base
@@ -216,8 +216,8 @@ def read_shapefile(path: str) -> pa.Table:
     except FileNotFoundError:
         pass
     t = with_geometry(pa.table({"fid": np.arange(len(geoms))}), geoms)
-    for nm in names:
-        t = t.append_column(nm, pa.array(
+    for nm, col in zip(names, attribute_names(names)):
+        t = t.append_column(col, pa.array(
             [rows[i].get(nm) if i < len(rows) else None
              for i in range(len(geoms))]))
     return t

@@ -37,6 +37,25 @@ POINT_SCHEMA = pa.schema([
 # the denormalized envelope columns, in the order every layer carries them
 ENVELOPE = ("minx", "miny", "maxx", "maxy")
 
+
+def attribute_names(names) -> list[str]:
+    """A source's attribute field names → the layer's attribute column
+    names, in order: a name equal to ``fid``, ``wkb`` or an
+    ``ENVELOPE`` column (compared case-insensitively) becomes
+    ``attr_<name>``, and a repeated name gets ``_`` suffixes, so no
+    attribute collides with the columns ``with_geometry`` builds."""
+    reserved = {"fid", "wkb", *ENVELOPE}
+    taken = set(reserved)
+    out = []
+    for nm in names:
+        if nm.lower() in reserved:
+            nm = f"attr_{nm}"
+        while nm in taken:
+            nm += "_"
+        taken.add(nm)
+        out.append(nm)
+    return out
+
 _CATS = ("a", "b", "c")
 
 

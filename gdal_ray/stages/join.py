@@ -16,9 +16,7 @@ runs the envelope test, the PBSM reference-point dedup rule
 
 Scale note: join zoom picks the partition granularity; higher zoom →
 more, smaller cells (better balance, more duplication of large
-polygons). Hot cells can additionally be handled by broadcasting the
-small side (ray.put) when |polygons| is small — see
-broadcast_spatial_filter below, the semi-join fast path.
+polygons).
 """
 
 from __future__ import annotations
@@ -288,28 +286,6 @@ def pip_join(points, polygons, zoom: int = 7, emit: str = "inner"):
         .select_columns(PAIR_COLS) \
         .union(_polygon_side(polygons, zoom, pa.int64()))
     return bucket_groups(both, pip_cell_group)
-
-
-# ---------------------------------------------------------------------------
-# broadcast semi-join (small filter side)
-# ---------------------------------------------------------------------------
-
-def broadcast_spatial_filter(ds, filter_wkb: bytes, *, x_col="x", y_col="y"):
-    """OGR SetSpatialFilter semantics as a broadcast semi-join: the
-    filter geometry ships once (captured in the task closure / object
-    store), each batch tests its points vectorized — no shuffle at all.
-    (ogrlayer.cpp:4005-4072 path for one filter geometry.)"""
-    g = wkb_mod.loads(filter_wkb)
-    env = g.envelope()
-
-    def f(b: pa.Table) -> pa.Table:
-        x = b[x_col].to_numpy(); y = b[y_col].to_numpy()
-        m = (x >= env[0]) & (x <= env[2]) & (y >= env[1]) & (y <= env[3])
-        if m.any():
-            m[m] = geom.points_in_polygon(x[m], y[m], g)
-        return b.filter(pa.array(m))
-
-    return ds.map_batches(f, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

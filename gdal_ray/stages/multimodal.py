@@ -17,10 +17,10 @@ Two decode backends, selected at actor construction:
     plumbing (schema, batch sizing, actor signature, flat_map layout)
     can be exercised against arbitrary opaque payloads.
 
-``wav_audio_dataset`` / ``avi_video_dataset`` generate corpora of REAL
-WAV / AVI payloads whose content is closed-form (SQL-reconstructible
-integer PCM; per-frame gradient MJPEG), so the real path is oracled
-end-to-end (queries ``audio_features_wav``).
+``wav_audio_dataset`` / ``make_avi_video_batch`` generate REAL WAV /
+AVI payloads whose content is closed-form (SQL-reconstructible integer
+PCM; per-frame gradient MJPEG), so the real path is oracled end-to-end
+(queries ``audio_features_wav``).
 
 Schemas:
   audio row:  (clip_id: string, bytes: binary, sample_rate: int32,
@@ -177,16 +177,6 @@ def make_avi_video_batch(indices) -> pa.Table:
         "w": pa.array(ws, pa.int32()),
         "h": pa.array(hs, pa.int32()),
     })
-
-
-def avi_video_dataset(n: int, batch_size: int = 32):
-    import ray.data as rd
-
-    def gen(b: pa.Table) -> pa.Table:
-        return make_avi_video_batch(b["id"].to_numpy())
-
-    return rd.range(n).map_batches(gen, batch_format="pyarrow",
-                                   batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------

@@ -5,23 +5,16 @@ Reference semantics: alg/zonal.cpp (2,233 LoC) + the
 for every (raster, zone polygon) pair, the polygon is burned onto the
 raster grid and the covered pixels are reduced (count/sum/min/max/mean).
 
-Ray-Data-first plan (round-2 scale shape):
+Ray-Data plan (zone layers are small, the raster corpus is the large
+side):
 
-  1. MAP: crop each image to its covering cells — every pixel belongs
-     to exactly ONE cell (the cell containing its center), so the cell
-     pieces PARTITION the image. The exchange carries ≤cell-sized
-     re-encoded crops totalling ≈1× the corpus (never source bytes ×
-     cover factor), and partial stats become purely ADDITIVE — no
-     PBSM reference-point dedup needed.
-  2. SHUFFLE: groupby on the house salted bucket (stages/exchange.py
-     salted_bucket) — balanced reduce tasks, no per-cell group
-     overhead, no hot-cell straggler groups.
-  3. REDUCE (ZonalCell): one Arrow kernel per bucket, whatever the
-     number of cells in it — expand all same-cell crop×polygon pairs at
-     once (join.same_cell_pairs), envelope-prefilter them, decode each
-     crop once, burn each polygon on the crop's grid, and emit partial
-     rows (fid, sum, count, min, max) in PARTIAL_SCHEMA.
-  4. tiny final groupby(fid).aggregate — the only all-to-all on the
+  1. BROADCAST: the zone polygon table ships once via ray.put.
+  2. MAP: each image is envelope-tested against every polygon, decoded
+     once if any polygon overlaps it, and each overlapping polygon is
+     burned on the image grid; the map emits one partial row
+     (fid, sum, count, min, max) per (image, polygon) in
+     PARTIAL_SCHEMA. Partials are additive, so no dedup is needed.
+  3. a tiny final groupby(fid).aggregate — the only all-to-all, on the
      small partials table, never on pixels.
 """
 
@@ -30,84 +23,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..core import mercator as merc
 from ..core import wkb as wkb_mod
 from ..core.rastervec import rasterize
-from .exchange import bucket_groups, split_sides
-from .join import overlap_pairs, with_cells
-
-N_ZONAL_BUCKETS = 128
-
-CROP_SCHEMA = pa.schema([
-    ("cell", pa.uint64()),
-    ("side", pa.string()),
-    ("image_id", pa.string()),
-    ("bytes", pa.binary()),
-    ("fmt", pa.string()),
-    ("gt0", pa.float64()), ("gt1", pa.float64()), ("gt2", pa.float64()),
-    ("gt3", pa.float64()), ("gt4", pa.float64()), ("gt5", pa.float64()),
-    ("minx", pa.float64()), ("miny", pa.float64()),
-    ("maxx", pa.float64()), ("maxy", pa.float64()),
-    ("fid", pa.int64()), ("wkb", pa.binary()),
-])
-
-
-def crop_images_to_cells(batch: pa.Table, zoom: int) -> pa.Table:
-    """Image rows (georef cols) → one re-encoded crop row per covering
-    cell, partitioned by pixel-CENTER cell membership (each source pixel
-    appears in exactly one output row)."""
-    from ..codecs import decode as _dec, encode as _enc
-
-    tile_m = 2 * merc.ORIGIN_SHIFT / (1 << zoom)
-    n2 = (1 << zoom) - 1
-    out: dict[str, list] = {k.name: [] for k in CROP_SCHEMA}
-    gts = [batch[f"gt{k}"].to_numpy() for k in range(6)]
-    ids = batch["image_id"].to_pylist()
-    bys = batch["bytes"].to_pylist()
-    fmts = batch["fmt"].to_pylist()
-    ws = batch["w"].to_numpy()
-    hs = batch["h"].to_numpy()
-    for i in range(batch.num_rows):
-        w, h = int(ws[i]), int(hs[i])
-        gt = tuple(float(g[i]) for g in gts)
-        px = None
-        cxs = gt[0] + (np.arange(w) + 0.5) * gt[1]
-        cys = gt[3] + (np.arange(h) + 0.5) * gt[5]
-        txs = np.clip(np.floor((cxs + merc.ORIGIN_SHIFT) / tile_m)
-                      .astype(np.int64), 0, n2)
-        tys = np.clip(np.floor((cys + merc.ORIGIN_SHIFT) / tile_m)
-                      .astype(np.int64), 0, n2)           # TMS y
-        # contiguous runs (centers are monotone along each axis)
-        cbreaks = np.concatenate([[0], np.nonzero(np.diff(txs))[0] + 1, [w]])
-        rbreaks = np.concatenate([[0], np.nonzero(np.diff(tys))[0] + 1, [h]])
-        for r0, r1 in zip(rbreaks[:-1], rbreaks[1:]):
-            for c0, c1 in zip(cbreaks[:-1], cbreaks[1:]):
-                if px is None:
-                    px = _dec(bys[i], fmts[i])
-                crop = px[r0:r1, c0:c1]
-                cgt = (gt[0] + c0 * gt[1], gt[1], 0.0,
-                       gt[3] + r0 * gt[5], 0.0, gt[5])
-                cell = merc.cell_id(zoom, int(txs[c0]),
-                                    int(merc.tms_to_xyz(int(tys[r0]), zoom)))
-                out["cell"].append(np.uint64(cell))
-                out["side"].append("I")
-                out["image_id"].append(ids[i])
-                out["bytes"].append(_enc(np.ascontiguousarray(crop), "png"))
-                out["fmt"].append("png")
-                for g in range(6):
-                    out[f"gt{g}"].append(float(cgt[g]))
-                # min/max of the two corner ordinates so south-up
-                # (gt5 > 0) or west-left (gt1 < 0) rasters still get a
-                # valid envelope for the cell prefilter
-                x0, x1 = cgt[0], cgt[0] + (c1 - c0) * cgt[1]
-                y0, y1 = cgt[3], cgt[3] + (r1 - r0) * cgt[5]
-                out["minx"].append(float(min(x0, x1)))
-                out["maxy"].append(float(max(y0, y1)))
-                out["maxx"].append(float(max(x0, x1)))
-                out["miny"].append(float(min(y0, y1)))
-                out["fid"].append(None)
-                out["wkb"].append(None)
-    return pa.Table.from_pydict(out, schema=CROP_SCHEMA)
 
 
 PARTIAL_SCHEMA = pa.schema([
@@ -148,41 +65,6 @@ def _combine(partials):
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
-class ZonalCell:
-    """Bucket kernel over one salt bucket: emit per-(crop, polygon)
-    partial pixel statistics. Crops partition pixels, so partials are
-    additive — no cross-cell dedup."""
-
-    def __init__(self, band: int = 0):
-        from ..codecs import decode
-        self.band = band
-        self._decode = decode
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        imgs, polys = split_sides(t, "I", "P")
-        ii, jj, _, _ = overlap_pairs(imgs, polys)
-        out: dict[str, list] = {k.name: [] for k in PARTIAL_SCHEMA}
-        gts = np.column_stack([imgs[f"gt{k}"].to_numpy() for k in range(6)])
-        fids = polys["fid"].to_numpy()
-        wkbs = polys["wkb"]
-        geoms: dict[int, object] = {}
-        cur = -1
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            if i != cur:  # ii ascends: decode each crop once
-                cur = i
-                px = self._decode(imgs["bytes"][i].as_py(),
-                                  imgs["fmt"][i].as_py())
-                if px.ndim == 3:
-                    px = px[:, :, self.band]
-                gt = tuple(gts[i])
-            fid = int(fids[j])
-            g = geoms.get(fid)
-            if g is None:
-                g = geoms.setdefault(fid, wkb_mod.loads(wkbs[j].as_py()))
-            _emit_partial(out, fid, g, px, gt)
-        return pa.Table.from_pydict(out, schema=PARTIAL_SCHEMA)
-
-
 def zonal_raster_broadcast(images_geo, polygons_table: pa.Table,
                            band: int = 0):
     """Zonal stats with a BROADCAST zone layer (the usual shape: zone
@@ -191,8 +73,9 @@ def zonal_raster_broadcast(images_geo, polygons_table: pa.Table,
     partials; the only shuffle is the tiny groupby(fid) combine — no
     cell exchange, no image bytes movement, no hot-cell skew.
 
-    Use zonal_raster_stats (salted cell co-shuffle) when BOTH sides are
-    too large to broadcast."""
+    images_geo must carry georef columns (with_georef); polygons_table
+    the fid/wkb/envelope layer table. Returns a Dataset of (fid,
+    pixel_sum, pixel_count, pixel_min, pixel_max, pixel_mean)."""
     import ray
 
     polys = [(int(f), wkb_mod.loads(b), (mn, mi, mx, my))
@@ -233,34 +116,3 @@ def zonal_raster_broadcast(images_geo, polygons_table: pa.Table,
     return _combine(images_geo.map_batches(
         partials_batch, batch_format="pyarrow", batch_size=8))
 
-
-def zonal_raster_stats(images_geo, polygons, zoom: int = 7, band: int = 0):
-    """Per-polygon stats of raster band pixels across all intersecting
-    images. images_geo must carry georef columns (with_georef);
-    polygons the T2 schema. Returns Dataset
-    (fid, pixel_count, pixel_sum, pixel_min, pixel_max, pixel_mean)."""
-    def crop_to_cells(b: pa.Table) -> pa.Table:
-        return crop_images_to_cells(b, zoom)
-
-    imgs = images_geo.map_batches(crop_to_cells, batch_format="pyarrow")
-    pols = with_cells(polygons, zoom,
-                      ["fid", "wkb", "minx", "miny", "maxx", "maxy"])
-
-    def pol_pad(b: pa.Table) -> pa.Table:
-        b = b.append_column("side", pa.array(["P"] * b.num_rows))
-        b = b.append_column("image_id", pa.nulls(b.num_rows, pa.string()))
-        b = b.append_column("bytes", pa.nulls(b.num_rows, pa.binary()))
-        b = b.append_column("fmt", pa.nulls(b.num_rows, pa.string()))
-        for i in range(6):
-            b = b.append_column(f"gt{i}", pa.nulls(b.num_rows, pa.float64()))
-        return b
-
-    pols = pols.map_batches(pol_pad, batch_format="pyarrow")
-    cols = [k.name for k in CROP_SCHEMA]
-    both = imgs.select_columns(cols).union(pols.select_columns(cols))
-    zc = ZonalCell(band)
-
-    def zonal_cell_group(t: pa.Table) -> pa.Table:
-        return zc(t)
-
-    return _combine(bucket_groups(both, zonal_cell_group, N_ZONAL_BUCKETS))

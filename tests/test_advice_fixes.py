@@ -102,28 +102,38 @@ class TestGeographicEPSG:
 
 
 class TestZonalSouthUp:
-    def test_crop_envelope_valid_for_south_up(self):
+    def test_broadcast_counts_south_up_pixels(self, ray_session):
+        import ray.data as rd
         from gdal_ray.codecs import encode
-        from gdal_ray.stages.zonal import crop_images_to_cells
+        from gdal_ray.stages.zonal import zonal_raster_broadcast
 
-        px = np.arange(64 * 64, dtype=np.uint8).reshape(64, 64)
+        w = h = 64
+        px = (np.arange(w * h) % 251).astype(np.uint8).reshape(h, w)
         res = 2 * 20037508.342789244 / (1 << 8) / 256    # z8 pixel size
-        # south-up: gt5 > 0, origin at the BOTTOM edge
-        gt = (-res * 40, res, 0.0, -res * 32, 0.0, res)
-        batch = pa.table({
-            "image_id": ["img0"],
-            "bytes": [encode(px, "png")],
-            "fmt": ["png"],
-            "w": pa.array([64], pa.int32()),
-            "h": pa.array([64], pa.int32()),
-            "gt0": [gt[0]], "gt1": [gt[1]], "gt2": [gt[2]],
-            "gt3": [gt[3]], "gt4": [gt[4]], "gt5": [gt[5]],
+        # south-up: gt5 > 0, origin at the BOTTOM edge, so row 0 is south
+        x0, y0 = -res * 40, -res * 32
+        gt = (x0, res, 0.0, y0, 0.0, res)
+        x1, y1 = x0 + w * res, y0 + h * res
+        img = pa.table({
+            "bytes": [encode(px, "png")], "fmt": ["png"],
+            **{f"gt{k}": [float(gt[k])] for k in range(6)},
+            "minx": [x0], "miny": [y0], "maxx": [x1], "maxy": [y1],
         })
-        out = crop_images_to_cells(batch, zoom=8)
-        assert out.num_rows >= 1
-        minx = np.asarray(out["minx"])
-        maxx = np.asarray(out["maxx"])
-        miny = np.asarray(out["miny"])
-        maxy = np.asarray(out["maxy"])
-        assert np.all(minx < maxx)
-        assert np.all(miny < maxy)
+        ym = y0 + (h // 2) * res
+        zones = [W.box(x0 - res, y0 - res, x1 + res, y1 + res),
+                 W.box(x0 - res, ym, x1 + res, y1 + res)]   # top half
+        polys = pa.table({
+            "fid": pa.array([1, 2], pa.int64()),
+            "wkb": [W.dumps(g) for g in zones],
+            "minx": [g.envelope()[0] for g in zones],
+            "miny": [g.envelope()[1] for g in zones],
+            "maxx": [g.envelope()[2] for g in zones],
+            "maxy": [g.envelope()[3] for g in zones],
+        })
+        out = zonal_raster_broadcast(rd.from_arrow(img), polys) \
+            .to_pandas().set_index("fid")
+        assert out.loc[1, "pixel_count"] == w * h
+        assert out.loc[1, "pixel_sum"] == float(px.sum())
+        assert out.loc[2, "pixel_count"] == w * h // 2
+        # the north half of a south-up image is its LAST rows
+        assert out.loc[2, "pixel_sum"] == float(px[h // 2:].sum())

@@ -132,33 +132,3 @@ class TestDriverRegistry:
         write_fgb(t, p)
         assert read_vector(p).num_rows == 10
 
-
-class TestGeoParquet:
-    def test_write_read_meta(self, tmp_path):
-        import json
-        import pyarrow.parquet as pq
-        from gdal_ray.sources.geoparquet import (read_geoparquet,
-                                                 write_geoparquet)
-        _, _, t = _layer(40)
-        p = str(tmp_path / "g.parquet")
-        write_geoparquet(t, p, crs_code=4326)
-        back, meta = read_geoparquet(p)
-        assert back.num_rows == 40
-        assert meta["version"].startswith("1.")
-        assert meta["primary_column"] == "wkb"
-        col = meta["columns"]["wkb"]
-        assert col["encoding"] == "WKB"
-        assert col["geometry_types"] == ["Point"]
-        assert col["crs"]["id"] == {"authority": "EPSG", "code": 4326}
-        assert len(col["bbox"]) == 4 and col["bbox"][0] <= col["bbox"][2]
-        # raw parquet metadata carries the geo key (interop contract)
-        raw = pq.read_schema(p).metadata[b"geo"]
-        assert json.loads(raw)["primary_column"] == "wkb"
-
-    def test_plain_parquet_reads_with_none_meta(self, tmp_path):
-        import pyarrow.parquet as pq
-        from gdal_ray.sources.geoparquet import read_geoparquet
-        p = str(tmp_path / "plain.parquet")
-        pq.write_table(pa.table({"a": [1, 2]}), p)
-        _, meta = read_geoparquet(p)
-        assert meta is None

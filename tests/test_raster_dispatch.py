@@ -38,6 +38,7 @@ PROBES: dict[str, bytes | None] = {
     "aaigrid.grd": b"ncols 2\nnrows 2\n",
     "aaigrid.asc": b"ncols 2\nnrows 2\n",
     "aaigrid.agr": b"ncols 2\nnrows 2\n",
+    "grid.xyz": b"0.5 1.5 10\n",
     "terragen.ter": b"TERRAGENTERRAIN ",
     "leveller.ter": b"trrn\x07" + bytes(16),
     "vterrain.bt": b"binterr1.3" + bytes(246),
@@ -219,7 +220,7 @@ PROBES: dict[str, bytes | None] = {
     "exrmagic.bin": b"\x76\x2f\x31\x01" + bytes(8),
     "heifmagic.bin": bytes(4) + b"ftypheic" + bytes(8),
     "degrib.bin": b"TEXT HEADER\nGRIB" + bytes(12),
-    "unknown.xyz": b"no magic here",
+    "unknown.qqq": b"no magic here",
     "pngtag_jpeg.png": b"\xff\xd8\xff\xe0" + bytes(8),
 }
 
@@ -232,7 +233,7 @@ EXPECTED: list[tuple[str, str | None]] = [
     ("nwtgrc.grc", "NWT_GRC"), ("gmt.grd", "netCDF"),
     ("rraster.grd", "RRASTER"), ("rraster.gri", "RRASTER"),
     ("aaigrid.grd", "AAIGrid"), ("aaigrid.asc", "AAIGrid"),
-    ("aaigrid.agr", "AAIGrid"),
+    ("aaigrid.agr", "AAIGrid"), ("grid.xyz", "XYZ"),
     ("terragen.ter", "TERRAGEN"), ("leveller.ter", "LEVELLER"),
     ("vterrain.bt", "BT"), ("pcraster.map", "PCRaster"), ("ozi.map", "MAP"),
     ("texture.ktx2", "KTX2"), ("ktxmagic.tex", "KTX2"),
@@ -324,7 +325,7 @@ EXPECTED: list[tuple[str, str | None]] = [
     ("gifmagic.bin", "GIF"), ("jp2magic.bin", "JP2"),
     ("j2kmagic.bin", "JP2"), ("exrmagic.bin", "EXR"),
     ("heifmagic.bin", "HEIF"), ("degrib.bin", "GRIB"),
-    ("unknown.xyz", None), ("pngtag_jpeg.png", "PNG"),
+    ("unknown.qqq", None), ("pngtag_jpeg.png", "PNG"),
     # the sidecars themselves
     ("roipac.slc.rsc", None), ("roipac.hgt.rsc", None),
     ("roipac.dem.rsc", None), ("roipac.raw.rsc", None),

@@ -6,7 +6,6 @@ import pandas as pd
 import pytest
 
 from gdal_ray.core import geom, wkb
-from gdal_ray.sources import geo
 from gdal_ray.sources.vector import make_polygon, points_table, polygons_table
 
 
@@ -192,19 +191,6 @@ class TestPiPJoin:
         from gdal_ray.stages.join import pip_join
         with pytest.raises(ValueError, match="emit"):
             pip_join(None, None, emit="outer")
-
-
-class TestBroadcastFilter:
-    def test_filter_rect(self, ray_session):
-        from gdal_ray.stages.join import broadcast_spatial_filter
-        from gdal_ray.sources.vector import points_dataset
-        g = wkb.box(geo.METRO_X0, geo.METRO_Y0,
-                    geo.METRO_X0 + geo.METRO_W, geo.METRO_Y0 + geo.METRO_W)
-        res = broadcast_spatial_filter(points_dataset(200), wkb.dumps(g)).to_pandas()
-        pts = points_table(200).to_pandas()
-        inmask = ((pts.x >= geo.METRO_X0) & (pts.x <= geo.METRO_X0 + geo.METRO_W)
-                  & (pts.y >= geo.METRO_Y0) & (pts.y <= geo.METRO_Y0 + geo.METRO_W))
-        assert set(res["fid"]) == set(pts[inmask]["fid"])
 
 
 class TestKnn:
